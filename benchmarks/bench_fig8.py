@@ -22,8 +22,8 @@ from repro.analysis import line_series
 from repro.core.config import parse_config
 from repro.farm import farm_from_env, farm_sweep
 from repro.obs.archive import RunArchive, archive_root_from_env
-from repro.osmodel import NumaMachine, machine_from_prototype
-from repro.parallel import env_jobs, fig8_spec, resolve_jobs, run_sweep
+from repro.osmodel import NumaMachine
+from repro.parallel import env_jobs, fig8_spec, run_sweep
 from repro.store import store_from_env
 
 
@@ -33,13 +33,6 @@ def compute_fig8():
     store = store_from_env()
     jobs = env_jobs()
     farm = farm_from_env()
-    if (root is None and store is None and farm is None
-            and resolve_jobs(jobs) <= 1):
-        # Cheap plain path: one machine measurement, serial model eval.
-        from repro.core.prototype import Prototype
-        from repro.workloads.intsort import fig8_series
-        machine = machine_from_prototype(Prototype(config))
-        return machine, fig8_series(machine)
     start = time.perf_counter()
     spec = fig8_spec(config, obs_spec={} if root else None)
     if farm is not None:

@@ -14,7 +14,7 @@ from repro.analysis import line_series
 from repro.core.config import parse_config
 from repro.farm import farm_from_env, farm_sweep
 from repro.obs.archive import RunArchive, archive_root_from_env
-from repro.parallel import env_jobs, fig9_spec, resolve_jobs, run_sweep
+from repro.parallel import env_jobs, fig9_spec, run_sweep
 from repro.store import store_from_env
 
 
@@ -24,14 +24,6 @@ def compute_fig9():
     store = store_from_env()
     jobs = env_jobs()
     farm = farm_from_env()
-    if (root is None and store is None and farm is None
-            and resolve_jobs(jobs) <= 1):
-        # Cheap plain path: one machine measurement, serial model eval.
-        from repro.core.prototype import Prototype
-        from repro.osmodel import machine_from_prototype
-        from repro.workloads.intsort import fig9_series
-        machine = machine_from_prototype(Prototype(config))
-        return fig9_series(machine)
     start = time.perf_counter()
     spec = fig9_spec(config, obs_spec={} if root else None)
     if farm is not None:

@@ -57,25 +57,26 @@ def machine_from_prototype(proto, probes: int = 6) -> NumaMachine:
     """Measure a :class:`NumaMachine` from a built cycle-level prototype.
 
     Samples intra- and inter-node pair latencies with the Fig. 7 probe
-    machinery; falls back to Table 2 defaults for single-node systems.
+    machinery.  A node with one tile has no intra-node pair, so its local
+    latency falls back to the Table 2 default; a single-node system's
+    remote latency is its local one.
     """
     config = proto.config
     tiles = config.tiles_per_node
-    if config.n_nodes == 1:
-        samples = [proto.measure_pair_latency(0, j)
-                   for j in range(1, min(tiles, probes + 1))]
-        local = sum(samples) / len(samples) if samples else 100.0
-        return NumaMachine(n_nodes=1, cores_per_node=tiles,
-                           frequency_hz=config.achievable_frequency_mhz * 1e6,
-                           local_latency=local, remote_latency=local)
     local_samples = [proto.measure_pair_latency(0, j)
                      for j in range(1, min(tiles, probes + 1))]
-    remote_samples = [proto.measure_pair_latency(0, tiles + j)
-                      for j in range(min(tiles, probes))]
+    local = (sum(local_samples) / len(local_samples) if local_samples
+             else NumaMachine.local_latency)
+    if config.n_nodes == 1:
+        remote = local
+    else:
+        remote_samples = [proto.measure_pair_latency(0, tiles + j)
+                          for j in range(min(tiles, probes))]
+        remote = sum(remote_samples) / len(remote_samples)
     return NumaMachine(
         n_nodes=config.n_nodes,
         cores_per_node=tiles,
         frequency_hz=config.achievable_frequency_mhz * 1e6,
-        local_latency=sum(local_samples) / len(local_samples),
-        remote_latency=sum(remote_samples) / len(remote_samples),
+        local_latency=local,
+        remote_latency=remote,
     )

@@ -5,8 +5,11 @@ evaluate the phase-level NPB IS model at a handful of sweep points, but
 every evaluation first needs a :class:`~repro.osmodel.NumaMachine`
 *measured* from the cycle-level prototype — and that measurement (a
 prototype build plus latency probes) dominates the wall clock.  The
-sweep is sharded one point per task: each worker builds a fresh
-prototype, measures the machine once, and evaluates its point on it.
+sweep is sharded one point per task, but every point of one sweep needs
+the same machine, so :func:`model_point` measures it through
+:func:`~repro.parallel.sweep.sweep_cached`: once per sweep in a serial
+run, once per worker process in a ``jobs=N`` pool, and once per attempt
+on a farm (each attempt is one point in its own process).
 
 Both figures are now :class:`~repro.parallel.sweep.SweepSpec`\\ s
 (families ``"fig8"`` / ``"fig9"``) run through
@@ -17,10 +20,11 @@ FireSim-AGFI-reuse economics the paper's Table 5 argues for.
 
 Determinism contract (same as the whole package, extended to the
 cache): the prototype simulation is deterministic, so every worker
-measures a bit-identical ``NumaMachine``; task composition and per-task
-seeds derive only from the inputs; the merge preserves task order; and
-cached values are JSON-canonical, so *serial == parallel == cached ==
-legacy serial* exactly — the tests assert all of them.
+measures a bit-identical ``NumaMachine`` and every point carries the
+metrics export of one identical measurement; task composition and
+per-task seeds derive only from the inputs; the merge preserves task
+order; and cached values are JSON-canonical, so *serial == parallel ==
+cached == legacy serial* exactly — the tests assert all of them.
 
 Each point carries a seed derived via :func:`~repro.parallel.task_seed`.
 The IS model is currently analytic, so workers do not consume it yet; it
@@ -32,33 +36,47 @@ cache addressing.
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Dict, List, Optional
 
-from .sweep import SweepSpec
+from ..errors import ConfigError
+from .sweep import SweepSpec, sweep_cached
 
 #: Cache generation of :func:`model_point`; bump when the machine
 #: measurement or the IS model evaluation changes meaning.
 OSMODEL_POINT_VERSION = "1"
 
 
-def model_point(config, point, _seed, obs_spec):
-    """Sweep point fn: measure the machine once, evaluate one point.
-
-    ``point`` is ``{"threads": n, "nodes": k | None, "params": {...}}``
-    (``nodes=None`` means no taskset pinning).  Returns
-    ``{"machine": machine dict, "values": [numa_on_s, numa_off_s],
-    "metrics": dict | None}``.
-    """
+def _measure_machine(config, obs_spec):
+    """Build one prototype: ``(NumaMachine, exported metrics | None)``."""
     # Imported here: repro.core imports this package for its --jobs path.
     from ..core.prototype import Prototype
-    from ..osmodel import Taskset, machine_from_prototype
-    from ..workloads.intsort import IntSortModel, IntSortParams
+    from ..osmodel import machine_from_prototype
 
     obs = None
     if obs_spec is not None:
         from ..obs import Observer
         obs = Observer(tracing=False, **obs_spec)
     machine = machine_from_prototype(Prototype(config, obs=obs))
+    return machine, obs.export_metrics() if obs is not None else None
+
+
+def model_point(config, point, _seed, obs_spec):
+    """Sweep point fn: evaluate one point on the sweep's measured machine.
+
+    ``point`` is ``{"threads": n, "nodes": k | None, "params": {...}}``
+    (``nodes=None`` means no taskset pinning).  Returns
+    ``{"machine": machine dict, "values": [numa_on_s, numa_off_s],
+    "metrics": dict | None}``.
+    """
+    from ..obs.archive import config_hash
+    from ..osmodel import Taskset
+    from ..workloads.intsort import IntSortModel, IntSortParams
+
+    key = ("osmodel.machine", config_hash(config),
+           json.dumps(obs_spec, sort_keys=True))
+    machine, metrics = sweep_cached(
+        key, lambda: _measure_machine(config, obs_spec))
     params = IntSortParams(**point["params"])
     on = IntSortModel(machine, numa_on=True, params=params)
     off = IntSortModel(machine, numa_on=False, params=params)
@@ -70,7 +88,7 @@ def model_point(config, point, _seed, obs_spec):
         "machine": machine.to_dict(),
         "values": [on.runtime_seconds(n_threads, taskset),
                    off.runtime_seconds(n_threads, taskset)],
-        "metrics": obs.export_metrics() if obs is not None else None,
+        "metrics": metrics,
     }
 
 
@@ -105,6 +123,11 @@ def fig8_spec(config, thread_counts=(3, 6, 12, 24, 48), params=None,
               obs_spec: Optional[dict] = None) -> SweepSpec:
     """Fig. 8 (runtime vs thread count), one point per thread count."""
     ticks = [int(t) for t in thread_counts]
+    bad = [t for t in ticks if not 1 <= t <= config.total_tiles]
+    if bad:
+        raise ConfigError(
+            f"fig8: thread counts {bad} outside 1..{config.total_tiles}, "
+            f"the cores of {config.label}")
     point_params = _params_dict(params)
     points = [{"threads": t, "nodes": None, "params": point_params}
               for t in ticks]
@@ -122,9 +145,15 @@ def fig9_spec(config, n_threads: int = 12, params=None,
               root_seed: int = 0,
               obs_spec: Optional[dict] = None) -> SweepSpec:
     """Fig. 9 (threads pinned to 1..n nodes), one point per node count."""
+    n_threads = int(n_threads)
+    if not 1 <= n_threads <= config.tiles_per_node:
+        raise ConfigError(
+            f"fig9: {n_threads} threads outside 1..{config.tiles_per_node}, "
+            f"the cores of one {config.label} node (the 1-node point pins "
+            f"every thread there)")
     node_counts = list(range(1, config.n_nodes + 1))
     point_params = _params_dict(params)
-    points = [{"threads": int(n_threads), "nodes": k,
+    points = [{"threads": n_threads, "nodes": k,
                "params": point_params} for k in node_counts]
 
     def merge(values):

@@ -20,12 +20,17 @@ extended to the cache): point values are canonicalized through a JSON
 round trip before anything compares or merges them, so *serial ==
 parallel == cached*, byte for byte, at any worker count — asserted by
 tests/test_store.py.
+
+Work that every point of one sweep repeats bit-identically (the Fig. 8/9
+machine measurement) goes through :func:`sweep_cached`, which computes
+it once per process per sweep.  That memo is not a second store: it
+never outlives the sweep and changes no point value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..store import ResultStore, canonical_value, entry_key
 from .runner import run_tasks, task_seed
@@ -34,6 +39,25 @@ from .runner import run_tasks, task_seed
 #: observer spec, store root or None, store key payload).
 _SweepTask = Tuple[Callable, object, object, int, Optional[dict],
                    Optional[str], Dict[str, object]]
+
+#: :func:`sweep_cached` values for the sweep running in this process.
+_SWEEP_CACHE: Dict[Hashable, object] = {}
+
+
+def sweep_cached(key: Hashable, compute: Callable[[], object]):
+    """``compute()``, evaluated once per ``key`` for the current sweep.
+
+    Lifetime is one sweep: :func:`run_sweep` empties the cache when it
+    returns or raises, a ``jobs=N`` pool worker keeps its entries until
+    the pool shuts down at the end of the sweep, and a farm attempt runs
+    one point in its own process.  ``key`` must name every input of
+    ``compute``, and callers must not mutate the value they get back.
+    """
+    try:
+        return _SWEEP_CACHE[key]
+    except KeyError:
+        value = _SWEEP_CACHE[key] = compute()
+        return value
 
 
 @dataclass(frozen=True)
@@ -179,5 +203,8 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = 1,
     """
     cfg_hash, tasks = sweep_tasks(
         spec, store_root=store.root if store is not None else None)
-    results = run_tasks(_sweep_worker, tasks, jobs=jobs)
+    try:
+        results = run_tasks(_sweep_worker, tasks, jobs=jobs)
+    finally:
+        _SWEEP_CACHE.clear()
     return collect_sweep(spec, cfg_hash, results, store=store)

@@ -418,6 +418,22 @@ class TestFarmCLI:
         assert "failed" in captured.out
         assert "incomplete" in captured.err
 
+    def test_farm_run_rejects_impossible_threads_before_launch(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        launched = []
+        monkeypatch.setattr(LocalHost, "launch",
+                            lambda *args: launched.append(args))
+        path = _write_spec(tmp_path, {
+            "report": "report",
+            "suites": [{"suite": "fig9", "config": "2x1x2",
+                        "threads": 12}]})
+        from repro.cli import main
+        assert main(["farm", "run", path]) == 2
+        assert "12 threads" in capsys.readouterr().err
+        assert launched == []
+        assert not (tmp_path / "report").exists()
+
     def test_farm_run_missing_spec_fails_cleanly(self, capsys):
         from repro.cli import main
         assert main(["farm", "run", "/nonexistent/spec.json"]) == 2

@@ -1,12 +1,15 @@
 """Tests for repro.parallel: bit-identical serial/parallel execution."""
 
+import json
+
 import pytest
 
 from repro import build, parse_config
 from repro.errors import ConfigError
-from repro.parallel import (env_jobs, fixed_shards, latency_matrix_spec,
-                            probe_rows, resolve_jobs, run_sweep, run_tasks,
-                            task_seed)
+from repro.parallel import (SweepSpec, env_jobs, fig8_spec, fig9_spec,
+                            fixed_shards, latency_matrix_spec, probe_rows,
+                            resolve_jobs, run_sweep, run_tasks, task_seed)
+from repro.parallel import sweep as sweep_mod
 
 
 def _square(value):
@@ -15,6 +18,30 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"task {value} failed")
+
+
+def _cache_then_fail(config, point, seed, obs_spec):
+    """Sweep point fn: fills the sweep cache, then the last point fails."""
+    sweep_mod.sweep_cached(("test", point), lambda: point)
+    if point == 1:
+        raise ValueError("point 1 failed")
+    return point
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts ``Prototype`` constructions in this process."""
+    from repro.core.prototype import Prototype
+
+    calls = []
+    original = Prototype.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Prototype, "__init__", counting)
+    return calls
 
 
 class TestRunner:
@@ -151,3 +178,75 @@ class TestShardedOsModel:
 
         seeds = [task_seed(0, "fig8", i) for i in range(5)]
         assert len(set(seeds)) == 5
+
+    def test_fig8_on_one_tile_nodes(self):
+        # One tile per node has no intra-node pair to probe: the local
+        # latency falls back to the Table 2 default.
+        config = parse_config("2x1x1")
+        value = run_sweep(fig8_spec(config, thread_counts=(1, 2)),
+                          jobs=1).value
+        assert value["machine"]["local_latency"] == 100.0
+        assert value["machine"]["remote_latency"] > 100.0
+        assert len(value["series"]["numa_on"]) == 2
+
+
+class TestSweepCache:
+    """The machine is measured once per sweep, never across sweeps."""
+
+    def test_serial_sweep_builds_one_prototype(self, builds):
+        spec = fig8_spec(parse_config("2x1x2"), thread_counts=(1, 2, 4))
+        first = run_sweep(spec, jobs=1)
+        assert len(builds) == 1
+        assert sweep_mod._SWEEP_CACHE == {}
+        second = run_sweep(spec, jobs=1)
+        assert len(builds) == 2
+        assert first.value == second.value
+
+    def test_failing_point_leaves_the_cache_empty(self):
+        spec = SweepSpec(family="boom", config=parse_config("1x2x2"),
+                         points=[0, 1], point_fn=_cache_then_fail)
+        with pytest.raises(ValueError, match="point 1 failed"):
+            run_sweep(spec, jobs=1)
+        assert sweep_mod._SWEEP_CACHE == {}
+
+    def test_metrics_identical_across_executors(self):
+        from repro.farm import farm_sweep, local_farm
+        from repro.obs.archive import merge_metric_shards
+        from repro.parallel.osmodel import _measure_machine
+
+        config = parse_config("2x1x2")
+        machine, metrics = _measure_machine(config, {})
+        for spec in (fig8_spec(config, (2, 4), obs_spec={}),
+                     fig9_spec(config, n_threads=2, obs_spec={})):
+            results = [run_sweep(spec, jobs=1), run_sweep(spec, jobs=2),
+                       farm_sweep(spec, local_farm(slots=2,
+                                                   backoff_base=0.0))]
+            dumped = {json.dumps(result.value, sort_keys=True)
+                      for result in results}
+            assert len(dumped) == 1
+            value = results[0].value
+            assert value["machine"] == machine.to_dict()
+            # Each point exports one identical measurement, so the merge
+            # equals merging a fresh measurement once per point.
+            assert value["metrics"] == json.loads(json.dumps(
+                merge_metric_shards([metrics] * len(spec.points))))
+
+
+class TestSpecValidation:
+    """Thread counts that cannot fit fail when the spec is built."""
+
+    def test_fig8_counts_must_fit_the_prototype(self):
+        config = parse_config("2x1x2")
+        with pytest.raises(ConfigError, match="fig8"):
+            fig8_spec(config)           # default counts reach 48
+        with pytest.raises(ConfigError, match=r"\[0\]"):
+            fig8_spec(config, thread_counts=(0, 2))
+        assert len(fig8_spec(config, thread_counts=(1, 4)).points) == 2
+
+    def test_fig9_threads_must_fit_one_node(self):
+        config = parse_config("2x1x2")
+        with pytest.raises(ConfigError, match="fig9"):
+            fig9_spec(config)           # default 12 threads
+        with pytest.raises(ConfigError, match="fig9"):
+            fig9_spec(config, n_threads=0)
+        assert len(fig9_spec(config, n_threads=2).points) == 2

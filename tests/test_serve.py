@@ -282,6 +282,26 @@ class TestService:
         with pytest.raises(ServeError, match="suite"):
             served["client"].submit("fig99", config=CONFIG)
 
+    def test_submit_impossible_threads_is_conflict(self, served):
+        client = served["client"]
+        jobs_before = _stat(client, "obs.serve.jobs")
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          served["service"].port,
+                                          timeout=10)
+        try:
+            body = SweepSubmit(suite="fig9", config=CONFIG,
+                               threads=12).to_json()
+            conn.request("POST", "/v1/submit", body=body.encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 409
+            reply = decode(response.read())
+            assert isinstance(reply, ErrorReply)
+            assert "12 threads" in reply.error
+        finally:
+            conn.close()
+        assert _stat(client, "obs.serve.jobs") == jobs_before
+
     def test_unknown_job_404(self, served):
         with pytest.raises(ServeError):
             served["client"].job("serve-9999")
