@@ -1,37 +1,31 @@
-"""Kernel microbenchmark: typed fast path, batch lanes, compiled drain.
+"""Kernel microbenchmark: typed fast path and batch lanes.
 
 Pits the current :class:`repro.engine.Simulator` — the generic
 ``schedule()`` path, the :class:`~repro.engine.ConstLatencyChannel`
-typed fast path, the batched ``send_many`` lanes, and the compiled
-event-drain kernel (``REPRO_KERNEL=accel``) — against a frozen inline
-copy of the seed kernel (allocate-per-event, one heap entry per event,
-lazy cancellation without accounting) on self-propagating event storms:
-the schedule/dispatch patterns that dominate every simulation in this
-repo.  Writes ``BENCH_kernel.json`` at the repo root so CI and future
-sessions can track kernel throughput.
+typed fast path, and the batched ``send_many`` lanes — against a frozen
+inline copy of the seed kernel (allocate-per-event, one heap entry per
+event, lazy cancellation without accounting) on self-propagating event
+storms: the schedule/dispatch patterns that dominate every simulation in
+this repo.  Writes ``BENCH_kernel.json`` at the repo root so CI and
+future sessions can track kernel throughput.
 
 Two storms:
 
-* the *channel storm* — single-payload sends, the PR 2 shape — measured
-  on the pure-Python drain for gate continuity
+* the *channel storm* — single-payload sends, the PR 2 shape
   (``new_kernel_events_per_sec``);
 * the *batch storm* — every hop issues a 16-wide ``send_many`` burst,
-  the router-drain/flit-train shape — measured on the Python drain
-  (``batch_kernel_events_per_sec``) and the compiled drain
-  (``accel_kernel_events_per_sec``).
+  the router-drain/flit-train shape (``batch_kernel_events_per_sec``).
 
 A third workload, the *partition storm*
 (:mod:`repro.partition.storm`), runs the batch shape across four
 worker processes synchronized at the PCIe lookahead window
 (``partition_events_per_sec``), asserts bit-identity against the
-monolithic reference under every mode pair, and records the barrier
-overhead share.
+monolithic reference, and records the barrier overhead share.
 
 Both storms are deterministic (LCG-derived delays), exercise same-cycle
 ties, short mixed delays, and cancellation pressure, and are replayed
-under every ``fast_path`` x ``REPRO_KERNEL`` combination with the
-execution traces compared bit-for-bit, as are the serial/parallel and
-accel/python Fig. 7 matrices.
+with the execution traces compared bit-for-bit, as are the serial and
+parallel Fig. 7 matrices.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by the per-push CI gate) runs
 only the gated storms plus the determinism checks and writes the
@@ -61,19 +55,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: The schedule-storm number shipped by the calendar-queue PR, kept for
 #: context in the report (the committed JSON is the regression baseline).
 PR1_EVENTS_PER_SEC = 1_080_528
-
-#: True when the compiled drain actually built on this host (no C
-#: compiler -> transparent fallback, and the accel numbers are skipped).
-ACCEL_AVAILABLE = Simulator(kernel="accel").kernel == "accel"
-
-
-def _python_sim():
-    return Simulator(kernel="python")
-
-
-def _accel_sim():
-    return Simulator(kernel="accel")
-
 
 # ----------------------------------------------------------------------
 # Frozen seed kernel (verbatim behaviour of the v0 Simulator fast path).
@@ -257,20 +238,14 @@ def _events_per_second(sim_factory, storm, rounds: int = 4) -> float:
     return best
 
 
-def _traces_identical(storm) -> bool:
-    """Replay ``storm`` under every fast_path x kernel combination and
-    compare the execution traces bit-for-bit."""
-    reference = None
-    for fast_path in (True, False):
-        for kernel in ("python", "accel"):
-            trace = []
-            executed = storm(Simulator(fast_path=fast_path, kernel=kernel),
-                             trace=trace)
-            if reference is None:
-                reference = (executed, trace)
-            elif (executed, trace) != reference:
-                return False
-    return True
+def _replays_identical(storm) -> bool:
+    """Replay ``storm`` twice and compare the execution traces
+    bit-for-bit."""
+    replays = []
+    for _ in range(2):
+        trace = []
+        replays.append((storm(Simulator(), trace=trace), trace))
+    return replays[0] == replays[1]
 
 
 #: Partition-storm scale: 4 shards at the batch-storm shape plus the
@@ -286,38 +261,11 @@ def _storm_digests_match(reference, partitioned) -> bool:
             and partitioned["now"] == reference["now"])
 
 
-def _partition_identity_matrix() -> None:
-    """Replay the storm monolithic vs partitioned under every
-    fast_path x kernel combination; any digest/event/cycle drift fails."""
-    for fast_path in (True, False):
-        for kernel in ("python", "accel"):
-            reference = run_monolithic_storm(
-                shards=PARTITION_SHARDS, fast_path=fast_path, kernel=kernel)
-            partitioned = run_partitioned_storm(
-                shards=PARTITION_SHARDS, fast_path=fast_path, kernel=kernel)
-            assert _storm_digests_match(reference, partitioned), (
-                f"partitioned storm diverges from monolithic "
-                f"(fast_path={fast_path}, kernel={kernel})")
-
-
-def _fig7_matrix(jobs, fast_path=True, kernel=None):
-    # The sharded path builds fresh prototypes in workers, so the kernel
-    # selection travels via the environment (inherited at fork).
-    saved = os.environ.get("REPRO_KERNEL")
-    if kernel is not None:
-        os.environ["REPRO_KERNEL"] = kernel
-    try:
-        proto = Prototype(parse_config("4x1x12"), fast_path=fast_path,
-                          kernel=kernel)
-        start = time.perf_counter()
-        matrix = proto.latency_matrix(jobs=jobs)
-        return time.perf_counter() - start, matrix
-    finally:
-        if kernel is not None:
-            if saved is None:
-                os.environ.pop("REPRO_KERNEL", None)
-            else:
-                os.environ["REPRO_KERNEL"] = saved
+def _fig7_matrix(jobs):
+    proto = Prototype(parse_config("4x1x12"))
+    start = time.perf_counter()
+    matrix = proto.latency_matrix(jobs=jobs)
+    return time.perf_counter() - start, matrix
 
 
 def test_kernel_throughput(benchmark, report):
@@ -329,16 +277,14 @@ def test_kernel_throughput(benchmark, report):
         # rewrites BENCH_kernel.json.
         baseline = json.loads((REPO_ROOT / "BENCH_kernel.json").read_text())
         eps = benchmark.pedantic(
-            _events_per_second, args=(_python_sim, _channel_storm),
+            _events_per_second, args=(Simulator, _channel_storm),
             kwargs={"rounds": 2}, iterations=1, rounds=1)
-        accel_eps = _events_per_second(_accel_sim, _batch_storm, rounds=2)
-        assert _traces_identical(_channel_storm), \
-            "channel storm trace differs across fast_path x kernel modes"
-        assert _traces_identical(_batch_storm), \
-            "batch storm trace differs across fast_path x kernel modes"
-        # One mono-vs-partitioned identity check (default modes) and the
-        # partitioned throughput for the gate; the full fast_path x
-        # kernel identity matrix runs in the nightly full bench.
+        assert _replays_identical(_channel_storm), \
+            "channel storm trace differs between replays"
+        assert _replays_identical(_batch_storm), \
+            "batch storm trace differs between replays"
+        # One mono-vs-partitioned identity check and the partitioned
+        # throughput for the gate.
         reference = run_monolithic_storm(shards=PARTITION_SHARDS)
         partitioned = run_partitioned_storm(shards=PARTITION_SHARDS)
         assert _storm_digests_match(reference, partitioned), \
@@ -346,21 +292,12 @@ def test_kernel_throughput(benchmark, report):
         smoke = {"new_kernel_events_per_sec": round(eps),
                  "partition_events_per_sec":
                      round(partitioned["events_per_sec"])}
-        if ACCEL_AVAILABLE:
-            smoke["accel_kernel_events_per_sec"] = round(accel_eps)
-        else:
-            # No C compiler: the accel storm silently ran on the Python
-            # drain; omit the metric so the gate's accel rule is a no-op
-            # instead of a false regression.
-            smoke["accel_kernel_unavailable"] = True
         (REPO_ROOT / "BENCH_kernel_smoke.json").write_text(
             json.dumps(smoke, indent=2) + "\n")
         report("kernel_throughput", "\n".join([
-            f"smoke: fast path {eps:,.0f} events/s, batch+accel "
-            f"{accel_eps:,.0f} events/s, partitioned storm "
+            f"smoke: fast path {eps:,.0f} events/s, partitioned storm "
             f"{partitioned['events_per_sec']:,.0f} events/s "
-            f"(accel {'built' if ACCEL_AVAILABLE else 'UNAVAILABLE'}; "
-            f"committed baseline "
+            f"(committed baseline "
             f"{baseline['new_kernel_events_per_sec']:,}; gated by "
             f"`repro diff --gate benchmarks/kernel_gate.json "
             f"BENCH_kernel_smoke.json`)",
@@ -369,41 +306,30 @@ def test_kernel_throughput(benchmark, report):
 
     # Interleave the kernels round by round so load spikes hit all of
     # them evenly and best-of stays a fair comparison.
-    seed_eps = generic_eps = channel_eps = 0.0
-    batch_eps = accel_eps = 0.0
+    seed_eps = generic_eps = channel_eps = batch_eps = 0.0
     for _ in range(4):
         seed_eps = max(seed_eps,
                        _events_per_second(SeedSimulator, _storm, rounds=1))
         generic_eps = max(generic_eps,
-                          _events_per_second(_python_sim, _storm, rounds=1))
+                          _events_per_second(Simulator, _storm, rounds=1))
         channel_eps = max(channel_eps, _events_per_second(
-            _python_sim, _channel_storm, rounds=1))
+            Simulator, _channel_storm, rounds=1))
         batch_eps = max(batch_eps, _events_per_second(
-            _python_sim, _batch_storm, rounds=1))
-        accel_eps = max(accel_eps, _events_per_second(
-            _accel_sim, _batch_storm, rounds=1))
+            Simulator, _batch_storm, rounds=1))
     benchmark.pedantic(_events_per_second,
-                       args=(_python_sim, _channel_storm),
+                       args=(Simulator, _channel_storm),
                        kwargs={"rounds": 1}, iterations=1, rounds=1)
     speedup = generic_eps / seed_eps
     fast_gain = channel_eps / generic_eps
     batch_gain = batch_eps / channel_eps
-    accel_gain = accel_eps / batch_eps
 
-    assert _traces_identical(_channel_storm), \
-        "channel storm trace differs across fast_path x kernel modes"
-    assert _traces_identical(_batch_storm), \
-        "batch storm trace differs across fast_path x kernel modes"
+    assert _replays_identical(_channel_storm), \
+        "channel storm trace differs between replays"
+    assert _replays_identical(_batch_storm), \
+        "batch storm trace differs between replays"
 
     cpus = os.cpu_count() or 1
     fig7_fast, matrix_fast = _fig7_matrix(jobs=1)
-    fig7_generic, matrix_generic = _fig7_matrix(jobs=1, fast_path=False)
-    assert matrix_fast == matrix_generic, \
-        "fig7 matrix differs between fast path and generic path"
-    fig7_accel, matrix_accel = _fig7_matrix(jobs=1, kernel="accel")
-    fig7_python, matrix_python = _fig7_matrix(jobs=1, kernel="python")
-    assert matrix_accel == matrix_python == matrix_fast, \
-        "fig7 matrix differs between accel and python kernels"
     if cpus >= 2:
         fig7_parallel, matrix_parallel = _fig7_matrix(jobs=0)
         assert matrix_parallel == matrix_fast, \
@@ -411,15 +337,16 @@ def test_kernel_throughput(benchmark, report):
     else:
         fig7_parallel = fig7_fast
 
-    # Partitioned storm: bit-identity across every mode pair, then
+    # Partitioned storm: bit-identity with the monolithic run, then
     # throughput best-of-2 for both sides of the comparison.
-    _partition_identity_matrix()
     mono_eps = partition_eps = 0.0
     partitioned = None
     for _ in range(2):
         mono = run_monolithic_storm(shards=PARTITION_SHARDS)
         mono_eps = max(mono_eps, mono["events_per_sec"])
         candidate = run_partitioned_storm(shards=PARTITION_SHARDS)
+        assert _storm_digests_match(mono, candidate), \
+            "partitioned storm diverges from monolithic"
         if candidate["events_per_sec"] >= partition_eps:
             partition_eps = candidate["events_per_sec"]
             partitioned = candidate
@@ -436,16 +363,10 @@ def test_kernel_throughput(benchmark, report):
         "generic_kernel_events_per_sec": round(generic_eps),
         "new_kernel_events_per_sec": round(channel_eps),
         "batch_kernel_events_per_sec": round(batch_eps),
-        "accel_kernel_events_per_sec": round(accel_eps),
-        "kernel_accel_available": ACCEL_AVAILABLE,
         "kernel_speedup": round(channel_eps / seed_eps, 2),
         "fast_path_vs_generic": round(fast_gain, 2),
         "batch_vs_single_send": round(batch_gain, 2),
-        "accel_vs_python_drain": round(accel_gain, 2),
         "fig7_serial_seconds": round(fig7_fast, 3),
-        "fig7_generic_path_seconds": round(fig7_generic, 3),
-        "fig7_accel_seconds": round(fig7_accel, 3),
-        "fig7_python_kernel_seconds": round(fig7_python, 3),
         "fig7_parallel_seconds": round(fig7_parallel, 3),
         "fig7_parallel_jobs": cpus,
         "partition_shards": PARTITION_SHARDS,
@@ -469,13 +390,9 @@ def test_kernel_throughput(benchmark, report):
         f"typed fast path: {channel_eps:,.0f} events/s  "
         f"({fast_gain:.2f}x generic, "
         f"{channel_eps / PR1_EVENTS_PER_SEC:.2f}x the PR 1 number)",
-        f"batch lanes (python drain): {batch_eps:,.0f} events/s  "
+        f"batch lanes: {batch_eps:,.0f} events/s  "
         f"({batch_gain:.2f}x single sends)",
-        f"batch lanes + compiled drain: {accel_eps:,.0f} events/s  "
-        f"({accel_gain:.2f}x python drain"
-        f"{'' if ACCEL_AVAILABLE else '; accel UNAVAILABLE, ran python'})",
-        f"fig7 matrix: {fig7_fast:.2f}s fast path, {fig7_generic:.2f}s "
-        f"generic path, {fig7_accel:.2f}s accel kernel, "
+        f"fig7 matrix: {fig7_fast:.2f}s serial, "
         f"{fig7_parallel:.2f}s with jobs={cpus}",
         f"partitioned storm ({PARTITION_SHARDS} shards): "
         f"{partition_eps:,.0f} events/s "
@@ -488,25 +405,21 @@ def test_kernel_throughput(benchmark, report):
 
     # Tentpole acceptance: the calendar-queue kernel is >= 3x the seed
     # kernel on the storm, the typed fast path beats the generic path,
-    # batch lanes alone are >= 1.3x single sends on the Python drain,
-    # and the compiled drain pushes the batch storm past 3.5M events/s.
+    # and batch lanes are >= 1.3x single sends.
     assert speedup >= 3.0, f"kernel speedup {speedup:.2f}x < 3x"
     assert fast_gain >= 1.05, \
         f"typed fast path only {fast_gain:.2f}x the generic path"
     assert batch_gain >= 1.3, \
         f"batch lanes only {batch_gain:.2f}x single-payload sends"
-    if ACCEL_AVAILABLE:
-        assert accel_eps >= 3_500_000, \
-            f"compiled drain only {accel_eps:,.0f} events/s < 3.5M"
     # Parallel acceptance only holds where there are cores to use.
     if cpus >= 4:
         assert fig7_fast / fig7_parallel >= 2.0, (
             f"fig7 parallel gain {fig7_fast / fig7_parallel:.2f}x < 2x "
             f"on a {cpus}-core host")
         # Partitioned acceptance: sharding the storm across processes
-        # beats even the compiled single-process drain once each shard
-        # has a core of its own.
-        assert partition_eps >= 1.5 * accel_eps, (
+        # beats the same storm on one simulator once each shard has a
+        # core of its own.
+        assert partition_eps >= 1.5 * mono_eps, (
             f"partitioned storm {partition_eps:,.0f} events/s < 1.5x "
-            f"the compiled drain ({accel_eps:,.0f}) on a "
+            f"the monolithic storm ({mono_eps:,.0f}) on a "
             f"{cpus}-core host")

@@ -47,8 +47,7 @@ from .errors import ReproError
 from .fpga import (DRAM_INTERFACES_PER_FPGA, cheapest_instance_for, estimate,
                    estimate_build, max_tiles_per_fpga)
 from .parallel import probe_rows, run_tasks
-from .store import (ResultStore, default_store_root, gc_kernels, gc_runs,
-                    kernel_cache_dir, parse_age)
+from .store import ResultStore, default_store_root, gc_runs, parse_age
 from .store import parse_bytes as parse_size
 
 
@@ -572,13 +571,6 @@ def cmd_cache_gc(args) -> int:
     print(f"runs {args.runs}: removed {run_stats.removed} archives "
           f"({run_stats.removed_bytes} bytes), kept {run_stats.kept} "
           f"({run_stats.kept_bytes} bytes)")
-    if not args.keep_kernels:
-        kernels = kernel_cache_dir()
-        kernel_stats = gc_kernels(kernels, max_age_seconds=max_age,
-                                  max_bytes=max_bytes)
-        print(f"kernels {kernels}: removed {kernel_stats.removed} files "
-              f"({kernel_stats.removed_bytes} bytes), kept "
-              f"{kernel_stats.kept} ({kernel_stats.kept_bytes} bytes)")
     return 0
 
 
@@ -1040,8 +1032,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_stats.set_defaults(func=cmd_cache_stats)
 
     cache_gc = cache_sub.add_parser(
-        "gc", help="apply the retention policy to the store, the runs/ "
-                   "archives, and the compiled-kernel cache",
+        "gc", help="apply the retention policy to the store and the "
+                   "runs/ archives",
         parents=[cache_store])
     cache_gc.add_argument("--max-age", default=None, metavar="AGE",
                           help="drop entries older than AGE "
@@ -1052,10 +1044,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_gc.add_argument("--runs", default="runs", metavar="DIR",
                           help="run-archive tree covered by the same "
                                "policy (default: runs)")
-    cache_gc.add_argument("--keep-kernels", action="store_true",
-                          help="leave the compiled drain-kernel cache "
-                               "(_drain_cache .so files) alone instead "
-                               "of applying the policy to it too")
     cache_gc.set_defaults(func=cmd_cache_gc)
 
     cache_clear = cache_sub.add_parser(

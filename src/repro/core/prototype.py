@@ -42,16 +42,13 @@ def build_homing(config: PrototypeConfig):
 class Prototype:
     """A fully built SMAPPIC system."""
 
-    def __new__(cls, config: Optional[PrototypeConfig] = None, *args,
-                **kwargs):
+    def __new__(cls, config: Optional[PrototypeConfig] = None, **kwargs):
         # `partitions=` > 1 swaps in the sharded implementation (one
         # worker process per FPGA group, synchronized at the PCIe
         # boundary — see repro.partition); everything else builds the
         # monolithic system below.  Resolution happens here so both
         # classes share one constructor signature and call site.
         partitions = kwargs.get("partitions")
-        if partitions is None and len(args) >= 4:
-            partitions = args[3]
         if (cls is Prototype and config is not None
                 and partitions is not None):
             from ..partition import PartitionedPrototype, resolve_partitions
@@ -59,18 +56,13 @@ class Prototype:
                 return object.__new__(PartitionedPrototype)
         return object.__new__(cls)
 
-    def __init__(self, config: PrototypeConfig, fast_path: bool = True,
-                 obs=None, kernel: Optional[str] = None,
+    def __init__(self, config: PrototypeConfig, *, obs=None,
                  partitions: Optional[int] = None):
         self.config = config
-        # fast_path=False routes every constant-latency hop through the
-        # generic scheduler — slower, but lets tests assert the typed fast
-        # path is bit-identical (see tests/test_determinism.py).
         # obs takes a repro.obs.Observer; components register their stats,
         # gauges, and links with it as they are built, so it must be in
-        # place before the node list below.  kernel picks the event-drain
-        # implementation ("accel"/"python", default from REPRO_KERNEL).
-        self.sim = Simulator(fast_path=fast_path, obs=obs, kernel=kernel)
+        # place before the node list below.
+        self.sim = Simulator(obs=obs)
         self.obs = self.sim.obs
         self.addrmap = AddressMap(config.n_nodes, config.dram_bytes_per_node)
         self.homing = self._build_homing(config)

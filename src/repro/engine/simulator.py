@@ -48,8 +48,7 @@ links whose arrival varies with serialization but whose sink is fixed.
 Both paths append into the *same* calendar buckets, so generic and
 channel events at one timestamp fire in exactly the order the schedule
 calls were made — the interleaving is bit-identical to routing everything
-through ``schedule()`` (``Simulator(fast_path=False)`` does precisely
-that, and the determinism tests assert equality).
+through ``schedule()``, which the determinism tests assert.
 
 Batch lanes
 -----------
@@ -63,29 +62,32 @@ burst instead of popped per payload, and the calendar sees a single
 ``extend`` (plus at most one heap push) instead of one insert per event.
 The bucket receives the payloads in exactly iteration order, so
 ``send_many(ps)`` is event-for-event identical to ``for p in ps:
-send(p)`` — the property tests assert this under every ``fast_path`` ×
-``REPRO_KERNEL`` combination.
+send(p)``, which the property tests assert.
 
-Compiled drain (REPRO_KERNEL)
------------------------------
+Drain loop
+----------
 
-The bucket-scan/advance portion of the drain loops is also available as
-a C accelerator (:mod:`repro.engine._drain`), compiled on demand with
-the system C compiler and selected with ``Simulator(kernel=...)`` or the
-``REPRO_KERNEL`` environment variable (``accel``, the default, or
-``python``).  The accelerator is a line-for-line port of the Python
-loops reading the ``Event`` slots at fixed offsets; it auto-falls back
-to the Python reference when no compiler/headers are available, when the
-layout self-test fails, or under ``debug=True`` (generation accounting
-stays in Python).  ``Simulator.kernel`` reports which drain actually
-runs.
+One loop serves :meth:`Simulator.run`, :meth:`~Simulator.run_until` and
+:meth:`~Simulator.step`.  It takes the earliest distinct time, iterates
+that bucket's list (callbacks may append to it mid-drain), collects
+cancelled events, dispatches the rest, and recycles the whole bucket
+into the free list at once.  Its observable rules:
+
+* an unbounded ``run()`` sets ``now`` on entering each bucket, so even an
+  all-cancelled bucket moves the clock; a bounded drain (``until`` or
+  ``max_events``) sets it only at the first *executed* event of a bucket;
+* a ``max_events`` stop and a raising callback both recycle the consumed
+  prefix of the current bucket and keep its tail queued, so no event
+  ever runs twice, and the events that did run are credited to
+  :attr:`Simulator.events_executed` either way.
 
 Components never pass ``priority``; buckets are therefore already in
 execution order.  The first non-default priority at a timestamp marks
 that bucket for a single deterministic *stable* sort by priority at drain
-time — stability preserves insertion order inside each priority level, so
-the fast path stays unsorted and the sorted path matches the historical
-``(priority, seq)`` order.
+time — also mid-drain, when a callback schedules a prioritized event into
+the bucket being drained.  Stability preserves insertion order inside
+each priority level, so the fast path stays unsorted and the sorted path
+matches the historical ``(priority, seq)`` order.
 
 Debug mode
 ----------
@@ -103,8 +105,9 @@ default.
 
 from __future__ import annotations
 
-import os
+import sys
 from heapq import heappop, heappush
+from operator import length_hint
 from typing import Any, Callable, Optional, Union
 
 from ..errors import SimulationError
@@ -113,6 +116,10 @@ from .observer import NO_OBS
 #: Compact the calendar only once this many cancelled events have piled up
 #: (below that the lazy drain-time sweep is cheaper than a rebuild).
 _COMPACT_MIN_CANCELLED = 64
+
+#: The drain loop's stand-in for an absent ``until`` / ``max_events``
+#: bound: an int, so the bound checks stay plain int compares.
+_UNBOUNDED = sys.maxsize
 
 #: Sentinel payload marking an event scheduled through the generic path
 #: (dispatched as ``callback(*args)``); any other payload dispatches as
@@ -195,7 +202,6 @@ class ConstLatencyChannel:
     ``schedule()`` calls were made.
 
     Obtain instances via :meth:`Simulator.channel`, which substitutes the
-    generic reference implementation under ``fast_path=False`` and the
     handle-returning variant under ``debug=True``.
     """
 
@@ -401,41 +407,6 @@ class _DebugChannel(ConstLatencyChannel):
         return [EventHandle(event, event.generation) for event in events]
 
 
-class _GenericChannel:
-    """Reference channel used under ``fast_path=False``: every send goes
-    through the generic :meth:`Simulator.schedule`, proving the fast path
-    interleaves identically (the determinism tests diff the two)."""
-
-    __slots__ = ("_sim", "delay", "sink")
-
-    def __init__(self, sim: "Simulator", delay: int,
-                 sink: Callable[[Any], None]):
-        if type(delay) is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise SimulationError(f"channel delay must be >= 0, got {delay}")
-        self._sim = sim
-        self.delay = delay
-        self.sink = sink
-
-    def send(self, payload: Any):
-        return self._sim.schedule(self.delay, self.sink, payload)
-
-    def send_after(self, delay: int, payload: Any):
-        return self._sim.schedule(delay, self.sink, payload)
-
-    def send_many(self, payloads) -> list:
-        schedule = self._sim.schedule
-        delay = self.delay
-        sink = self.sink
-        return [schedule(delay, sink, payload) for payload in payloads]
-
-    def send_after_many(self, delay: int, payloads) -> list:
-        schedule = self._sim.schedule
-        sink = self.sink
-        return [schedule(delay, sink, payload) for payload in payloads]
-
-
 #: Anything Simulator.cancel accepts.
 Cancelable = Union[Event, EventHandle]
 
@@ -455,36 +426,14 @@ class Simulator:
     future work.  ``run`` drains the queue (optionally up to a time bound or
     event-count bound, to keep runaway models from spinning forever).
 
-    ``fast_path=False`` makes :meth:`channel` return a shim that routes
-    every send through the generic :meth:`schedule` — slower, but useful
-    to assert the two paths produce bit-identical simulations.
     ``debug=True`` returns generation-pinned handles from ``schedule`` and
     channel sends, and :meth:`cancel` raises on a handle whose event
     already fired (see module docstring).
-
-    ``kernel`` selects the drain loop: ``"accel"`` (compile-on-demand C
-    drain, bit-identical, auto-falls back to Python when unavailable or
-    under ``debug=True``) or ``"python"`` (the reference loops).  When
-    None, the ``REPRO_KERNEL`` environment variable decides, defaulting
-    to ``"accel"``.  :attr:`kernel` reports the drain actually in use.
     """
 
-    def __init__(self, fast_path: bool = True, debug: bool = False,
-                 obs=None, kernel: Optional[str] = None) -> None:
+    def __init__(self, *, debug: bool = False, obs=None) -> None:
         self.now: int = 0
-        self._fast_path = fast_path
         self._debug = debug
-        if kernel is None:
-            kernel = os.environ.get("REPRO_KERNEL") or "accel"
-        if kernel not in ("accel", "python"):
-            raise SimulationError(
-                f"unknown kernel {kernel!r} (expected 'accel' or 'python')")
-        self._accel = None
-        if kernel == "accel" and not debug:
-            from . import _drain
-            self._accel = _drain.load(Event, _GENERIC, SimulationError)
-        #: The drain implementation actually running ("accel" or "python").
-        self.kernel = "accel" if self._accel is not None else "python"
         # Observability hooks (repro.obs.Observer); the null object keeps
         # every component-side call site unconditional and the disabled
         # path free of branches.  Channel wrapping happens at construction
@@ -549,13 +498,10 @@ class Simulator:
         """A :class:`ConstLatencyChannel` delivering ``sink(payload)``
         after the fixed ``delay`` (see class docstring for when to use).
 
-        Under ``fast_path=False`` the returned object has the same API but
-        routes through the generic ``schedule``; under ``debug=True`` its
-        sends return :class:`EventHandle` objects.
+        Under ``debug=True`` its sends return :class:`EventHandle`
+        objects.
         """
-        if not self._fast_path:
-            channel = _GenericChannel(self, delay, sink)
-        elif self._debug:
+        if self._debug:
             channel = _DebugChannel(self, delay, sink)
         else:
             channel = ConstLatencyChannel(self, delay, sink)
@@ -593,7 +539,7 @@ class Simulator:
         """Strip cancelled events out of every bucket, recycling them.
 
         Buckets are filtered in place.  The bucket currently being drained
-        by the run loop is skipped: the loop walks it by index, and already
+        by the run loop is skipped: the loop is iterating over it, and already
         -executed (recycled) events stay in that list until it completes.
         """
         free = self._free
@@ -628,175 +574,13 @@ class Simulator:
         ``until`` is an absolute time: events with ``time > until`` stay in
         the queue and ``now`` is advanced to ``until``.
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        try:
-            if self._accel is not None:
-                executed = self._accel.drain(
-                    self, self._buckets, self._times, self._free,
-                    self._unsorted, until, max_events)
-            elif until is None and max_events is None:
-                executed = self._run_unbounded()
-            else:
-                executed = self._run_bounded(until, max_events)
-        finally:
-            self._running = False
-            self._draining = None
+        executed = self._drain_loop(until, max_events)
         if until is not None and self.now < until:
             self.now = until
-        self._events_executed += executed
         # Let streaming trace backends spill their buffered chunk between
         # drains: memory stays bounded over arbitrarily many run() calls
         # and a crash loses at most one chunk.  One no-op call on NO_OBS.
         self.obs.flush()
-        return executed
-
-    def _run_unbounded(self) -> int:
-        """Tight drain loop for the common ``run()`` (no bounds) case."""
-        executed = 0
-        buckets = self._buckets
-        times = self._times
-        free_extend = self._free.extend
-        unsorted_times = self._unsorted
-        debug = self._debug
-        while times:
-            time = times[0]
-            if time < self.now:
-                raise SimulationError("event queue went backwards in time")
-            bucket = buckets[time]
-            self.now = time
-            self._draining = time
-            # Same-cycle batch drain: every event at this timestamp runs
-            # with no heap traffic.  Callbacks may append to this very
-            # bucket (zero-delay scheduling); the index walk picks the new
-            # events up in order.
-            i = 0
-            try:
-                while True:
-                    if unsorted_times and time in unsorted_times:
-                        tail = bucket[i:]
-                        tail.sort()
-                        bucket[i:] = tail
-                        unsorted_times.discard(time)
-                    # Termination via IndexError instead of a len() call
-                    # per event: callbacks grow the bucket mid-drain, so
-                    # the bound is dynamic anyway.
-                    try:
-                        event = bucket[i]
-                    except IndexError:
-                        break
-                    i += 1
-                    if event.cancelled:
-                        self._ncancelled -= 1
-                        event.cancelled = False
-                        if event.priority:
-                            event.priority = 0
-                        if debug:
-                            event.generation += 1
-                        continue
-                    callback = event.callback
-                    payload = event.payload
-                    if event.priority:
-                        event.priority = 0
-                    if debug:
-                        event.generation += 1
-                    if payload is _GENERIC:
-                        callback(*event.args)
-                    else:
-                        callback(payload)
-                    executed += 1
-            except BaseException:
-                # A callback raised: recycle and drop the consumed prefix
-                # so a later run() cannot re-execute those events.
-                free_extend(bucket[:i])
-                del bucket[:i]
-                raise
-            # Batch recycle: every entry was consumed (fired or collected)
-            # exactly once, and nothing mid-drain could have re-pooled one
-            # of them, so the bucket itself is the recycle list.
-            free_extend(bucket)
-            del buckets[time]
-            heappop(times)
-            self._draining = None
-        return executed
-
-    def _run_bounded(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Drain loop honouring ``until`` / ``max_events`` bounds.
-
-        Same micro-structure as :meth:`_run_unbounded`: hoisted locals,
-        IndexError-terminated index walk, and batch recycling of the
-        consumed events (once per bucket / bound exit instead of one
-        ``free.append`` per event).  ``now`` only advances when an event
-        actually executes at the bucket's time — an all-cancelled bucket
-        must not move the clock, exactly as before.
-        """
-        executed = 0
-        buckets = self._buckets
-        times = self._times
-        free_extend = self._free.extend
-        unsorted_times = self._unsorted
-        debug = self._debug
-        while times:
-            time = times[0]
-            if until is not None and time > until:
-                break
-            if time < self.now:
-                raise SimulationError("event queue went backwards in time")
-            bucket = buckets[time]
-            self._draining = time
-            now_set = False
-            i = 0
-            try:
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        # Recycle the consumed prefix, keep the undrained
-                        # tail for the next run() call.
-                        free_extend(bucket[:i])
-                        del bucket[:i]
-                        self._draining = None
-                        return executed
-                    if unsorted_times and time in unsorted_times:
-                        tail = bucket[i:]
-                        tail.sort()
-                        bucket[i:] = tail
-                        unsorted_times.discard(time)
-                    try:
-                        event = bucket[i]
-                    except IndexError:
-                        break
-                    i += 1
-                    if event.cancelled:
-                        self._ncancelled -= 1
-                        event.cancelled = False
-                        if event.priority:
-                            event.priority = 0
-                        if debug:
-                            event.generation += 1
-                        continue
-                    if not now_set:
-                        self.now = time
-                        now_set = True
-                    callback = event.callback
-                    payload = event.payload
-                    if event.priority:
-                        event.priority = 0
-                    if debug:
-                        event.generation += 1
-                    if payload is _GENERIC:
-                        callback(*event.args)
-                    else:
-                        callback(payload)
-                    executed += 1
-            except BaseException:
-                free_extend(bucket[:i])
-                del bucket[:i]
-                raise
-            free_extend(bucket)
-            del buckets[time]
-            heappop(times)
-            self._draining = None
         return executed
 
     def run_until(self, bound: int, max_events: Optional[int] = None) -> int:
@@ -812,29 +596,119 @@ class Simulator:
         because a quantum boundary passed.  Events exactly at ``bound``
         (e.g. a boundary-message arrival on the quantum edge) stay
         queued for the next quantum.
-
-        Composes with both drain kernels: the compiled drain takes the
-        same inclusive ``until`` as :meth:`run` (here ``bound - 1``) and
-        neither touches ``now`` past the last executed bucket.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         if bound <= self.now:
             return 0
+        executed = self._drain_loop(bound - 1, max_events)
+        self.obs.flush()
+        return executed
+
+    def _drain_loop(self, until: Optional[int],
+                    max_events: Optional[int]) -> int:
+        """The one drain loop: execute events up to the inclusive time
+        ``until`` and at most ``max_events`` of them (None: no bound).
+
+        The absent bounds of an unbounded drain cost one int compare per
+        executed event and two per bucket.  The clock, recycling, and
+        crediting rules are in the module docstring.
+        """
+        if self._running:
+            raise SimulationError("run() is not reentrant")
         self._running = True
+        # A bounded drain moves `now` only to buckets where an event
+        # executes: it is set on entry like the unbounded run's, and put
+        # back when the bucket turns out to hold nothing but cancelled
+        # events (no callback can have observed it in between).
+        lazy_now = until is not None or max_events is not None
+        if until is None:
+            until = _UNBOUNDED
+        limit = _UNBOUNDED if max_events is None else max_events
+        executed = 0
+        buckets = self._buckets
+        times = self._times
+        free_extend = self._free.extend
+        unsorted_times = self._unsorted
+        debug = self._debug
+        generic = _GENERIC
         try:
-            if self._accel is not None:
-                executed = self._accel.drain(
-                    self, self._buckets, self._times, self._free,
-                    self._unsorted, bound - 1, max_events)
-            else:
-                executed = self._run_bounded(bound - 1, max_events)
+            while times and executed < limit:
+                time = times[0]
+                if time > until:
+                    break
+                before = self.now
+                if time < before:
+                    raise SimulationError("event queue went backwards in time")
+                bucket = buckets[time]
+                self.now = time
+                self._draining = time
+                entered = executed
+                if unsorted_times and time in unsorted_times:
+                    bucket.sort()
+                    unsorted_times.discard(time)
+                # Same-cycle batch drain: every event at this timestamp
+                # runs with no heap traffic.  Callbacks may append to this
+                # very bucket (zero-delay scheduling); the list iterator
+                # picks the new events up in order.
+                events = iter(bucket)
+                try:
+                    for event in events:
+                        if event.cancelled:
+                            self._ncancelled -= 1
+                            event.cancelled = False
+                            if event.priority:
+                                event.priority = 0
+                            if debug:
+                                event.generation += 1
+                            continue
+                        callback = event.callback
+                        payload = event.payload
+                        if event.priority:
+                            event.priority = 0
+                        if debug:
+                            event.generation += 1
+                        if payload is generic:
+                            callback(*event.args)
+                        else:
+                            callback(payload)
+                        executed += 1
+                        if executed >= limit:
+                            # Recycle the consumed prefix, keep the
+                            # undrained tail for the next call.
+                            consumed = len(bucket) - length_hint(events)
+                            free_extend(bucket[:consumed])
+                            del bucket[:consumed]
+                            return executed
+                        if unsorted_times and time in unsorted_times:
+                            consumed = len(bucket) - length_hint(events)
+                            tail = bucket[consumed:]
+                            tail.sort()
+                            bucket[consumed:] = tail
+                            unsorted_times.discard(time)
+                except BaseException:
+                    # A callback raised: recycle and drop the consumed
+                    # prefix so a later run() cannot re-execute those
+                    # events.
+                    consumed = len(bucket) - length_hint(events)
+                    free_extend(bucket[:consumed])
+                    del bucket[:consumed]
+                    raise
+                if lazy_now and executed == entered:
+                    self.now = before
+                # Batch recycle: every entry was consumed (fired or
+                # collected) exactly once, and nothing mid-drain could
+                # have re-pooled one of them, so the bucket itself is the
+                # recycle list.
+                free_extend(bucket)
+                del buckets[time]
+                heappop(times)
+                self._draining = None
+            return executed
         finally:
             self._running = False
             self._draining = None
-        self._events_executed += executed
-        self.obs.flush()
-        return executed
+            self._events_executed += executed
 
     def next_event_time(self) -> Optional[int]:
         """Earliest queued timestamp, or None when the queue is empty.

@@ -30,8 +30,7 @@ from .window import node_groups, resolve_partitions, window_for_config
 class PartitionedPrototype(Prototype):
     """A SMAPPIC system sharded by FPGA group across worker processes."""
 
-    def __init__(self, config: PrototypeConfig, fast_path: bool = True,
-                 obs=None, kernel: Optional[str] = None,
+    def __init__(self, config: PrototypeConfig, *, obs=None,
                  partitions: Optional[int] = None,
                  obs_spec: Optional[dict] = None,
                  trace_dir: Optional[str] = None):
@@ -61,8 +60,8 @@ class PartitionedPrototype(Prototype):
         self._engine = PartitionEngine(
             count, build_prototype_shard,
             [dict(config=config, partition_index=index, partitions=count,
-                  fast_path=fast_path, kernel=kernel, obs_spec=obs_spec,
-                  trace_path=self.trace_paths[index], window=self.window)
+                  obs_spec=obs_spec, trace_path=self.trace_paths[index],
+                  window=self.window)
              for index in range(count)],
             window=self.window)
 

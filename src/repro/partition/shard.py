@@ -131,9 +131,7 @@ class PrototypeShard(Shard):
     """One FPGA group's node trees on a private simulator."""
 
     def __init__(self, config: PrototypeConfig, partition_index: int,
-                 partitions: int, fast_path: bool = True,
-                 kernel: Optional[str] = None,
-                 obs_spec: Optional[dict] = None,
+                 partitions: int, obs_spec: Optional[dict] = None,
                  trace_path: Optional[str] = None,
                  window: Optional[int] = None):
         groups = fpga_groups(config.n_fpgas, partitions)
@@ -142,8 +140,7 @@ class PrototypeShard(Shard):
         self.config = config
         self.partition_index = partition_index
         self.local_fpgas = groups[partition_index]
-        self.sim = Simulator(fast_path=fast_path, kernel=kernel,
-                             obs=build_shard_observer(obs_spec, trace_path))
+        self.sim = Simulator(obs=build_shard_observer(obs_spec, trace_path))
         self.obs = self.sim.obs
         self.addrmap = AddressMap(config.n_nodes, config.dram_bytes_per_node)
         self.homing = build_homing(config)

@@ -24,7 +24,7 @@ partitioned digests match bit for bit.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from ..engine import Simulator
 from ..interconnect.pcie import PCIE_ONE_WAY_CYCLES
@@ -121,9 +121,8 @@ def storm_window() -> int:
 # ----------------------------------------------------------------------
 # Monolithic reference
 # ----------------------------------------------------------------------
-def run_monolithic_storm(shards: int = 4, fast_path: bool = True,
-                         kernel: Optional[str] = None, **shape) -> dict:
-    sim = Simulator(fast_path=fast_path, kernel=kernel)
+def run_monolithic_storm(shards: int = 4, **shape) -> dict:
+    sim = Simulator()
     models: List[StormModel] = []
 
     def send_remote_from(src: int):
@@ -164,12 +163,10 @@ class StormShard(StormModel):
     quantum-loop protocol: ring tokens leave via the outbox and arrive
     via ``inject`` at their exact monolithic cycle."""
 
-    def __init__(self, partition_index: int, partitions: int,
-                 fast_path: bool = True, kernel: Optional[str] = None,
-                 **shape):
+    def __init__(self, partition_index: int, partitions: int, **shape):
         self._outbox: List[OutboxEntry] = []
         self._seq = 0
-        sim = Simulator(fast_path=fast_path, kernel=kernel)
+        sim = Simulator()
         super().__init__(sim, partition_index, partitions,
                          send_remote=self._capture, **shape)
         _wire_lanes(self)
@@ -199,12 +196,10 @@ def build_storm_shard(**kwargs) -> StormShard:
     return StormShard(**kwargs)
 
 
-def run_partitioned_storm(shards: int = 4, fast_path: bool = True,
-                          kernel: Optional[str] = None, **shape) -> dict:
+def run_partitioned_storm(shards: int = 4, **shape) -> dict:
     engine = PartitionEngine(
         shards, build_storm_shard,
-        [dict(partition_index=index, partitions=shards,
-              fast_path=fast_path, kernel=kernel, **shape)
+        [dict(partition_index=index, partitions=shards, **shape)
          for index in range(shards)],
         window=storm_window())
     try:

@@ -180,11 +180,11 @@ class JobManager:
         with self._lock:
             if self._worker is None or not self._worker.is_alive():
                 self._worker = threading.Thread(
-                    target=self._drain, name="repro-serve-jobs",
+                    target=self._work, name="repro-serve-jobs",
                     daemon=True)
                 self._worker.start()
 
-    def _drain(self) -> None:
+    def _work(self) -> None:
         while True:
             pending = self._queue.get()
             if pending is None:

@@ -253,56 +253,6 @@ def _dir_item(path: str) -> GCItem:
     return GCItem(path=path, bytes=total, mtime=newest)
 
 
-def kernel_cache_dir() -> str:
-    """The compiled drain-kernel cache directory (``repro.engine``'s
-    ``_drain_cache``, or the ``REPRO_KERNEL_CACHE`` override)."""
-    from .engine._drain import _cache_dir
-    return _cache_dir()
-
-
-def gc_kernels(root: Optional[str] = None,
-               max_age_seconds: Optional[float] = None,
-               max_bytes: Optional[int] = None,
-               now: Optional[float] = None) -> GCStats:
-    """Apply the shared GC policy to the compiled-kernel cache.
-
-    Candidates are every regular file under the cache dir: the
-    published ``*.so`` kernels *and* any stray build leftovers (``.c``
-    sources, temp ``.so``) a crashed compile left behind.  Removing a
-    kernel is always safe — the next engine start just recompiles it.
-    """
-    if root is None:
-        root = kernel_cache_dir()
-    stats = GCStats()
-    if not os.path.isdir(root):
-        return stats
-    items: List[GCItem] = []
-    for name in sorted(os.listdir(root)):
-        path = os.path.join(root, name)
-        if not os.path.isfile(path):
-            continue
-        try:
-            stat = os.stat(path)
-        except OSError:
-            continue
-        items.append(GCItem(path=path, bytes=stat.st_size,
-                            mtime=stat.st_mtime))
-    doomed = {item.path for item in gc_select(items, max_age_seconds,
-                                              max_bytes, now)}
-    for item in items:
-        if item.path in doomed:
-            try:
-                os.unlink(item.path)
-            except OSError:
-                continue
-            stats.removed += 1
-            stats.removed_bytes += item.bytes
-        else:
-            stats.kept += 1
-            stats.kept_bytes += item.bytes
-    return stats
-
-
 def gc_runs(root: str, max_age_seconds: Optional[float] = None,
             max_bytes: Optional[int] = None,
             now: Optional[float] = None) -> GCStats:

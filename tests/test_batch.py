@@ -1,13 +1,14 @@
-"""Batch-lane sends and the compiled drain kernel.
+"""Batch-lane sends.
 
-The two load-bearing properties of this layer:
+The load-bearing properties of this layer:
 
 * ``send_many(ps)`` is event-for-event identical to ``for p in ps:
-  send(p)`` — asserted under every ``fast_path`` × ``REPRO_KERNEL``
-  combination, for channels, links, AXI ports, and NoC injection;
-* ``REPRO_KERNEL=accel`` (the compiled drain) and ``=python`` (the
-  reference loops) produce bit-identical simulations, including archived
-  metrics for a Fig. 7 latency point (``json.dumps`` equality).
+  send(p)`` — asserted on typed channels and on the generic
+  ``schedule()`` reference path, for channels, links, AXI ports, and NoC
+  injection;
+* a Fig. 7 latency point archives byte-identical metrics
+  (``json.dumps`` equality) whether its channels are typed or routed
+  through ``schedule()``.
 """
 
 import json
@@ -17,17 +18,11 @@ import pytest
 from repro import Prototype, parse_config
 from repro.axi import AxiPort, AxiRead, AxiReadResp, AxiWrite, AxiWriteResp
 from repro.engine import EventHandle, Link, Simulator
-from repro.engine import _drain
 from repro.errors import SimulationError
 from repro.noc import MsgClass, NocChannel, NodeNetwork, Packet, TileAddr
 from repro.obs import Observer
-
-KERNELS = ("python", "accel")
-#: Every (fast_path, kernel) combination the batch path must agree under.
-MODES = [(fast_path, kernel)
-         for fast_path in (True, False) for kernel in KERNELS]
-
-ACCEL_AVAILABLE = Simulator(kernel="accel").kernel == "accel"
+from schedule_reference import route_channels_through_schedule, \
+    schedule_channel
 
 
 def _emit(channel, payloads, batched, after=None):
@@ -41,7 +36,7 @@ def _emit(channel, payloads, batched, after=None):
     return [channel.send_after(after, p) for p in payloads]
 
 
-def _burst_storm(sim, batched):
+def _burst_storm(batched, make_channel=Simulator.channel):
     """A deterministic workout for the batch lanes.
 
     Bursts issued at time zero and from inside callbacks, empty bursts,
@@ -49,6 +44,7 @@ def _burst_storm(sim, batched):
     members, and interleaved generic/priority events — all traced as
     ``(now, tag, payload)`` in execution order.
     """
+    sim = Simulator()
     trace = []
 
     def sink(p):
@@ -67,8 +63,8 @@ def _burst_storm(sim, batched):
     def zsink(p):
         trace.append((sim.now, "zero", p))
 
-    lanes = [sim.channel(delay, sink) for delay in range(1, 5)]
-    zero_lane = sim.channel(0, zsink)
+    lanes = [make_channel(sim, delay, sink) for delay in range(1, 5)]
+    zero_lane = make_channel(sim, 0, zsink)
     _emit(lanes[0], [], batched)
     _emit(lanes[1], [20], batched)
     _emit(lanes[2], [15, 14, 13], batched)
@@ -82,14 +78,13 @@ def _burst_storm(sim, batched):
 
 class TestSendManyEquivalence:
     def test_batched_equals_looped_under_all_modes(self):
-        reference = _burst_storm(Simulator(), batched=False)
+        reference = _burst_storm(batched=False)
         assert reference[1] > 150  # the storm actually ran
-        for fast_path, kernel in MODES:
+        for make_channel in (Simulator.channel, schedule_channel):
             for batched in (True, False):
-                run = _burst_storm(
-                    Simulator(fast_path=fast_path, kernel=kernel), batched)
+                run = _burst_storm(batched, make_channel)
                 assert run == reference, \
-                    f"fast_path={fast_path} kernel={kernel} batched={batched}"
+                    f"{make_channel.__name__} batched={batched}"
 
     def test_empty_burst_is_a_noop(self):
         sim = Simulator()
@@ -122,81 +117,6 @@ class TestSendManyEquivalence:
         lane.send_many(list(range(64)))
         assert len(sim._free) == pool - 64  # sliced, not reallocated
         sim.run()
-
-
-class TestCompiledDrain:
-    def test_kernel_attribute_reports_selection(self):
-        assert Simulator(kernel="python").kernel == "python"
-        assert Simulator(kernel="accel").kernel in ("accel", "python")
-
-    def test_env_var_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert Simulator().kernel == "python"
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(SimulationError, match="unknown kernel"):
-            Simulator(kernel="turbo")
-
-    def test_debug_mode_forces_python_drain(self):
-        # Generation accounting lives in the Python loops only.
-        assert Simulator(kernel="accel", debug=True).kernel == "python"
-
-    @pytest.mark.skipif(not ACCEL_AVAILABLE,
-                        reason=f"accel unavailable: "
-                               f"{_drain.unavailable_reason()}")
-    def test_accel_is_actually_compiled_here(self):
-        assert Simulator(kernel="accel").kernel == "accel"
-
-    def test_bounded_runs_identical_across_kernels(self):
-        def drive(kernel):
-            sim = Simulator(kernel=kernel)
-            trace = []
-            lane = sim.channel(3, lambda p: trace.append((sim.now, p)))
-            lane.send_many(list(range(8)))
-            lane.send_after_many(9, list(range(4)))
-            checkpoints = [sim.run(max_events=3), sim.now,
-                           sim.run(until=5), sim.now]
-            while sim.step():
-                checkpoints.append(sim.now)
-            return trace, checkpoints, sim.pending, sim.events_executed
-
-        assert drive("python") == drive("accel")
-
-    def test_exception_cleanup_identical_across_kernels(self):
-        def drive(kernel):
-            sim = Simulator(kernel=kernel)
-            trace = []
-
-            def boom(p):
-                trace.append((sim.now, p))
-                if p == "bad":
-                    raise ValueError("kaboom")
-
-            lane = sim.channel(2, boom)
-            lane.send_many(["a", "bad", "b", "c"])
-            with pytest.raises(ValueError):
-                sim.run()
-            # The consumed prefix is gone; the tail survives and the
-            # simulator stays usable.
-            executed = sim.run()
-            return trace, executed, sim.pending, sim.events_executed
-
-        assert drive("python") == drive("accel")
-
-    def test_cancellation_compaction_identical_across_kernels(self):
-        def drive(kernel):
-            sim = Simulator(kernel=kernel)
-            trace = []
-            lane = sim.channel(5, lambda p: trace.append(p))
-            keep = lane.send_many(range(4))
-            victims = lane.send_many(range(100, 300))
-            for victim in victims:
-                sim.cancel(victim)
-            assert keep  # handles stay valid through compaction
-            sim.run()
-            return trace, sim.pending, sim.events_executed
-
-        assert drive("python") == drive("accel")
 
 
 class TestDebugBatch:
@@ -349,22 +269,18 @@ class TestInjectMany:
             net.inject_many([bad], 0)
 
 
-class TestFig7KernelDeterminism:
-    def _fig7_point_metrics(self, kernel, fast_path=True):
+class TestFig7PathDeterminism:
+    def _fig7_point_metrics(self):
         config = parse_config("1x2x2")
         obs = Observer(tracing=False)
-        proto = Prototype(config, fast_path=fast_path, obs=obs,
-                          kernel=kernel)
+        proto = Prototype(config, obs=obs)
         latency = proto.measure_pair_latency(0, 3)
         return latency, json.dumps(obs.export_metrics(), sort_keys=True)
 
-    def test_archived_metrics_identical_across_kernels(self):
+    def test_archived_metrics_match_generic_schedule(self, monkeypatch):
         # The acceptance bit-identity: one Fig. 7 latency point archived
-        # under accel and python kernels (and both channel paths) agrees
-        # to the byte.
-        reference = self._fig7_point_metrics("python")
-        assert self._fig7_point_metrics("accel") == reference
-        assert self._fig7_point_metrics("python", fast_path=False) \
-            == reference
-        assert self._fig7_point_metrics("accel", fast_path=False) \
-            == reference
+        # on typed channels and on the generic schedule() path agrees to
+        # the byte.
+        reference = self._fig7_point_metrics()
+        route_channels_through_schedule(monkeypatch)
+        assert self._fig7_point_metrics() == reference

@@ -174,41 +174,6 @@ class TestCache:
         assert not os.path.exists(runs / "old-run")
         assert "removed" in out
 
-    def test_cache_gc_covers_kernel_cache(self, tmp_path, capsys,
-                                          monkeypatch):
-        import os
-        kernels = tmp_path / "kernels"
-        kernels.mkdir()
-        old_so = kernels / "_repro_drain-cpython-0-old.so"
-        old_so.write_bytes(b"x")
-        stray_c = kernels / "leftover.c"
-        stray_c.write_text("int x;")
-        past = old_so.stat().st_mtime - 9000
-        for path in (old_so, stray_c):
-            os.utime(path, (past, past))
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(kernels))
-        assert main(["cache", "gc", "--store",
-                     str(tmp_path / "store"), "--max-age", "1h"]) == 0
-        out = capsys.readouterr().out
-        assert f"kernels {kernels}" in out
-        assert not old_so.exists()
-        assert not stray_c.exists()
-
-    def test_cache_gc_keep_kernels_opts_out(self, tmp_path, capsys,
-                                            monkeypatch):
-        import os
-        kernels = tmp_path / "kernels"
-        kernels.mkdir()
-        old_so = kernels / "_repro_drain-cpython-0-old.so"
-        old_so.write_bytes(b"x")
-        past = old_so.stat().st_mtime - 9000
-        os.utime(old_so, (past, past))
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(kernels))
-        assert main(["cache", "gc", "--store", str(tmp_path / "store"),
-                     "--max-age", "1h", "--keep-kernels"]) == 0
-        assert f"kernels {kernels}" not in capsys.readouterr().out
-        assert old_so.exists()
-
     def test_cache_clear(self, tmp_path, capsys):
         store_root = str(tmp_path / "store")
         store = self._populate(store_root)

@@ -223,7 +223,7 @@ class TestConcurrency:
 
 
 class TestThroughL1:
-    def test_l1_load_hit_fast_path(self):
+    def test_l1_load_hit_is_fast(self):
         h = CoherenceHarness()
         _, cold = h.do(0, load(0x100), through_l1=True)
         _, warm = h.do(0, load(0x100), through_l1=True)

@@ -11,6 +11,8 @@ from repro import build
 from repro.engine import Simulator
 from repro.workloads import run_helloworld
 from repro.workloads.noise import fig10_speedups
+from schedule_reference import route_channels_through_schedule, \
+    schedule_channel
 
 
 def _scripted_run(sim: Simulator):
@@ -81,13 +83,14 @@ class TestSystemDeterminism:
                 == fig10_speedups(n_samples=32))
 
 
-def _mixed_path_run(sim: Simulator):
+def _mixed_path_run(make_channel=Simulator.channel):
     """Channel sends and generic schedules interleaved on shared cycles.
 
     Exercises the typed fast path against the generic scheduler: FIFO
     lanes, zero-delay lanes, ``send_after``, priorities, and cancels all
     landing in the same buckets.  Returns the (time, tag) trace.
     """
+    sim = Simulator()
     trace = []
 
     def emit(tag):
@@ -100,8 +103,8 @@ def _mixed_path_run(sim: Simulator):
             if n % 4 == 0:
                 sim.schedule(0, emit, f"hop{n}/echo")
 
-    lanes = [sim.channel(delay, hop) for delay in range(3)]
-    zero = sim.channel(0, emit)
+    lanes = [make_channel(sim, delay, hop) for delay in range(3)]
+    zero = make_channel(sim, 0, emit)
     lanes[1].send(12)
     sim.schedule(2, emit, "generic@2")
     sim.schedule(2, emit, "urgent@2", priority=-1)
@@ -114,24 +117,24 @@ def _mixed_path_run(sim: Simulator):
 
 class TestFastPathDeterminism:
     def test_channel_trace_identical_to_generic_path(self):
-        # fast_path=False routes every channel send through the generic
-        # schedule() path; the interleaving must not change at all.
-        assert (_mixed_path_run(Simulator(fast_path=True))
-                == _mixed_path_run(Simulator(fast_path=False)))
+        # Routing every channel send through the generic schedule()
+        # path must not change the interleaving at all.
+        assert _mixed_path_run() == _mixed_path_run(schedule_channel)
 
     def test_debug_mode_matches_golden(self):
         assert _scripted_run(Simulator(debug=True)) == GOLDEN_TRACE
 
     def test_mixed_path_trace_repeatable(self):
-        assert (_mixed_path_run(Simulator())
-                == _mixed_path_run(Simulator()))
+        assert _mixed_path_run() == _mixed_path_run()
 
-    def test_prototype_fast_path_bit_identical(self):
+    def test_prototype_channels_match_generic_schedule(self, monkeypatch):
         from repro.core.config import parse_config
         from repro.core.prototype import Prototype
 
         config = parse_config("1x2x2")
         fast = Prototype(config)
-        generic = Prototype(config, fast_path=False)
-        assert fast.latency_matrix() == generic.latency_matrix()
+        fast_matrix = fast.latency_matrix()
+        route_channels_through_schedule(monkeypatch)
+        generic = Prototype(config)
+        assert fast_matrix == generic.latency_matrix()
         assert fast.sim.events_executed == generic.sim.events_executed

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import (ConstLatencyChannel, EventHandle, Histogram, Link,
                           Simulator, StatGroup, derive_seed, derived_rng)
 from repro.errors import SimulationError
+from schedule_reference import schedule_channel
 
 
 class TestSimulator:
@@ -92,6 +93,111 @@ class TestSimulator:
         sim.schedule(3, lambda: None)
         assert sim.step() is True
         assert sim.step() is False
+
+
+class TestDrainLoop:
+    """The edge rules every drain call shares (see the module docstring
+    of repro.engine.simulator)."""
+
+    @pytest.mark.parametrize("drain,expected_now", [
+        (lambda sim: sim.run(), 9),
+        (lambda sim: sim.run(until=100), 100),
+        (lambda sim: sim.run_until(100), 5),
+    ], ids=["run", "run-until", "run_until"])
+    def test_drain_edge_semantics(self, drain, expected_now):
+        sim = Simulator()
+        fired = []
+
+        def record(tag):
+            fired.append((sim.now, tag))
+            if tag == "b":
+                # Arrives mid-drain behind c and d; its priority sorts
+                # it ahead of them.
+                sim.schedule(0, record, "urgent", priority=-1)
+
+        for tag in "abcd":
+            sim.schedule(5, record, tag)
+        sim.cancel(sim.schedule(9, record, "cancelled"))
+        # A max_events stop mid-bucket, then the resume under test.
+        assert sim.run(max_events=1) == 1
+        assert sim.now == 5
+        assert drain(sim) == 4
+        assert fired == [(5, "a"), (5, "b"), (5, "urgent"), (5, "c"),
+                         (5, "d")]
+        assert sim.events_executed == 5
+        assert sim.pending == 0
+        # An unbounded run() enters the all-cancelled bucket at 9; a
+        # bounded drain leaves the clock at its last executed event,
+        # and run(until=) then advances it to the bound.
+        assert sim.now == expected_now
+
+    def test_raising_run_credits_the_events_it_executed(self):
+        sim = Simulator()
+        fired = []
+
+        def fire(t):
+            fired.append(t)
+            if t == 3:
+                raise ValueError("boom")
+
+        for t in (1, 2, 3, 4):
+            sim.schedule(t, fire, t)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert sim.events_executed == 2
+        assert sim.run() == 1
+        assert sim.events_executed == 3
+        assert fired == [1, 2, 3, 4]
+
+    def test_exception_keeps_the_bucket_tail(self):
+        sim = Simulator()
+        trace = []
+
+        def boom(p):
+            trace.append((sim.now, p))
+            if p == "bad":
+                raise ValueError("kaboom")
+
+        lane = sim.channel(2, boom)
+        lane.send_many(["a", "bad", "b", "c"])
+        with pytest.raises(ValueError):
+            sim.run()
+        # The consumed prefix is gone; the tail survives and the
+        # simulator stays usable.
+        assert sim.run() == 2
+        assert trace == [(2, "a"), (2, "bad"), (2, "b"), (2, "c")]
+        assert sim.pending == 0
+        assert sim.events_executed == 3
+
+    def test_bounded_runs_and_steps(self):
+        sim = Simulator()
+        trace = []
+        lane = sim.channel(3, lambda p: trace.append((sim.now, p)))
+        lane.send_many(list(range(8)))
+        lane.send_after_many(9, list(range(4)))
+        checkpoints = [sim.run(max_events=3), sim.now,
+                       sim.run(until=5), sim.now]
+        while sim.step():
+            checkpoints.append(sim.now)
+        assert trace == [(3, p) for p in range(8)] + [(9, p)
+                                                       for p in range(4)]
+        assert checkpoints == [3, 3, 5, 5, 9, 9, 9, 9]
+        assert sim.pending == 0
+        assert sim.events_executed == 12
+
+    def test_compaction_recycles_cancelled_bursts(self):
+        sim = Simulator()
+        trace = []
+        lane = sim.channel(5, trace.append)
+        keep = lane.send_many(range(4))
+        for victim in lane.send_many(range(100, 300)):
+            sim.cancel(victim)
+        assert keep  # handles stay valid through compaction
+        sim.run()
+        assert trace == [0, 1, 2, 3]
+        assert sim.pending == 0
+        assert sim.events_executed == 4
+        assert len(sim._free) == 204
 
 
 class TestLink:
@@ -273,8 +379,9 @@ class TestConstLatencyChannel:
         sim.run()
         assert got == ["g0", "c0", "g1", "c1"]
 
-    def test_fast_path_off_is_bit_identical(self):
-        def drive(sim):
+    def test_channel_sends_match_generic_schedule(self):
+        def drive(make_channel):
+            sim = Simulator()
             trace = []
 
             def hop(n):
@@ -282,14 +389,13 @@ class TestConstLatencyChannel:
                 if n:
                     lanes[n % 3].send(n - 1)
 
-            lanes = [sim.channel(d, hop) for d in range(3)]
+            lanes = [make_channel(sim, d, hop) for d in range(3)]
             lanes[1].send(10)
             sim.schedule(2, hop, 100)
             sim.run()
             return trace, sim.events_executed
 
-        assert drive(Simulator(fast_path=True)) == \
-            drive(Simulator(fast_path=False))
+        assert drive(Simulator.channel) == drive(schedule_channel)
 
     def test_negative_delay_rejected(self):
         sim = Simulator()

@@ -19,6 +19,7 @@ from repro.obs import (MetricRegistry, Observer, ProbeSet, Tracer,
                        link_utilization_probe, validate_chrome_trace)
 from repro.obs.observer import metric_path
 from repro.obs.registry import prom_name
+from schedule_reference import route_channels_through_schedule
 
 
 class TestHistogramSerde:
@@ -343,13 +344,14 @@ class TestObserverWiring:
 class TestObsDeterminism:
     """Observability must not change a single architectural bit."""
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_observed_run_is_bit_identical(self, fast_path):
+    @pytest.mark.parametrize("generic", [True, False])
+    def test_observed_run_is_bit_identical(self, generic, monkeypatch):
         config = "2x1x2"
+        if generic:
+            route_channels_through_schedule(monkeypatch)
 
         def run(obs):
-            proto = Prototype(parse_config(config), fast_path=fast_path,
-                              obs=obs)
+            proto = Prototype(parse_config(config), obs=obs)
             matrix = proto.latency_matrix()
             return matrix, proto.stats_report(), proto.now
 

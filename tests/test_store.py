@@ -239,37 +239,6 @@ class TestCrashedWriter:
         assert store.sweep_tmp() == 0
 
 
-class TestGcKernels:
-    def test_kernel_cache_shares_policy(self, tmp_path):
-        from repro.store import gc_kernels
-        kernels = tmp_path / "kernels"
-        kernels.mkdir()
-        (kernels / "old.so").write_bytes(b"x" * 10)
-        (kernels / "new.so").write_bytes(b"y" * 10)
-        (kernels / "stray.c").write_text("int x;")
-        (kernels / "subdir").mkdir()       # directories are left alone
-        past = os.stat(kernels / "old.so").st_mtime - 9000
-        for name in ("old.so", "stray.c"):
-            os.utime(kernels / name, (past, past))
-        stats = gc_kernels(str(kernels), max_age_seconds=3600)
-        assert stats.removed == 2 and stats.kept == 1
-        assert not (kernels / "old.so").exists()
-        assert not (kernels / "stray.c").exists()
-        assert (kernels / "new.so").exists()
-        assert (kernels / "subdir").exists()
-
-    def test_missing_cache_is_empty(self, tmp_path):
-        from repro.store import gc_kernels
-        stats = gc_kernels(str(tmp_path / "nope"), max_age_seconds=1)
-        assert stats.removed == 0 and stats.kept == 0
-
-    def test_default_root_is_the_drain_cache(self, tmp_path,
-                                             monkeypatch):
-        from repro.store import kernel_cache_dir
-        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "kc"))
-        assert kernel_cache_dir() == str(tmp_path / "kc")
-
-
 class TestRunSweepStore:
     CONFIG = "2x1x2"
 
