@@ -5,6 +5,9 @@ store seeded in-process, then asserts the serving plane's contracts:
 
 * a warm point query answers **byte-identical** to the value
   ``run_sweep`` computed (the PointQuery *is* the store key payload);
+* each of the 12 paper-size (4x1x12) Fig. 7 shards, ~100 KB values of
+  the ``{"rows", "metrics"}`` shape the serve-mixed benchmark queries,
+  answers byte-identical to its raw store entry;
 * a cold fig9 submit spawns a farm job, the fleet completes, the merged
   value is byte-identical to a serial ``run_sweep`` of the same spec,
   and the same submit immediately re-answers all-warm (`obs.serve.
@@ -25,7 +28,8 @@ from repro import parse_config                                # noqa: E402
 from repro.cloud import closed_loop                           # noqa: E402
 from repro.errors import ServeError                           # noqa: E402
 from repro.obs.archive import RunArchive                      # noqa: E402
-from repro.parallel import fig8_spec, fig9_spec, run_sweep    # noqa: E402
+from repro.parallel import (fig8_spec, fig9_spec,
+                            latency_matrix_spec, run_sweep)   # noqa: E402
 from repro.parallel.sweep import sweep_tasks                  # noqa: E402
 from repro.serve import (PointQuery, ResultService, ServeClient,
                          ServiceThread, client_backend)       # noqa: E402
@@ -33,6 +37,7 @@ from repro.store import ResultStore                           # noqa: E402
 
 CONFIG = "2x1x2"
 THREADS = (2, 4)
+PAPER_CONFIG = "4x1x12"
 
 
 def canon(value):
@@ -49,6 +54,10 @@ def main():
     _cfg_hash, tasks = sweep_tasks(spec, store.root)
     serial9 = run_sweep(fig9_spec(config, n_threads=2, obs_spec={}),
                         jobs=1)
+    shard_spec = latency_matrix_spec(parse_config(PAPER_CONFIG),
+                                     obs_spec={})
+    run_sweep(shard_spec, jobs=1, store=store)
+    _shard_hash, shard_tasks = sweep_tasks(shard_spec, store.root)
 
     os.makedirs("serve-runs", exist_ok=True)
     RunArchive.write("serve-runs/a", {"lat": 100}, label=CONFIG, seed=0)
@@ -72,6 +81,18 @@ def main():
         if canon(reply.value) != canon(stored):
             sys.exit("served value differs from the raw store entry")
         print(f"warm query: byte-identical ({reply.key[:12]})")
+
+        # 1b. Paper-size Fig. 7 shards: each reply equals its entry.
+        largest = 0
+        for task in shard_tasks:
+            reply = client.query_point(PointQuery(**task[-1]))
+            stored = canon(store.load(reply.key)[1])
+            if not reply.found or canon(reply.value) != stored:
+                sys.exit(f"{PAPER_CONFIG} shard {reply.key[:12]} differs "
+                         f"from its store entry")
+            largest = max(largest, len(stored))
+        print(f"{len(shard_tasks)} {PAPER_CONFIG} Fig. 7 shards: "
+              f"byte-identical (largest {largest} bytes)")
 
         # 2. Cold submit: farm fleet -> done -> warm on resubmit.
         before = client.stats()
@@ -107,11 +128,11 @@ def main():
             sys.exit("ignore_instrumentation diff should be ok")
 
         # 4. Closed-loop warm load: error-free; report the distribution.
-        backend = client_backend(service.url, PointQuery(
-            family="fig8", config_hash=payload["config_hash"],
-            point=payload["point"], seed=payload["seed"],
-            obs=payload["obs"]))
-        report = closed_loop(backend, requests=500, workers=4)
+        with client_backend(service.url, PointQuery(
+                family="fig8", config_hash=payload["config_hash"],
+                point=payload["point"], seed=payload["seed"],
+                obs=payload["obs"])) as backend:
+            report = closed_loop(backend, requests=500, workers=4)
         if report.errors:
             sys.exit(f"{report.errors} load errors")
         summary = report.summary()

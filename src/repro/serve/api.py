@@ -48,7 +48,15 @@ class Message:
     KIND = ""
 
     def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+        """The fields as a shallow mapping of the message's own values.
+
+        Nothing is copied: ``to_json`` walks each value once, inside
+        ``json.dumps``.  Fields therefore hold plain JSON values (dicts,
+        lists, tuples, scalars), never a nested dataclass, which
+        :func:`canonical_json` would only ``str()``.
+        """
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     def to_wire(self) -> Dict[str, object]:
         return {"api_version": SERVE_API_VERSION, "kind": self.KIND,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import http.client
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 from urllib.parse import urlsplit
 
 from ..errors import ServeError
@@ -29,6 +29,10 @@ DEFAULT_URL = "http://127.0.0.1:8023"
 
 #: Environment override consulted by the ``repro query`` CLI.
 URL_ENV = "REPRO_SERVE_URL"
+
+#: POST routes that only read, so a request whose reply was lost may be
+#: sent again; every GET is too.
+_REPEATABLE_POSTS = frozenset({"/v1/query", "/v1/metrics", "/v1/diff"})
 
 
 class ServeClient:
@@ -71,7 +75,8 @@ class ServeClient:
               expect: Optional[type] = None) -> api.Message:
         body = message.to_json().encode() if message is not None else b""
         headers = {"Content-Type": "application/json"}
-        for attempt in (1, 2):
+        attempts = 2 if method == "GET" or path in _REPEATABLE_POSTS else 1
+        for attempt in range(1, attempts + 1):
             conn = self._connection()
             try:
                 conn.request(method, path, body=body, headers=headers)
@@ -80,10 +85,12 @@ class ServeClient:
                 break
             except (ConnectionError, http.client.HTTPException,
                     OSError) as error:
-                # A dropped keep-alive socket gets one fresh retry;
-                # a dead server surfaces as ServeError.
+                # A dropped keep-alive socket gets one fresh retry when
+                # the request is safe to send twice.  A submit is not:
+                # the server may have queued its fleet before the reply
+                # was lost.  A dead server surfaces as ServeError.
                 self.close()
-                if attempt == 2:
+                if attempt == attempts:
                     raise ServeError(
                         f"serve: cannot reach {self.host}:{self.port} "
                         f"({error})")
@@ -162,25 +169,47 @@ class ServeClient:
             time.sleep(poll)
 
 
-def client_backend(url: str, query: api.PointQuery
-                   ) -> Callable[[int], object]:
+class ClientBackend:
     """A load-generator backend issuing one warm query per request.
 
-    Each generator worker thread gets its own :class:`ServeClient`
-    (thread-local — one keep-alive socket per worker), so the callable
-    can be shared across any number of
-    :func:`repro.cloud.loadgen.closed_loop` workers.
+    Each generator worker thread gets its own :class:`ServeClient` (one
+    keep-alive socket per worker), so the callable can be shared across
+    any number of :func:`repro.cloud.loadgen.closed_loop` workers.  The
+    backend owns those clients: :meth:`close` (or leaving a ``with``
+    block) closes every socket it opened.
     """
-    local = threading.local()
 
-    def backend(index: int):
-        client = getattr(local, "client", None)
-        if client is None:
-            client = local.client = ServeClient(url)
-        reply = client.query_point(query)
+    def __init__(self, url: str, query: api.PointQuery) -> None:
+        self.url = url
+        self.query = query
+        self._clients: Dict[int, ServeClient] = {}   # by thread ident
+        self._lock = threading.Lock()
+
+    def __call__(self, index: int):
+        ident = threading.get_ident()
+        with self._lock:
+            client = self._clients.get(ident)
+            if client is None:
+                client = self._clients[ident] = ServeClient(self.url)
+        reply = client.query_point(self.query)
         if not reply.found:
             raise ServeError(f"serve: load backend got a miss for "
                              f"request {index}")
         return reply.value
 
-    return backend
+    def close(self) -> None:
+        with self._lock:
+            clients, self._clients = self._clients, {}
+        for client in clients.values():
+            client.close()
+
+    def __enter__(self) -> "ClientBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def client_backend(url: str, query: api.PointQuery) -> ClientBackend:
+    """A closable load-generator backend; see :class:`ClientBackend`."""
+    return ClientBackend(url, query)

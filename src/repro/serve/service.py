@@ -3,8 +3,9 @@
 SMAPPIC's pitch is prototypes *served from the cloud* (PAPER.md §1,
 Fig. 12): users submit configurations and get measurements back without
 owning hardware.  :class:`ResultService` is that serving plane for the
-reproduction — warm points are O(1) content-addressed disk reads from
-the :class:`~repro.store.ResultStore`, cold submissions become farm
+reproduction — a warm point is one validated parse of its
+content-addressed :class:`~repro.store.ResultStore` entry plus one
+canonical JSON encode of the reply, cold submissions become farm
 fleets on a background worker, and the ``runs/`` archive tree is
 queryable and diffable in place.
 
@@ -28,7 +29,8 @@ Routes (all bodies are :mod:`repro.serve.api` envelopes)::
     GET  /v1/jobs/<job_id>        -> job_reply          (farm.json mirror)
     GET  /v1/stats                -> stats_reply        (obs.serve.* etc.)
 
-Every request increments ``obs.serve.requests`` and lands its handling
+Every answered request increments ``obs.serve.requests`` (and
+``obs.serve.errors`` when it failed); each routed one lands its handling
 time in the ``obs.serve.latency_us`` histogram; query hits/misses and
 spawned jobs count under ``obs.serve.hits`` / ``obs.serve.misses`` /
 ``obs.serve.jobs`` through the shared
@@ -53,8 +55,9 @@ from ..store import ResultStore, entry_key
 from . import api
 from .jobs import JobManager
 
-#: Request-parsing guard rails; a peer exceeding them is answered 400
-#: and disconnected, never buffered without bound.
+#: Request-parsing guard rails.  A peer past one is answered with an
+#: ``ErrorReply`` (400, or 413 for the body) under ``Connection: close``
+#: and then disconnected; nothing is buffered without bound.
 MAX_HEADER_LINES = 100
 MAX_LINE_BYTES = 16 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -122,33 +125,29 @@ class ResultService:
                            writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _HttpError as error:
+                    # Past a guard rail the stream is no longer parsed,
+                    # so answer and hang up instead of resynchronising.
+                    await self._reply(writer, error.status,
+                                      api.ErrorReply(error=str(error)),
+                                      keep=False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 started = time.perf_counter()
                 status, message = self._dispatch(method, path, body)
-                self.registry.inc("obs.serve.requests")
-                if status >= 400:
-                    self.registry.inc("obs.serve.errors")
-                payload = message.to_json().encode()
                 keep = headers.get("connection", "").lower() != "close"
-                head = (f"HTTP/1.1 {status} "
-                        f"{_REASONS.get(status, 'Unknown')}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"Content-Length: {len(payload)}\r\n"
-                        f"Connection: "
-                        f"{'keep-alive' if keep else 'close'}\r\n\r\n")
-                writer.write(head.encode() + payload)
-                await writer.drain()
+                await self._reply(writer, status, message, keep)
                 self.registry.histogram("obs.serve.latency_us").add(
                     int((time.perf_counter() - started) * 1e6))
                 if not keep:
                     break
         except asyncio.CancelledError:
             pass   # server shutdown cancelled this connection task
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass   # peer went away mid-request; nothing to answer
         finally:
             writer.close()
@@ -157,36 +156,63 @@ class ResultService:
             except (asyncio.CancelledError, ConnectionError, OSError):
                 pass
 
+    async def _reply(self, writer: asyncio.StreamWriter, status: int,
+                     message: api.Message, keep: bool) -> None:
+        self.registry.inc("obs.serve.requests")
+        if status >= 400:
+            self.registry.inc("obs.serve.errors")
+        payload = message.to_json().encode()
+        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+                f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n")
+        writer.write(head.encode() + payload)
+        await writer.drain()
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+        try:
+            line = await reader.readline()
+        except ValueError:
+            # The line outgrew the StreamReader's own buffer limit
+            # (64 KiB) before its newline arrived.
+            line = None
+        if line is None or len(line) > MAX_LINE_BYTES:
+            raise _HttpError(400, f"{what} over {MAX_LINE_BYTES} bytes")
+        return line
+
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, Dict[str, str],
                                                 bytes]]:
-        line = await reader.readline()
+        """One parsed request, or ``None`` at a clean EOF between
+        keep-alive requests; a peer past a guard rail raises
+        :class:`_HttpError`."""
+        line = await self._read_line(reader, "request line")
         if not line:
-            return None            # clean EOF between keep-alive requests
+            return None
         parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or len(line) > MAX_LINE_BYTES:
-            raise ConnectionError("malformed request line")
+        if len(parts) != 3:
+            raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         for _ in range(MAX_HEADER_LINES):
-            raw = await reader.readline()
+            raw = await self._read_line(reader, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
-            if len(raw) > MAX_LINE_BYTES:
-                raise ConnectionError("oversized header line")
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            raise ConnectionError("too many header lines")
+            raise _HttpError(400, f"more than {MAX_HEADER_LINES} "
+                                  f"header lines")
         body = b""
         length = headers.get("content-length")
         if length is not None:
-            try:
-                size = int(length)
-            except ValueError:
-                raise ConnectionError("bad Content-Length")
+            if not length.isdecimal():      # 1*DIGIT: no sign, no "_"
+                raise _HttpError(400, f"bad Content-Length {length!r}")
+            size = int(length)
             if size > MAX_BODY_BYTES:
-                raise ConnectionError("oversized body")
+                raise _HttpError(413, f"body of {size} bytes exceeds "
+                                      f"{MAX_BODY_BYTES}")
             if size:
                 body = await reader.readexactly(size)
         return method.upper(), target.split("?", 1)[0], headers, body

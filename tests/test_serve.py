@@ -1,26 +1,35 @@
 """Tests for repro.serve: the typed API, the HTTP service, the client.
 
 The module-scoped ``served`` fixture seeds one store with a fig8 sweep
-(both the bare and the ``obs={}`` key flavors), writes three small run
-archives (two sharing an instrumentation plane, one on a different
-plane), and boots a :class:`ServiceThread`.  Counter assertions measure
-*deltas* via ``/v1/stats`` so tests stay order-independent.
+(both the bare and the ``obs={}`` key flavors) and the ``obs={}`` Fig. 7
+shards of the same config, writes three small run archives (two sharing
+an instrumentation plane, one on a different plane), and boots a
+:class:`ServiceThread`.  Counter assertions measure *deltas* via
+``/v1/stats`` so tests stay order-independent.
 """
 
 import http.client
 import json
+import socket
+import socketserver
+import threading
 
 import pytest
 
 from repro import parse_config
 from repro.errors import ServeError
 from repro.obs.archive import RunArchive
-from repro.parallel import fig8_spec, fig9_spec, run_sweep
+from repro.parallel import (fig8_spec, fig9_spec, latency_matrix_spec,
+                            run_sweep)
 from repro.parallel.sweep import sweep_tasks
 from repro.serve import (SERVE_API_VERSION, DiffQuery, ErrorReply,
-                         PointQuery, Pong, ResultService, ServeClient,
-                         ServiceThread, SweepSubmit, client_backend,
-                         config_hash_of, decode, derived_seed)
+                         PointQuery, PointReply, Pong, ResultService,
+                         ServeClient, ServiceThread, SweepSubmit, api,
+                         client_backend, config_hash_of, decode,
+                         derived_seed)
+from repro.serve.api import canonical_json
+from repro.serve.service import (MAX_BODY_BYTES, MAX_HEADER_LINES,
+                                 MAX_LINE_BYTES)
 from repro.store import ResultStore, entry_key
 
 CONFIG = "2x1x2"
@@ -117,6 +126,62 @@ class TestApi:
                        seed=0)
         assert a.to_json() == b.to_json()
 
+    def test_to_dict_hands_over_the_value_uncopied(self):
+        value = {"rows": [[1, 2]], "metrics": {"a": 1}}
+        assert PointReply(found=True, key="k",
+                          value=value).to_dict()["value"] is value
+
+    def test_wire_bytes_are_pinned(self):
+        # Captured from the dataclasses.asdict encoder; tuples go out as
+        # lists either way.
+        value = {"rows": [[1, 2.5], [3, None]],
+                 "metrics": {"b": 1, "a": {"z": [1, "x"]}}}
+        assert PointReply(found=True, key="k", value=value).to_json() == (
+            '{"api_version": 1, "body": {"found": true, "key": "k", '
+            '"value": {"metrics": {"a": {"z": [1, "x"]}, "b": 1}, '
+            '"rows": [[1, 2.5], [3, null]]}}, "kind": "point_reply"}')
+        assert SweepSubmit(suite="fig8",
+                           thread_counts=(1, 2)).to_json() == (
+            '{"api_version": 1, "body": {"config": "4x1x12", "obs": null, '
+            '"root_seed": 0, "seed": 0, "slots": 1, "suite": "fig8", '
+            '"suite_id": null, "thread_counts": [1, 2], "threads": null}, '
+            '"kind": "sweep_submit"}')
+        assert DiffQuery(run_a="a", run_b="b",
+                         rules=[{"pattern": "x"}]).to_json() == (
+            '{"api_version": 1, "body": {"ignore_instrumentation": false, '
+            '"only_violations": false, "rules": [{"pattern": "x"}], '
+            '"run_a": "a", "run_b": "b"}, "kind": "diff_query"}')
+
+    def test_every_kind_round_trips(self):
+        messages = [
+            PointQuery(family="fig8", config_hash="c", point={"t": 2},
+                       seed=3, obs={}),
+            PointReply(found=True, key="k", value={"rows": [[1, 2]]}),
+            api.ArchiveList(archives=[{"run_id": "r", "metrics": 2}]),
+            api.ArchiveReply(run_id="r", manifest={"seed": 0},
+                             metrics={"lat": 1.5}),
+            api.MetricQuery(glob="lat*"),
+            api.MetricMatches(glob="lat*", matches=[
+                {"run_id": "r", "metric": "lat", "value": 1}]),
+            DiffQuery(run_a="a", run_b="b",
+                      rules=[{"pattern": "x", "rel_tol": 0.1}],
+                      only_violations=True),
+            api.DiffReply(run_a="a", run_b="b", ok=False, violations=1,
+                          deltas=[{"name": "lat", "status": "changed"}]),
+            SweepSubmit(suite="fig8", thread_counts=(1, 2), obs={}),
+            api.SubmitReply(job_id="j", state="queued", points=2, warm=1,
+                            cold=1),
+            api.JobReply(job={"job_id": "j", "value": [1, 2]},
+                         farm={"final": True}),
+            api.JobList(jobs=[{"job_id": "j"}]),
+            Pong(),
+            api.StatsReply(metrics={"obs.serve.hits": 3}),
+            ErrorReply(error="boom"),
+        ]
+        assert sorted(m.KIND for m in messages) == sorted(api._KINDS)
+        for message in messages:
+            assert decode(message.to_json()) == message
+
 
 # ----------------------------------------------------------------------
 # The live service
@@ -137,6 +202,11 @@ def served(tmp_path_factory):
                                      obs_spec={}), jobs=1, store=store)
     serial_fig9 = run_sweep(fig9_spec(config, n_threads=2, obs_spec={}),
                             jobs=1)
+    # Fig. 7 shards: the {"rows", "metrics"} value shape serve-mixed asks
+    # for, a much larger reply than a fig8 point.
+    fig7_spec = latency_matrix_spec(config, obs_spec={})
+    run_sweep(fig7_spec, jobs=1, store=store)
+    _fig7_hash, fig7_tasks = sweep_tasks(fig7_spec, store.root)
 
     runs = root / "runs"
     RunArchive.write(str(runs / "a"), {"lat": 100, "thr": 5.0},
@@ -154,7 +224,7 @@ def served(tmp_path_factory):
             "service": service, "client": client, "config": config,
             "serial": serial, "serial_obs": serial_obs,
             "serial_fig9": serial_fig9, "cfg_hash": cfg_hash,
-            "tasks": tasks,
+            "tasks": tasks, "store": store, "fig7_tasks": fig7_tasks,
         }
         client.close()
 
@@ -184,6 +254,16 @@ class TestService:
                               sort_keys=True)
         assert _stat(client, "obs.serve.hits") \
             == hits_before + len(served["tasks"])
+
+    def test_warm_shard_query_byte_identical_to_store(self, served):
+        client = served["client"]
+        for task in served["fig7_tasks"]:
+            payload = task[-1]
+            reply = client.query_point(PointQuery(**payload))
+            assert reply.found and set(reply.value) == {"rows", "metrics"}
+            found, stored = served["store"].load(entry_key(payload))
+            assert found
+            assert canonical_json(reply.value) == canonical_json(stored)
 
     def test_query_seed_derivable_from_index(self, served):
         client = served["client"]
@@ -334,14 +414,51 @@ class TestService:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /v1/ping HTTP/1.1\r\n"
+         + b"X-Pad: 1\r\n" * (MAX_HEADER_LINES + 50) + b"\r\n", 400),
+        (b"GET /v1/ping HTTP/1.1\r\nX-Pad: "
+         + b"a" * (MAX_LINE_BYTES + 4096) + b"\r\n\r\n", 400),
+        # Past asyncio's own 64 KiB StreamReader limit.
+        (b"GET /v1/ping HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+         + b"\r\n\r\n", 400),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: "
+         + str(MAX_BODY_BYTES * 12).encode() + b"\r\n\r\n", 413),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400),
+        (b"POST /v1/query HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+         400),
+        (b"NOT-HTTP\r\n\r\n", 400),
+    ], ids=["header-lines", "header-line-20k", "header-line-70k",
+            "body-limit", "content-length-x", "content-length-negative",
+            "request-line"])
+    def test_guard_rails_answer_then_hang_up(self, served, request_bytes,
+                                             status):
+        with socket.create_connection(
+                ("127.0.0.1", served["service"].port), timeout=10) as sock:
+            sock.sendall(request_bytes)
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break           # EOF: the server hung up
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        assert "Connection: close" in lines[1:]
+        assert f"Content-Length: {len(body)}" in lines[1:]
+        assert isinstance(decode(body), ErrorReply)
+        assert served["client"].ping().service == "repro.serve"
+
     def test_client_backend_drives_closed_loop(self, served):
         from repro.cloud import closed_loop
         payload = served["tasks"][0][-1]
-        backend = client_backend(
-            served["service"].url,
-            PointQuery(family="fig8", config_hash=served["cfg_hash"],
-                       point=payload["point"], seed=payload["seed"]))
-        report = closed_loop(backend, requests=40, workers=4)
+        with client_backend(
+                served["service"].url,
+                PointQuery(family="fig8", config_hash=served["cfg_hash"],
+                           point=payload["point"],
+                           seed=payload["seed"])) as backend:
+            report = closed_loop(backend, requests=40, workers=4)
         assert report.completed == 40 and report.errors == 0
         assert report.percentile(50) <= report.percentile(99)
 
@@ -350,8 +467,11 @@ class TestService:
             served["service"].url,
             PointQuery(family="fig8", config_hash="deadbeef", point=1,
                        seed=0))
-        with pytest.raises(ServeError, match="miss"):
-            backend(0)
+        try:
+            with pytest.raises(ServeError, match="miss"):
+                backend(0)
+        finally:
+            backend.close()
 
 
 class TestServiceLifecycle:
@@ -371,3 +491,51 @@ class TestServiceLifecycle:
         client = ServeClient("http://127.0.0.1:1")
         with pytest.raises(ServeError, match="cannot reach"):
             client.ping()
+
+
+@pytest.fixture
+def dropping_peer():
+    """A peer that reads each request in full, records its request line,
+    and hangs up without replying."""
+    seen = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            request_line = self.rfile.readline().decode("latin-1")
+            length = 0
+            while True:
+                raw = self.rfile.readline()
+                if raw in (b"\r\n", b""):
+                    break
+                name, _, value = raw.decode("latin-1").partition(":")
+                if name.lower() == "content-length":
+                    length = int(value)
+            self.rfile.read(length)
+            seen.append(" ".join(request_line.split()[:2]))
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestClientRetry:
+    def test_submit_is_sent_once(self, dropping_peer):
+        url, seen = dropping_peer
+        with ServeClient(url, timeout=10) as client:
+            with pytest.raises(ServeError, match="cannot reach"):
+                client.submit("fig9", config=CONFIG, threads=2)
+        assert seen == ["POST /v1/submit"]
+
+    def test_query_is_retried_once(self, dropping_peer):
+        url, seen = dropping_peer
+        with ServeClient(url, timeout=10) as client:
+            with pytest.raises(ServeError, match="cannot reach"):
+                client.query("fig8", "abc", 2, 0)
+        assert seen == ["POST /v1/query"] * 2
