@@ -11,6 +11,8 @@ This script checks what they left behind:
 * the instrumented archive records the spec (content + hash) in its
   manifest, its triggers armed and fired, and its metric selection took
   effect (only ``node*`` / ``*.utilization`` names besides ``obs.*``);
+* the instrumented bundle's probe series include a bridge-queue and a
+  DRAM-backlog track (their components' own hooks sample them);
 * the two uninstrumented baselines are byte-identical — metrics files
   compare equal bit for bit — and the instrumented run executed the
   same cycles and events (observation changed nothing architectural);
@@ -19,13 +21,17 @@ This script checks what they left behind:
 """
 
 import fnmatch
+import json
 import subprocess
 import sys
 
 INSTRUMENTED = "runs/instrumented"
 PLAIN_A = "runs/plain-a"
 PLAIN_B = "runs/plain-b"
+BUNDLE = "fig7-instrumented-metrics.json"
 SPEC = "examples/instrument_fig7.yaml"
+#: Probe tracks the instrumented bundle must carry (fnmatch globs).
+REQUIRED_TRACKS = ("*.bridge.queued_packets", "*.dram.bank_backlog")
 
 
 def main():
@@ -63,6 +69,14 @@ def main():
     if stray:
         sys.exit(f"metric selection leaked unselected names: {stray[:5]}")
 
+    with open(BUNDLE) as handle:
+        tracks = [name for name, points
+                  in json.load(handle)["series"].items() if points]
+    for pattern in REQUIRED_TRACKS:
+        if not fnmatch.filter(tracks, pattern):
+            sys.exit(f"no sampled {pattern} track among the bundle's "
+                     f"{len(tracks)} series")
+
     # Observation must not perturb the run: same seed, same machine
     # state, with or without the plane.
     for key in ("cycles", "events_executed", "seed"):
@@ -95,8 +109,8 @@ def main():
 
     print(f"instrumented smoke OK: plane {plane.spec_hash} armed "
           f"{armed:g} / fired {fired:g}, selection held "
-          f"({len(metrics)} metrics), baselines byte-identical, "
-          f"cross-plane diff refused")
+          f"({len(metrics)} metrics, {len(tracks)} probe tracks), "
+          f"baselines byte-identical, cross-plane diff refused")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,15 @@ simulation::
     python -m repro query point fig8 ...   # ask a running service
 
 Common flags (``--seed``/``--output``/``--archive``/``--jobs``/
-``--sample-intervals``/``--store``) come from :mod:`repro.cli_common`
-parent parsers, so they behave identically on every subcommand.
+``--instrument``/``--store``) come from :mod:`repro.cli_common` parent
+parsers, so they behave identically on every subcommand.  What a run
+observes comes from one place: the ``--instrument`` plane spec.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -40,8 +42,8 @@ from .analysis import render_table
 from .cli_common import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, archive_flags,
                          emit, emit_payload, format_flags,
                          instrument_flags, jobs_flags, load_plane_arg,
-                         output_flags, partitions_flags, sampling_flags,
-                         seed_flags, store_flags, write_archive)
+                         output_flags, partitions_flags, seed_flags,
+                         store_flags, write_archive)
 from .cost import FIG13_TOOLS, benchmark_costs, suite_costs
 from .errors import ReproError
 from .fpga import (DRAM_INTERFACES_PER_FPGA, cheapest_instance_for, estimate,
@@ -90,27 +92,6 @@ def _sweep_point(task) -> Optional[List]:
 
 
 def cmd_sweep(args) -> int:
-    if getattr(args, "instrument", None):
-        # Parses for interface symmetry; sweep never simulates, so
-        # there is nothing for an instrumentation plane to observe.
-        raise ReproError(
-            "sweep estimates FPGA resource fit without simulating; "
-            "--instrument attaches an instrumentation plane to a "
-            "simulation — use it on `repro trace/stats/latency`")
-    if args.partitions is not None:
-        # The flag parses here for interface symmetry with latency, but
-        # sweep only *estimates* resource fit — nothing simulates, so
-        # there is no simulation to shard.
-        raise ReproError(
-            "sweep estimates FPGA resource fit without simulating; "
-            "--partitions shards a simulation — use it on `repro "
-            "latency` (or set REPRO_PARTITIONS for the benchmarks)")
-    if os.environ.get("REPRO_PARTITIONS"):
-        # sweep ignores the env on purpose (env_default=False above);
-        # say so instead of silently doing nothing with it.
-        print("warning: REPRO_PARTITIONS is set but sweep does not "
-              "simulate, so it has no effect here (it applies to "
-              "`repro latency` and the benchmarks)", file=sys.stderr)
     grid = [(nodes, tiles, args.core)
             for nodes in range(1, DRAM_INTERFACES_PER_FPGA + 1)
             for tiles in range(1, max_tiles_per_fpga(args.core) + 1)]
@@ -157,8 +138,7 @@ def cmd_latency(args) -> int:
                 "apply to --partitions")
         obs_spec = None
         if args.archive:
-            obs_spec = ({"plane": plane.to_dict()} if plane is not None
-                        else {})
+            obs_spec = plane.to_dict() if plane is not None else {}
         proto = Prototype(config, partitions=partitions, obs_spec=obs_spec)
         try:
             for sender in senders:
@@ -188,8 +168,8 @@ def cmd_latency(args) -> int:
         with_metrics = bool(args.archive)
         rows = probe_rows(config, senders, jobs=args.jobs,
                           with_metrics=with_metrics, store=store,
-                          obs_spec=({"plane": plane.to_dict()}
-                                    if plane is not None else None))
+                          obs_spec=(plane.to_dict() if plane is not None
+                                    else None))
         if with_metrics:
             rows, metrics = rows
         if store is not None:
@@ -256,40 +236,15 @@ def _drive_probes(proto) -> None:
 
 
 def cmd_trace(args) -> int:
-    from .obs import (Observer, StreamingTracer, chrome_from_jsonl,
-                      probe_series_from_jsonl, validate_chrome_trace)
+    from .obs import (Observer, chrome_from_jsonl, probe_series_from_jsonl,
+                      validate_chrome_trace)
     plane = load_plane_arg(args)
-    if plane is not None:
-        # The plane owns the selection knobs it declares; mixing the two
-        # vocabularies would make the recorded spec lie about the run.
-        if args.categories:
-            raise ReproError(
-                "trace --categories conflicts with --instrument; put "
-                "trace.categories in the spec instead")
-        if args.sample_intervals is not None:
-            raise ReproError(
-                "trace --sample-intervals conflicts with --instrument; "
-                "put sample_intervals in the spec instead")
-        if not plane.tracing:
-            raise ReproError(
-                "the instrumentation spec disables tracing; use "
-                "`repro stats --instrument` for a metrics-only run")
-    categories = args.categories.split(",") if args.categories else None
-    intervals = args.sample_intervals
+    if plane is not None and not plane.tracing:
+        raise ReproError(
+            "the instrumentation spec disables tracing; use "
+            "`repro stats --instrument` for a metrics-only run")
     stream = args.stream or (plane is not None and plane.stream_series)
-    if stream:
-        tracer = StreamingTracer(
-            args.out,
-            categories=(categories if plane is None
-                        else plane.trace_categories))
-        obs = Observer(tracer=tracer,
-                       sample_interval=args.sample_interval,
-                       sample_intervals=intervals, plane=plane)
-    else:
-        obs = Observer(categories=categories,
-                       ring_capacity=args.ring_capacity or None,
-                       sample_interval=args.sample_interval,
-                       sample_intervals=intervals, plane=plane)
+    obs = Observer(plane, trace_path=args.out if stream else None)
     config = parse_config(args.config, seed=args.seed)
     start = time.perf_counter()
     proto = Prototype(config, obs=obs)
@@ -304,7 +259,7 @@ def cmd_trace(args) -> int:
         validate_chrome_trace(args.out)
     metrics = obs.export_metrics()
     series = obs.probes.series()
-    if plane is not None and plane.stream_series:
+    if obs.plane.stream_series:
         # Streamed probe series never materialized in memory; the
         # bundle and archive rebuild them from the JSONL counter track.
         series = probe_series_from_jsonl(args.out)
@@ -328,13 +283,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .obs import Observer
+    from .obs import InstrumentationPlane, Observer
     plane = load_plane_arg(args)
-    if plane is not None and args.sample_intervals is not None:
-        raise ReproError(
-            "stats --sample-intervals conflicts with --instrument; put "
-            "sample_intervals in the spec instead")
-    intervals = args.sample_intervals
     config = parse_config(args.config, seed=args.seed)
     start = time.perf_counter()
     sweep_hash = None
@@ -345,11 +295,8 @@ def cmd_stats(args) -> int:
         # obs_spec, so it is part of every store key by construction.
         from .parallel import latency_matrix_spec, run_sweep
         store = ResultStore(args.store) if args.store else None
-        obs_spec = {"sample_interval": args.sample_interval,
-                    "sample_intervals": intervals}
-        if plane is not None:
-            obs_spec["plane"] = plane.to_dict()
-        spec = latency_matrix_spec(config, obs_spec=obs_spec)
+        spec = latency_matrix_spec(
+            config, obs_spec=plane.to_dict() if plane is not None else {})
         result = run_sweep(spec, jobs=args.jobs, store=store)
         metrics = dict(result.value["metrics"])
         if store is not None:
@@ -361,8 +308,8 @@ def cmd_stats(args) -> int:
         if args.store:
             raise ReproError(
                 "stats --store requires the sharded sweep; pass --jobs")
-        obs = Observer(tracing=False, sample_interval=args.sample_interval,
-                       sample_intervals=intervals, plane=plane)
+        obs = Observer(dataclasses.replace(
+            plane or InstrumentationPlane(), tracing=False))
         proto = Prototype(config, obs=obs)
         _drive_probes(proto)
         metrics = obs.export_metrics()
@@ -456,7 +403,7 @@ def cmd_obs_validate(args) -> int:
     selected = None
     if args.config:
         config = parse_config(args.config)
-        obs = Observer(tracing=False, plane=plane)
+        obs = Observer(dataclasses.replace(plane, tracing=False))
         proto = Prototype(config, obs=obs)
         selected = sorted(name for name in obs.export_metrics()
                           if not name.startswith("obs."))
@@ -902,8 +849,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep = subparsers.add_parser(
         "sweep", help="every BxC configuration that fits one FPGA",
         parents=[jobs_flags(default=1),
-                 partitions_flags(env_default=False),
-                 instrument_flags(),
                  output_flags("write the table to PATH instead of "
                               "stdout")])
     sweep.add_argument("--core", default="ariane")
@@ -932,8 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace = subparsers.add_parser(
         "trace", help="run traced latency probes; emit a Perfetto-loadable "
                       "Chrome trace plus a metrics bundle",
-        parents=[seed_flags(), archive_flags(), sampling_flags(),
-                 instrument_flags()])
+        parents=[seed_flags(), archive_flags(), instrument_flags()])
     trace.add_argument("config", nargs="?", default="2x1x2")
     trace.add_argument("--out", "--output", dest="out",
                        default="trace.json",
@@ -945,20 +889,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "(for runs too long for any ring)")
     trace.add_argument("--metrics", default="metrics.json",
                        help="metrics + probe-series bundle output path")
-    trace.add_argument("--categories", default=None, metavar="CAT,CAT",
-                       help="comma-separated trace categories "
-                            "(default: all)")
-    trace.add_argument("--ring-capacity", type=int, default=65536,
-                       metavar="N",
-                       help="max trace events kept per component "
-                            "(0 = unbounded; ignored with --stream)")
     trace.set_defaults(func=cmd_trace)
 
     stats = subparsers.add_parser(
         "stats", help="run latency probes with metrics only; print the "
                       "registry as Prometheus text or JSON",
-        parents=[seed_flags(), archive_flags(), sampling_flags(),
-                 instrument_flags(),
+        parents=[seed_flags(), archive_flags(), instrument_flags(),
                  format_flags(choices=("prom", "json"), default="prom"),
                  output_flags("write the dump to PATH instead of stdout"),
                  jobs_flags(default=None,

@@ -1,7 +1,7 @@
 """Shared CLI plumbing: common flags, parsers, and archive writing.
 
 Every measuring subcommand used to re-declare ``--seed`` / ``--output``
-/ ``--archive`` / ``--sample-intervals`` / ``--jobs`` with its own help
+/ ``--archive`` / ``--instrument`` / ``--jobs`` with its own help
 strings and defaults, and re-implement the archive write.  The builders
 here are argparse *parent parsers* (``add_help=False``), so ``trace``,
 ``stats``, ``latency``, ``sweep``, and ``cache`` compose exactly the
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Callable, Dict, Optional
-
-from .errors import ReproError
+from typing import Callable, Optional
 
 #: Shared CLI exit codes: 0 = success, 1 = the command ran but its
 #: result is a failure (diff violations, failed fleet/job, cache miss),
@@ -54,71 +51,6 @@ def partitions_count(value: str) -> int:
     return partitions
 
 
-def default_partitions() -> Optional[int]:
-    """The ``REPRO_PARTITIONS`` environment default for ``--partitions``
-    (None when unset — monolithic), mirroring ``REPRO_JOBS``."""
-    raw = os.environ.get("REPRO_PARTITIONS")
-    if raw is None or raw == "":
-        return None
-    try:
-        partitions = int(raw)
-    except ValueError:
-        raise ReproError(
-            f"REPRO_PARTITIONS must be an integer, got {raw!r}")
-    if partitions < 0:
-        raise ReproError(
-            f"REPRO_PARTITIONS must be >= 0 (0 = one per FPGA), "
-            f"got {partitions}")
-    return partitions
-
-
-def parse_intervals(text: Optional[str]) -> Optional[Dict[str, int]]:
-    """``"noc=64,mem=256"`` → per-category probe intervals (each >= 1)."""
-    if not text:
-        return None
-    intervals: Dict[str, int] = {}
-    for part in text.split(","):
-        category, _, value = part.partition("=")
-        if not category or not value:
-            raise ReproError(
-                f"expects CAT=CYCLES[,CAT=CYCLES], got {part!r}")
-        try:
-            cycles = int(value)
-        except ValueError:
-            raise ReproError(
-                f"{value!r} is not an integer (in {part!r})")
-        if cycles < 1:
-            raise ReproError(
-                f"interval for {category.strip()!r} must be >= 1, "
-                f"got {cycles}")
-        intervals[category.strip()] = cycles
-    return intervals
-
-
-def probe_interval(value: str) -> int:
-    """argparse type for ``--sample-interval``: an integer >= 1."""
-    try:
-        cycles = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {value!r}")
-    if cycles < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 cycle, got {cycles}")
-    return cycles
-
-
-def probe_intervals(text: str) -> Dict[str, int]:
-    """argparse type for ``--sample-intervals``: CAT=CYCLES pairs, each
-    interval a positive integer — rejected at parse time with a clear
-    argparse error instead of surfacing later as a simulation crash."""
-    try:
-        parsed = parse_intervals(text)
-    except ReproError as error:
-        raise argparse.ArgumentTypeError(str(error))
-    return parsed or {}
-
-
 # ----------------------------------------------------------------------
 # Parent parsers (argparse parents=[...], one flag family each)
 # ----------------------------------------------------------------------
@@ -150,26 +82,14 @@ def archive_flags() -> argparse.ArgumentParser:
     return parent
 
 
-def sampling_flags(default_interval: int = 1000) -> argparse.ArgumentParser:
-    parent = _parent()
-    parent.add_argument("--sample-interval", type=probe_interval,
-                        default=default_interval, metavar="CYCLES",
-                        help="probe sampling interval in cycles (>= 1)")
-    parent.add_argument("--sample-intervals", type=probe_intervals,
-                        default=None, metavar="CAT=CYCLES,..",
-                        help="per-category probe intervals, e.g. "
-                             "noc=64,mem=256 (others use "
-                             "--sample-interval)")
-    return parent
-
-
 def instrument_flags() -> argparse.ArgumentParser:
     """``--instrument SPEC``: a declarative instrumentation plane.
 
-    The spec (YAML or JSON; see ``examples/instrument_fig7.yaml``)
-    selects metrics by glob, sets per-category probe intervals, picks
-    trace categories, and declares triggers — explicit CLI flags still
-    win where both speak (``repro obs validate`` checks a spec offline).
+    The spec (YAML or JSON; see ``examples/instrument_fig7.yaml``) is
+    the only observer configuration: it selects metrics by glob, sets
+    per-category probe intervals, picks trace categories and the ring
+    bound, and declares triggers (``repro obs validate`` checks a spec
+    offline).
     """
     parent = _parent()
     parent.add_argument("--instrument", default=None, metavar="SPEC",
@@ -197,23 +117,14 @@ def jobs_flags(default: Optional[int] = 1,
     return parent
 
 
-def partitions_flags(env_default: bool = True) -> argparse.ArgumentParser:
-    """``--partitions``: shard one simulation across worker processes.
-
-    Defaults to the ``REPRO_PARTITIONS`` environment variable (resolved
-    at parse time so ``--partitions`` always wins), else monolithic.
-    ``env_default=False`` ignores the environment — for subcommands that
-    validate the flag but never simulate, so an exported
-    ``REPRO_PARTITIONS`` cannot break them.
-    """
+def partitions_flags() -> argparse.ArgumentParser:
+    """``--partitions``: shard one simulation across worker processes."""
     parent = _parent()
     parent.add_argument("--partitions", type=partitions_count,
-                        default=default_partitions() if env_default
-                        else None, metavar="N",
+                        default=None, metavar="N",
                         help="split one simulation across N worker "
                              "processes at FPGA boundaries (0 = one per "
-                             "FPGA; default REPRO_PARTITIONS or "
-                             "monolithic)")
+                             "FPGA; default monolithic)")
     return parent
 
 

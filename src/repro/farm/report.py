@@ -19,6 +19,7 @@ farm run against a baseline exactly like any single run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -105,6 +106,16 @@ def job_metrics(result) -> Dict[str, object]:
     return {}
 
 
+def _fleet_plane_hash(planes) -> Optional[str]:
+    """The plane hash of a fleet: the one its jobs share, or a combined
+    hash of every plane when they mix (so a mixed fleet still refuses
+    to diff against a uniform one)."""
+    if len(planes) <= 1:
+        return next(iter(planes), None)
+    joined = ",".join(sorted(str(plane) for plane in planes))
+    return hashlib.sha256(joined.encode()).hexdigest()[:16]
+
+
 def collect_report(report_dir: str, result, *,
                    store=None,
                    suite_values: Optional[Dict[str, dict]] = None,
@@ -115,22 +126,27 @@ def collect_report(report_dir: str, result, *,
     the merged farm-level RunArchive (job metric shards folded in job
     order via :func:`~repro.obs.archive.merge_metric_shards`, then the
     ``obs.farm.*`` and ``obs.store.*`` counters layered on top), and
-    the per-suite merged values.
+    the per-suite merged values.  Every archive records its jobs'
+    instrumentation-plane hash, so ``repro diff`` refuses to compare
+    fleets observed differently.
     """
     from ..obs.archive import RunArchive, merge_metric_shards
 
     shards: List[Dict[str, object]] = []
+    planes = set()
     for state in result.states:
         if state.state != "done":
             continue
         metrics = job_metrics(state.result)
         shards.append(metrics)
+        planes.add(state.job.instrumentation)
         RunArchive.write(
             os.path.join(report_dir, "jobs", _job_dirname(state.job_id)),
             metrics,
             wall_seconds=(state.finished_at - state.started_at
                           if state.started_at is not None
                           and state.finished_at is not None else None),
+            instrumentation_hash=state.job.instrumentation,
             extra={"job_id": state.job_id, "family": state.job.family,
                    "farm_state": state.state,
                    "attempts": state.attempts,
@@ -153,6 +169,7 @@ def collect_report(report_dir: str, result, *,
     RunArchive.write(os.path.join(report_dir, "merged"), merged,
                      wall_seconds=result.wall_seconds, series=series,
                      command=command,
+                     instrumentation_hash=_fleet_plane_hash(planes),
                      extra={"farm_jobs": result.counters.jobs,
                             "farm_hosts": len(result.spec.hosts),
                             "farm_slots": result.spec.total_slots})

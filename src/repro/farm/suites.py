@@ -44,24 +44,15 @@ class SuitePlan:
     store_root: Optional[str] = None
 
 
-def _plane_hash(obs_spec) -> Optional[str]:
-    """The instrumentation-plane hash buried in an obs_spec, if any."""
-    if not isinstance(obs_spec, dict):
-        return None
-    plane = obs_spec.get("plane")
-    if plane is None:
-        return None
-    from ..obs.plane import as_plane
-    return as_plane(plane).spec_hash
-
-
 def plan_sweep(spec: SweepSpec, store_root: Optional[str] = None,
                suite_id: Optional[str] = None,
                slots: int = 1) -> SuitePlan:
     """Expand a sweep into farm jobs (one per point, in point order)."""
+    from ..obs.plane import plane_hash
+
     suite_id = suite_id or spec.family
     cfg_hash, tasks = sweep_tasks(spec, store_root=store_root)
-    inst_hash = _plane_hash(spec.obs_spec)
+    inst_hash = plane_hash(spec.obs_spec)
     jobs = [JobSpec(job_id=f"{suite_id}/{index}", fn=sweep_point_task,
                     payload=task, slots=slots, family=spec.family,
                     index=index, instrumentation=inst_hash)
@@ -181,8 +172,8 @@ def _suite_sweep_spec(entry: dict,
                         f"or null, got {type(obs_spec).__name__}")
     if instrumentation is not None and "obs" not in entry:
         # The spec-file's top-level plane instruments every suite that
-        # does not pin its own obs settings (an explicit 'obs' wins).
-        obs_spec = {"plane": instrumentation}
+        # does not pin its own plane (an explicit 'obs' wins).
+        obs_spec = instrumentation
     if name == "fig8":
         thread_counts = tuple(
             int(t) for t in entry.get("thread_counts",
@@ -227,9 +218,8 @@ def partition_latency_job(payload: dict) -> dict:
 
     config = parse_config(payload["config"],
                           seed=int(payload.get("seed", 0)))
-    plane = payload.get("instrument")
     proto = Prototype(config, partitions=int(payload["partitions"]),
-                      obs_spec={"plane": plane} if plane else {})
+                      obs_spec=payload.get("instrument") or {})
     try:
         total = config.total_tiles
         latencies = [proto.measure_pair_latency(0, receiver)
@@ -271,6 +261,7 @@ def build_adhoc_job(entry: dict,
     kind = str(entry["kind"]).replace("_", "-")
     if kind == "partition-latency":
         from ..core.config import parse_config
+        from ..obs.plane import plane_hash
         from ..partition import resolve_partitions
 
         config_label = str(entry.get("config", "2x1x2"))
@@ -292,8 +283,7 @@ def build_adhoc_job(entry: dict,
                      "instrument": instrumentation},
             slots=int(entry.get("slots", partitions)),
             family="partition",
-            instrumentation=_plane_hash({"plane": instrumentation}
-                                        if instrumentation else None))
+            instrumentation=plane_hash(instrumentation))
     if kind == "cloud":
         job_id = str(entry.get("id", f"cloud/{entry.get('path', '/data')}"
                                .replace("//", "/")))

@@ -2,30 +2,30 @@
 
 :class:`Observer` implements the hook surface defined by
 :class:`~repro.engine.observer.NullObserver`.  Pass one to
-``Prototype(config, obs=Observer(...))`` (or ``Simulator(obs=...)``) and
+``Prototype(config, obs=Observer(plane))`` (or ``Simulator(obs=...)``) and
 every component constructed against that simulator wires itself up:
 stat groups bind into the :class:`~repro.obs.registry.MetricRegistry`
 under hierarchical dotted names, links register occupancy probes, and
 the per-subsystem hooks start feeding the tracer.
 
-Category filters pick which subsystems trace (``noc``, ``cache``,
-``axi``, ``pcie``, ``bridge``, ``mem``, ``link``, ``kernel``); the
-membership test happens once at construction, so a disabled category
-costs one boolean load per hook.  Sampling is activity-driven (see
-:mod:`repro.obs.probes`): hooks nudge the probe clock, nothing is ever
-scheduled into the simulation, and architectural results stay
-bit-identical to an unobserved run.
+The plane's trace categories pick which subsystems trace (``noc``,
+``cache``, ``axi``, ``pcie``, ``bridge``, ``mem``, ``link``,
+``kernel``); the membership test happens once at construction, so a
+disabled category costs one boolean load per hook.  Sampling is
+activity-driven (see :mod:`repro.obs.probes`): each hook nudges its
+component's probes, nothing is ever scheduled into the simulation, and
+architectural results stay bit-identical to an unobserved run.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence
 
 from ..engine.observer import NullObserver
+from .plane import GatedTracer, InstrumentationPlane, as_plane
 from .probes import ProbeSet, link_utilization_probe
 from .registry import MetricRegistry
-from .trace import Tracer
+from .trace import StreamingTracer, Tracer
 
 #: Every category the instrumentation emits.
 TRACE_CATEGORIES = ("noc", "cache", "axi", "pcie", "bridge", "mem",
@@ -101,60 +101,44 @@ class _TracedChannel:
 class Observer(NullObserver):
     """Live observer: metrics registry + tracer + sampling probes.
 
-    ``tracer`` injects a pre-built recording backend — typically a
-    :class:`~repro.obs.trace.StreamingTracer` for runs too long for ring
-    buffers; the default builds a ring :class:`Tracer` (or none with
-    ``tracing=False``).  ``sample_intervals`` sets per-category probe
-    sampling intervals (``{"noc": 64, "mem": 256}``); categories not
-    listed use ``sample_interval``.
+    ``plane`` — an :class:`~repro.obs.plane.InstrumentationPlane`, its
+    spec dict, or None for the default plane — is the whole
+    configuration: it prunes metric/probe registration to its glob
+    selection, sets the probe intervals, picks the traced categories and
+    the ring bound (or no tracer at all with ``trace.enabled: false``),
+    wraps the tracer in a :class:`~repro.obs.plane.GatedTracer` when
+    triggers are declared, and — with ``stream_series`` — stops
+    materializing probe series in memory (they then live in the
+    tracer's JSONL stream).
 
-    ``plane`` applies a declarative
-    :class:`~repro.obs.plane.InstrumentationPlane` (or its spec dict):
-    it fills every setting the caller left at its default (explicit
-    keyword arguments win), prunes metric/probe registration to the
-    plane's glob selection, wraps the tracer in a
-    :class:`~repro.obs.plane.GatedTracer` when triggers are declared,
-    and — with ``stream_series`` — stops materializing probe series in
-    memory (they then live in the tracer's JSONL stream).  ``plane=None``
-    leaves every code path exactly as before.
+    ``trace_path`` is where the run is deployed, not what it observes:
+    given, the plane's tracer streams to that JSONL file
+    (:class:`~repro.obs.trace.StreamingTracer`) instead of keeping
+    per-component rings.
     """
 
     enabled = True
 
-    def __init__(self, categories: Optional[Sequence[str]] = None,
-                 ring_capacity: Optional[int] = 65536,
-                 sample_interval: int = 1000,
-                 sample_intervals: Optional[dict] = None,
-                 tracing: bool = True,
-                 tracer=None,
-                 plane=None) -> None:
-        from .plane import GatedTracer, as_plane
-        plane = as_plane(plane)
+    def __init__(self, plane=None, *, trace_path=None) -> None:
+        plane = as_plane(plane) or InstrumentationPlane()
         self.plane = plane
-        if plane is not None:
-            if categories is None:
-                categories = plane.trace_categories
-            if ring_capacity == 65536:
-                ring_capacity = plane.ring_capacity
-            if sample_interval == 1000:
-                sample_interval = plane.sample_interval
-            if sample_intervals is None and plane.sample_intervals:
-                sample_intervals = dict(plane.sample_intervals)
-            tracing = tracing and plane.tracing
-        self._select = plane.metric_filter() if plane is not None else None
+        self._select = plane.metric_filter()
         self.registry = MetricRegistry()
-        if tracer is None and tracing:
-            tracer = Tracer(categories=categories,
-                            ring_capacity=ring_capacity)
-        if tracer is not None and plane is not None and plane.gated:
-            tracer = GatedTracer(tracer, plane)
+        tracer = None
+        if plane.tracing:
+            if trace_path is not None:
+                tracer = StreamingTracer(trace_path,
+                                         categories=plane.trace_categories)
+            else:
+                tracer = Tracer(categories=plane.trace_categories,
+                                ring_capacity=plane.ring_capacity)
+            if plane.gated:
+                tracer = GatedTracer(tracer, plane)
         self.tracer = tracer
-        materialize = not (plane is not None and plane.stream_series)
         self.probes = ProbeSet(
-            tracer=self.tracer, interval=sample_interval,
-            intervals=sample_intervals,
-            by_owner=plane is not None and plane.sampling == "component",
-            materialize=materialize,
+            tracer=tracer, interval=plane.sample_interval,
+            intervals=plane.sample_intervals,
+            materialize=not plane.stream_series,
             on_sample=self._metric_trigger_check(plane, tracer))
         tracing = tracer is not None
         self._want_noc = tracing and tracer.wants("noc")
@@ -174,7 +158,7 @@ class Observer(NullObserver):
         named metrics from the registry at every probe sample until the
         trigger fires, and unhooks itself afterwards.
         """
-        if plane is None or tracer is None or not plane.metric_triggers:
+        if tracer is None or not plane.metric_triggers:
             return None
         pending = list(plane.metric_triggers)
         registry = self.registry
@@ -199,8 +183,7 @@ class Observer(NullObserver):
             return
         self.registry.gauge(path, fn)
         # The owning component's name is the gauge name minus its final
-        # ``.suffix`` segment — the key the component's hooks nudge with
-        # in owner-mode sampling.
+        # ``.suffix`` segment — the key the component's hooks nudge with.
         self.probes.add(path, fn, category=category,
                         owner=name.rsplit(".", 1)[0])
 
@@ -269,7 +252,7 @@ class Observer(NullObserver):
                     tracer.dropped_by_component().items()):
                 out[f"obs.trace.dropped.{metric_path(component)}"] = count
         plane = self.plane
-        if plane is not None and plane.gated:
+        if plane.gated:
             gate = tracer
             out["obs.plane.triggers.armed"] = (
                 float(gate.armed) if gate is not None
@@ -380,9 +363,10 @@ class Observer(NullObserver):
                                  "units": units})
 
     def bridge_packet(self, bridge, packet):
+        now = bridge.sim.now
+        self.probes.nudge(bridge.name, now)
         if self._want_bridge:
-            self.tracer.instant("bridge", bridge.name, "tunnel",
-                                bridge.sim.now,
+            self.tracer.instant("bridge", bridge.name, "tunnel", now,
                                 {"dst": str(packet.dst),
                                  "ch": packet.channel.name})
 
@@ -406,6 +390,8 @@ class Observer(NullObserver):
                                 controller.sim.now)
 
     def dram_access(self, dram, kind, delay, beats):
+        now = dram.sim.now
+        self.probes.nudge(dram.name, now)
         if self._want_mem:
-            self.tracer.complete("mem", dram.name, kind, dram.sim.now,
+            self.tracer.complete("mem", dram.name, kind, now,
                                  max(delay, 1), {"beats": beats})

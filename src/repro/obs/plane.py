@@ -20,8 +20,6 @@ Spec shape (YAML or JSON; every key optional)::
     sample_interval: 200        # default probe interval, cycles
     sample_intervals:           # per-category overrides
       noc: 64
-    sampling: category          # or "component": probes sample on their
-                                #   owning component's own activity
     trace:
       enabled: true
       categories: [noc, cache]  # default: every category
@@ -63,12 +61,6 @@ _INF = float("inf")
 #: Trigger kinds a spec may declare.
 TRIGGER_KINDS = ("start_at", "stop_after", "arm_on_event",
                  "arm_on_metric")
-
-#: Probe sampling modes: ``category`` (activity anywhere in a category
-#: samples the whole category — the historical default) or ``component``
-#: (each source samples on its *owning component's* activity, which
-#: makes streamed counter tracks partition-invariant).
-SAMPLING_MODES = ("category", "component")
 
 
 def _require_mapping(value, what: str) -> dict:
@@ -170,7 +162,6 @@ class InstrumentationPlane:
     metrics: Optional[Tuple[str, ...]] = None
     sample_interval: int = 1000
     sample_intervals: Dict[str, int] = field(default_factory=dict)
-    sampling: str = "category"
     tracing: bool = True
     trace_categories: Optional[Tuple[str, ...]] = None
     ring_capacity: Optional[int] = 65536
@@ -182,7 +173,7 @@ class InstrumentationPlane:
     def from_dict(cls, data: dict) -> "InstrumentationPlane":
         data = _require_mapping(data, "the spec")
         known = {"metrics", "sample_interval", "sample_intervals",
-                 "sampling", "trace", "triggers", "_comment"}
+                 "trace", "triggers", "_comment"}
         unknown = set(data) - known
         if unknown:
             raise ReproError(
@@ -204,11 +195,6 @@ class InstrumentationPlane:
         intervals = {str(cat): _positive_int(value,
                                              f"sample_intervals[{cat!r}]")
                      for cat, value in intervals.items()}
-        sampling = data.get("sampling", "category")
-        if sampling not in SAMPLING_MODES:
-            raise ReproError(
-                f"instrument: sampling must be one of "
-                f"{list(SAMPLING_MODES)}, got {sampling!r}")
         trace = _require_mapping(data.get("trace") or {}, "trace")
         trace_known = {"enabled", "categories", "ring_capacity",
                        "stream_series"}
@@ -255,7 +241,7 @@ class InstrumentationPlane:
                 raise ReproError(
                     f"instrument: at most one {kind} trigger is allowed")
         return cls(metrics=metrics, sample_interval=interval,
-                   sample_intervals=intervals, sampling=sampling,
+                   sample_intervals=intervals,
                    tracing=tracing, trace_categories=categories,
                    ring_capacity=ring_capacity,
                    stream_series=stream_series, triggers=triggers)
@@ -269,8 +255,6 @@ class InstrumentationPlane:
             out["sample_interval"] = self.sample_interval
         if self.sample_intervals:
             out["sample_intervals"] = dict(self.sample_intervals)
-        if self.sampling != "category":
-            out["sampling"] = self.sampling
         trace: dict = {}
         if not self.tracing:
             trace["enabled"] = False
@@ -319,7 +303,6 @@ class InstrumentationPlane:
         rows = [
             ["metrics", ("all" if self.metrics is None
                          else ", ".join(self.metrics))],
-            ["sampling mode", self.sampling],
             ["sample interval", str(self.sample_interval)],
             ["per-category intervals",
              (", ".join(f"{cat}={cycles}" for cat, cycles
@@ -349,6 +332,26 @@ def as_plane(value) -> Optional[InstrumentationPlane]:
     raise ReproError(
         f"instrument: expected a spec mapping or InstrumentationPlane, "
         f"got {type(value).__name__}")
+
+
+def canonical_plane(spec) -> Optional[dict]:
+    """A plane spec in its canonical ``to_dict()`` form (None stays None).
+
+    Store keys and farm job hashes go through this, so every spelling
+    of one plane (``{}`` and ``{"sample_interval": 1000}``) addresses
+    one entry, and a bad spec is refused before anything runs.
+    """
+    plane = as_plane(spec)
+    return None if plane is None else plane.to_dict()
+
+
+def plane_hash(spec) -> Optional[str]:
+    """The content hash of a plane spec; None for no plane and for the
+    default plane (a run observed the default way records none)."""
+    plane = as_plane(spec)
+    if plane is None or not plane.to_dict():
+        return None
+    return plane.spec_hash
 
 
 def load_plane(path: str) -> InstrumentationPlane:

@@ -6,32 +6,26 @@ runs.  The resulting time series feed the :mod:`repro.analysis`
 utilization charts and are mirrored into the tracer as Chrome counter
 events, so Perfetto draws them as counter tracks alongside the spans.
 
-Sampling is **activity-driven**, not event-scheduled: the observer calls
-:meth:`nudge` from its hooks and a snapshot is taken the first time
-instrumented activity crosses each ``interval`` boundary.  The probe
-layer therefore never schedules simulator events — ``sim.now``,
-``events_executed``, and every architectural result stay bit-identical
-to an unobserved run, and a draining simulation can never be kept alive
-by its own sampler.
+Sampling is **activity-driven**, not event-scheduled: each observer
+hook calls :meth:`nudge` with the component it fired for, and that
+component's sources are snapshotted the first time its own activity
+crosses each ``interval`` boundary.  The probe layer therefore never
+schedules simulator events — ``sim.now``, ``events_executed``, and
+every architectural result stay bit-identical to an unobserved run,
+and a draining simulation can never be kept alive by its own sampler.
 
-Sources are grouped by *category* (the subsystem that registered them:
-``noc``, ``mem``, ``cache``...), and each category can sample on its own
-interval — ``ProbeSet(interval=1000, intervals={"noc": 64, "mem":
-256})`` snapshots NoC occupancy every 64 cycles of activity while DRAM
-backlogs tick at 256 and everything else at the 1000-cycle default.
-Groups keep independent next-due cycles aligned to their own interval
-grid; a single cheap ``now < min_due`` check keeps the hook-path cost
-flat no matter how many groups exist.
-
-``by_owner=True`` switches the grouping to the *owning component*: a
-source then samples only when its own component's hooks nudge the
-clock.  Because a component's hook sequence is bit-identical between a
-monolithic and a partitioned run (and each component lives in exactly
-one partition), owner-mode sample instants — and therefore streamed
-counter tracks — are partition-invariant, which category mode cannot
-promise (in one process, activity anywhere in a category samples the
-whole category).  Components whose hooks never nudge (bridges, DRAM
-engines) contribute no owner-mode samples.
+Sources are grouped by *owning component*.  Because a component's hook
+sequence is the same whether the design runs whole or split across
+partitions (and each component lives in exactly one partition), sample
+instants — and therefore streamed counter tracks — are
+partition-invariant.  The *category* a source registers under (the
+subsystem: ``noc``, ``mem``, ``cache``...) picks its interval —
+``ProbeSet(interval=1000, intervals={"noc": 64, "mem": 256})`` snapshots
+NoC occupancy every 64 cycles of router activity while DRAM backlogs
+tick at 256 and everything else at the 1000-cycle default.  Each group
+keeps its own next-due cycle aligned to its interval grid; a single
+cheap ``now < min_due`` check keeps the hook-path cost flat no matter
+how many groups exist.
 
 ``materialize=False`` stops the in-memory series append — samples then
 exist only as counter events in the tracer stream, which is how
@@ -107,7 +101,6 @@ class ProbeSet:
     def __init__(self, tracer: Optional[Tracer] = None,
                  interval: int = 1000,
                  intervals: Optional[Dict[str, int]] = None,
-                 by_owner: bool = False,
                  materialize: bool = True,
                  on_sample: Optional[Callable[[int], None]] = None) -> None:
         if interval < 1:
@@ -121,7 +114,6 @@ class ProbeSet:
         self.intervals = dict(intervals or {})
         self.failed = 0
         self._tracer = tracer
-        self._by_owner = by_owner
         self._materialize = materialize
         self._on_sample = on_sample
         self._groups: Dict[str, _Group] = {}
@@ -131,11 +123,12 @@ class ProbeSet:
     def add(self, name: str, source: Source,
             category: str = DEFAULT_CATEGORY,
             owner: Optional[str] = None) -> None:
-        key = owner if self._by_owner and owner is not None else category
-        group = self._groups.get(key)
+        """Register ``source``; it samples when ``owner`` (by default
+        ``name`` itself) nudges, on ``category``'s interval."""
+        owner = name if owner is None else owner
+        group = self._groups.get(owner)
         if group is None:
-            interval = self.intervals.get(category, self.interval)
-            group = self._groups[key] = _Group(interval)
+            group = self._groups[owner] = _Group(self.interval_of(category))
             if group.next_at < self._min_due:
                 self._min_due = group.next_at
         group.sources.append((name, source))
@@ -153,9 +146,6 @@ class ProbeSet:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def due(self, now: int) -> bool:
-        return now >= self._min_due
-
     def _disable(self, group: _Group, name: str, source: Source,
                  error: BaseException) -> None:
         """Drop one failing source; the run (and its siblings) go on."""
@@ -201,33 +191,13 @@ class ProbeSet:
         if self._on_sample is not None:
             self._on_sample(now)
 
-    def maybe_sample(self, now: int) -> None:
-        """Snapshot every *due* group (any-activity sampling)."""
-        if now < self._min_due:
-            return
-        sampled = False
-        for group in self._groups.values():
-            if now >= group.next_at:
-                self._snapshot(group, now)
-                sampled = True
-        self._update_min_due()
-        if sampled and self._on_sample is not None:
-            self._on_sample(now)
-
     def nudge(self, owner: str, now: int) -> None:
-        """The observer hook path: advance the probe clock.
+        """The observer hook path: ``owner`` was active at ``now``.
 
-        In category mode this is exactly :meth:`maybe_sample` — any
-        instrumented activity samples every due group.  In owner mode
-        only ``owner``'s group is considered, so a component's sources
-        sample on that component's own activity alone (the
-        partition-invariant contract).  Either way the common case is
-        one integer comparison.
+        Snapshots ``owner``'s sources if their window has come due; the
+        common case is one integer comparison.
         """
         if now < self._min_due:
-            return
-        if not self._by_owner:
-            self.maybe_sample(now)
             return
         group = self._groups.get(owner)
         if group is None or now < group.next_at:

@@ -55,8 +55,9 @@ def _measure_machine(config, obs_spec):
 
     obs = None
     if obs_spec is not None:
-        from ..obs import Observer
-        obs = Observer(tracing=False, **obs_spec)
+        from ..obs import Observer, as_plane
+        obs = Observer(dataclasses.replace(as_plane(obs_spec),
+                                           tracing=False))
     machine = machine_from_prototype(Prototype(config, obs=obs))
     return machine, obs.export_metrics() if obs is not None else None
 

@@ -16,13 +16,15 @@ Everything here is expressed as a :class:`~repro.parallel.sweep.SweepSpec`
 (family ``"fig7"``): :func:`latency_matrix_spec` builds the spec,
 :func:`~repro.parallel.run_sweep` runs it, with optional
 :class:`~repro.store.ResultStore` memoization per shard.  Observability
-rides along as before: an ``obs_spec`` attaches a metrics-only
-:class:`~repro.obs.Observer` inside every worker and the shard dicts
-merge exactly, byte-identical at every worker count.
+rides along as before: an ``obs_spec`` (an instrumentation plane dict)
+attaches a metrics-only :class:`~repro.obs.Observer` inside every
+worker and the shard dicts merge exactly, byte-identical at every
+worker count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from .sweep import SweepSpec, run_sweep
@@ -48,8 +50,9 @@ def measure_rows_point(config, point, _seed, obs_spec):
 
     obs = None
     if obs_spec is not None:
-        from ..obs import Observer
-        obs = Observer(tracing=False, **obs_spec)
+        from ..obs import Observer, as_plane
+        obs = Observer(dataclasses.replace(as_plane(obs_spec),
+                                           tracing=False))
     proto = Prototype(config, obs=obs)
     size = config.total_tiles
     probes_per_pair = point["probes_per_pair"]

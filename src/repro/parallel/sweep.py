@@ -71,11 +71,11 @@ class SweepSpec:
     point function's cache generation: bump it whenever the measurement
     changes meaning and every stored entry for the family goes stale.
 
-    ``obs_spec`` mirrors :class:`repro.obs.Observer` keyword arguments;
-    a ``"plane"`` key carries a canonical
-    :class:`~repro.obs.plane.InstrumentationPlane` dict to every worker.
-    Because the obs_spec is part of each point's store-key payload, two
-    sweeps under different planes can never share cached results.
+    ``obs_spec`` is an :class:`~repro.obs.plane.InstrumentationPlane`
+    dict (None: no observer at all); every worker gets its canonical
+    form.  Because that form is part of each point's store-key payload,
+    two sweeps under different planes can never share cached results,
+    and two spellings of one plane always do.
     """
 
     family: str
@@ -148,8 +148,10 @@ def sweep_tasks(spec: SweepSpec,
     same cache entries and produce the same values for the same spec.
     """
     from ..obs.archive import config_hash
+    from ..obs.plane import canonical_plane
 
     cfg_hash = config_hash(spec.config)
+    obs_spec = canonical_plane(spec.obs_spec)
     tasks: List[_SweepTask] = []
     for index, point in enumerate(spec.points):
         point = canonical_value(point)
@@ -160,10 +162,10 @@ def sweep_tasks(spec: SweepSpec,
             "config_hash": cfg_hash,
             "point": point,
             "seed": seed,
-            "obs": spec.obs_spec,
+            "obs": obs_spec,
         }
         tasks.append((spec.point_fn, spec.config, point, seed,
-                      spec.obs_spec, store_root, payload))
+                      obs_spec, store_root, payload))
     return cfg_hash, tasks
 
 

@@ -8,7 +8,7 @@ The public surface — ``mem_access``, ``run``, ``now``,
 every architectural result (cycle counts, metrics, traces) is
 bit-identical to a monolithic run of the same config; the observability
 plumbing differs only in how it is wired (per-worker observers built
-from a picklable ``obs_spec`` and merged with
+from a picklable plane dict, ``obs_spec``, and merged with
 :func:`repro.obs.merge_metric_shards`, streaming trace shards merged by
 :func:`repro.obs.trace.chrome_from_jsonl`).
 """
@@ -37,8 +37,8 @@ class PartitionedPrototype(Prototype):
         if obs is not None:
             raise ConfigError(
                 "a live Observer cannot cross process boundaries; pass "
-                "obs_spec= (Observer keyword arguments) and the workers "
-                "build their own")
+                "obs_spec= (an instrumentation plane dict) and the "
+                "workers build their own")
         count = resolve_partitions(config, partitions)
         if count < 2:
             raise ConfigError(

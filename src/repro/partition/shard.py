@@ -15,6 +15,7 @@ pickle them by reference.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Dict, List, Optional
 
@@ -49,28 +50,21 @@ def partition_trace_categories(categories) -> tuple:
 
 def build_shard_observer(obs_spec: Optional[dict],
                          trace_path: Optional[str]):
-    """Build one worker's observer from a picklable spec dict.
+    """Build one worker's observer from a picklable plane dict.
 
-    ``obs_spec`` mirrors :class:`repro.obs.Observer` keyword arguments
-    (minus ``tracer``); ``trace_path`` attaches a
-    :class:`~repro.obs.trace.StreamingTracer` shard file.
+    The worker traces only to its ``trace_path`` shard file (metrics
+    only without one), over the plane's categories checked by
+    :func:`partition_trace_categories`.
     """
     if obs_spec is None and trace_path is None:
         return None
-    from ..obs import Observer, StreamingTracer
-    spec = dict(obs_spec or {})
-    categories = spec.pop("categories", None)
-    if categories is None and spec.get("plane") is not None:
-        # The plane's trace-category selection must shape the shard
-        # tracer too (it filters at record time), not just the Observer.
-        from ..obs.plane import as_plane
-        categories = as_plane(spec["plane"]).trace_categories
-    categories = partition_trace_categories(categories)
-    spec.pop("tracing", None)
-    if trace_path is not None:
-        tracer = StreamingTracer(trace_path, categories=categories)
-        return Observer(categories=categories, tracer=tracer, **spec)
-    return Observer(categories=categories, tracing=False, **spec)
+    from ..obs import Observer, as_plane
+    plane = as_plane(obs_spec or {})
+    plane = dataclasses.replace(
+        plane, tracing=trace_path is not None,
+        trace_categories=partition_trace_categories(
+            plane.trace_categories))
+    return Observer(plane, trace_path=trace_path)
 
 
 class Shard:

@@ -96,7 +96,8 @@ def _require(condition: bool, message: str) -> None:
 class PointQuery(Message):
     """One sweep point by its store identity.
 
-    The fields *are* the store key payload — see the module docstring.
+    The fields *are* the store key payload — see the module docstring;
+    ``obs`` is an instrumentation plane dict (None: unobserved points).
     ``seed`` is the point's derived seed
     (:func:`repro.parallel.runner.task_seed`); callers that only know
     the sweep's root seed and the point index can derive it with
@@ -124,11 +125,13 @@ class PointQuery(Message):
                  "point_query obs must be a mapping or null")
 
     def key_payload(self) -> Dict[str, object]:
-        """The store key payload this query addresses."""
+        """The store key payload this query addresses (``obs`` in its
+        canonical plane form, as ``sweep_tasks`` keys it)."""
+        from ..obs.plane import canonical_plane
         return {"family": self.family, "version": str(self.version),
                 "config_hash": self.config_hash,
                 "point": canonical_value(self.point), "seed": self.seed,
-                "obs": self.obs}
+                "obs": canonical_plane(self.obs)}
 
 
 @dataclass(frozen=True)
@@ -257,7 +260,8 @@ class DiffReply(Message):
 
 @dataclass(frozen=True)
 class SweepSubmit(Message):
-    """Submit one suite sweep; fields mirror a farm spec-file entry.
+    """Submit one suite sweep; fields mirror a farm spec-file entry
+    (``obs`` is the suite's instrumentation plane dict).
 
     Warm points are answered from the store; cold points become a farm
     fleet executed in the service's background worker.

@@ -110,7 +110,7 @@ class TestStreamingTracer:
         # The determinism contract holds for the streaming backend too.
         base = Prototype(parse_config("2x1x2"))
         _drive(base)
-        obs = Observer(tracer=StreamingTracer(tmp_path / "t.jsonl"))
+        obs = Observer(trace_path=str(tmp_path / "t.jsonl"))
         traced = Prototype(parse_config("2x1x2"), obs=obs)
         _drive(traced)
         obs.close()
@@ -177,7 +177,7 @@ class TestMergeMetricShards:
 class TestRunArchive:
     def test_write_load_round_trip(self, tmp_path):
         config = parse_config("2x1x2")
-        obs = Observer(tracing=False)
+        obs = Observer({"trace": {"enabled": False}})
         proto = Prototype(config, obs=obs)
         _drive(proto)
         metrics = obs.export_metrics()
@@ -439,11 +439,13 @@ class TestStatsTraceCli:
         assert "streamed" in capsys.readouterr().out
 
     def test_trace_rejects_bad_sample_intervals(self, tmp_path, capsys):
-        # Validated at parse time now: argparse exits 2 with the flag
-        # named in the error, before any simulation starts.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "2x1x2", "--sample-intervals", "noc",
-                  "--out", str(tmp_path / "t.json"),
-                  "--metrics", str(tmp_path / "m.json")])
-        assert excinfo.value.code == 2
-        assert "--sample-intervals" in capsys.readouterr().err
+        # The plane validates before any simulation starts: exit 2 with
+        # the offending key named, and no trace written.
+        spec = tmp_path / "p.json"
+        spec.write_text(json.dumps({"sample_intervals": {"noc": 0}}))
+        out = tmp_path / "t.json"
+        assert main(["trace", "2x1x2", "--instrument", str(spec),
+                     "--out", str(out),
+                     "--metrics", str(tmp_path / "m.json")]) == 2
+        assert "sample_intervals" in capsys.readouterr().err
+        assert not out.exists()

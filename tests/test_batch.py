@@ -272,7 +272,7 @@ class TestInjectMany:
 class TestFig7PathDeterminism:
     def _fig7_point_metrics(self):
         config = parse_config("1x2x2")
-        obs = Observer(tracing=False)
+        obs = Observer({"trace": {"enabled": False}})
         proto = Prototype(config, obs=obs)
         latency = proto.measure_pair_latency(0, 3)
         return latency, json.dumps(obs.export_metrics(), sort_keys=True)

@@ -39,20 +39,6 @@ class TestSweep:
         # Small cores allow far more tiles per node.
         assert "1x30" in out
 
-    def test_sweep_warns_when_env_partitions_unused(self, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "2")
-        assert main(["sweep"]) == 0
-        err = capsys.readouterr().err
-        assert "REPRO_PARTITIONS" in err
-        assert "no effect" in err
-
-    def test_sweep_silent_without_env_partitions(self, capsys,
-                                                 monkeypatch):
-        monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
-        assert main(["sweep"]) == 0
-        assert "REPRO_PARTITIONS" not in capsys.readouterr().err
-
 
 class TestLatency:
     def test_latency_single_node(self, capsys):

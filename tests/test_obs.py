@@ -7,6 +7,7 @@ run, under both the typed channel fast path and the generic scheduler.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,7 +178,8 @@ class TestTracer:
         assert tracer.dropped == 4
 
     def test_dropped_surfaces_in_exported_metrics(self):
-        obs = Observer(ring_capacity=2, sample_interval=10_000)
+        obs = Observer({"sample_interval": 10_000,
+                        "trace": {"ring_capacity": 2}})
         proto = Prototype(parse_config("1x1x2"), obs=obs)
         proto.measure_pair_latency(0, 1)
         proto.measure_pair_latency(1, 0)
@@ -230,45 +232,54 @@ class TestProbes:
     def test_activity_driven_sampling(self):
         probes = ProbeSet(interval=100)
         depth = {"value": 3}
-        probes.add("q.depth", lambda: depth["value"])
-        probes.maybe_sample(50)           # before the first boundary
+        probes.add("q.depth", lambda: depth["value"], owner="q")
+        probes.nudge("q", 50)             # before the first boundary
         assert probes.series("q.depth") == []
-        probes.maybe_sample(120)
+        probes.nudge("other", 120)        # someone else's activity
+        assert probes.series("q.depth") == []
+        probes.nudge("q", 120)
         depth["value"] = 9
-        probes.maybe_sample(130)          # same window: no new sample
-        probes.maybe_sample(250)
+        probes.nudge("q", 130)            # same window: no new sample
+        probes.nudge("q", 250)
         assert probes.series("q.depth") == [(120, 3.0), (250, 9.0)]
         assert probes.latest() == {"q.depth": 9.0}
 
+    def test_one_sample_per_window(self):
+        probes = ProbeSet(interval=100)
+        probes.add("q.depth", lambda: 1.0, owner="q")
+        for now in (100, 101, 150, 199, 200, 299, 450, 451):
+            probes.nudge("q", now)
+        # Due times sit on the interval grid: a burst at 450 does not
+        # make 451 due, and a quiet window leaves no sample behind.
+        assert [ts for ts, _ in probes.series("q.depth")] == [100, 200,
+                                                             450]
+
     def test_per_category_intervals(self):
         probes = ProbeSet(interval=1000, intervals={"noc": 64, "mem": 256})
-        probes.add("r0.occ", lambda: 1.0, category="noc")
-        probes.add("mc.depth", lambda: 2.0, category="mem")
+        probes.add("r0.occ", lambda: 1.0, category="noc", owner="r0")
+        probes.add("mc.depth", lambda: 2.0, category="mem", owner="mc")
         probes.add("g", lambda: 3.0)               # default interval
         assert probes.interval_of("noc") == 64
         assert probes.interval_of("mem") == 256
         # Still activity-driven: nothing samples without a nudge.
-        probes.maybe_sample(64)
-        assert probes.series("r0.occ") == [(64, 1.0)]
-        assert probes.series("mc.depth") == []     # not due yet
-        probes.maybe_sample(256)
-        assert probes.series("mc.depth") == [(256, 2.0)]
-        assert probes.series("g") == []            # 1000 not reached
-        probes.maybe_sample(1000)
+        for now in (64, 256, 1000):
+            for owner in ("r0", "mc", "g"):
+                probes.nudge(owner, now)
+        assert probes.series("mc.depth") == [(256, 2.0), (1000, 2.0)]
         assert probes.series("g") == [(1000, 3.0)]
-        # The noc series sampled on its own fast clock along the way.
+        # The noc source sampled on its own fast grid along the way.
         assert [ts for ts, _ in probes.series("r0.occ")] == [64, 256, 1000]
 
     def test_observer_forwards_sample_intervals(self):
-        obs = Observer(tracing=False, sample_interval=1000,
-                       sample_intervals={"noc": 64})
+        obs = Observer({"sample_interval": 1000,
+                        "sample_intervals": {"noc": 64}})
         assert obs.probes.interval_of("noc") == 64
 
     def test_samples_mirror_into_tracer(self):
         tracer = Tracer()
         probes = ProbeSet(tracer=tracer, interval=10)
         probes.add("u", lambda: 0.25)
-        probes.maybe_sample(10)
+        probes.nudge("u", 10)
         record = tracer.events("u")[0]
         assert record[2] == "C"
         assert record[5] == {"value": 0.25}
@@ -292,7 +303,7 @@ class TestProbes:
 
 class TestObserverWiring:
     def test_components_register_against_observer(self):
-        obs = Observer(sample_interval=100)
+        obs = Observer({"sample_interval": 100})
         proto = Prototype(parse_config("1x1x2"), obs=obs)
         assert proto.obs is obs
         proto.measure_pair_latency(0, 1)
@@ -314,7 +325,7 @@ class TestObserverWiring:
         assert NO_OBS.wrap_channel(None, "ch") == "ch"
 
     def test_traced_run_produces_events_and_samples(self):
-        obs = Observer(sample_interval=50)
+        obs = Observer({"sample_interval": 50})
         proto = Prototype(parse_config("1x1x2"), obs=obs)
         proto.measure_pair_latency(0, 1)
         assert obs.tracer.event_count() > 0
@@ -325,15 +336,42 @@ class TestObserverWiring:
                    for points in obs.probes.series().values()) > 0
 
     def test_category_filter_limits_events(self):
-        obs = Observer(categories=["mem"])
+        obs = Observer({"trace": {"categories": ["mem"]}})
         proto = Prototype(parse_config("1x1x2"), obs=obs)
         proto.measure_pair_latency(0, 1)
         categories = {rec[3] for rec in obs.tracer.events()}
         assert categories <= {"mem"}
         assert obs.tracer.event_count() > 0
 
+    def test_bridge_and_dram_hooks_nudge_their_probes(self):
+        # Every hook samples its own component's probes; the bridge and
+        # DRAM hooks used to nudge nothing, so those gauges never did.
+        obs = Observer({"sample_interval": 10, "trace": {"enabled": False}})
+        obs.register_gauge("n0/bridge.queued_packets", lambda: 2.0,
+                           category="bridge")
+        obs.register_gauge("n0/dram.bank_backlog", lambda: 1.0,
+                           category="mem")
+        sim = SimpleNamespace(now=10)
+        obs.bridge_packet(SimpleNamespace(name="n0/bridge", sim=sim), None)
+        obs.dram_access(SimpleNamespace(name="n0/dram", sim=sim), "read",
+                        4, 1)
+        assert obs.probes.series() == {
+            "node0.bridge.queued_packets": [(10, 2.0)],
+            "node0.dram.bank_backlog": [(10, 1.0)]}
+
+    def test_bridge_and_dram_probes_sample_on_a_real_run(self):
+        obs = Observer({"sample_interval": 20})
+        proto = Prototype(parse_config("2x1x2"), obs=obs)
+        for receiver in (1, 2, 3):
+            proto.measure_pair_latency(0, receiver)
+        series = obs.probes.series()
+        for node in (0, 1):
+            assert series[f"node{node}.bridge.queued_packets"]
+        assert any(series[f"node{node}.chipset.dram.bank_backlog"]
+                   for node in (0, 1))
+
     def test_inter_node_traffic_traces_pcie_and_bridge(self):
-        obs = Observer(sample_interval=500)
+        obs = Observer({"sample_interval": 500})
         proto = Prototype(parse_config("2x1x2"), obs=obs)
         proto.measure_pair_latency(0, 3)
         categories = {rec[3] for rec in obs.tracer.events()}
@@ -356,7 +394,7 @@ class TestObsDeterminism:
             return matrix, proto.stats_report(), proto.now
 
         base_matrix, base_stats, base_now = run(None)
-        obs = Observer(sample_interval=100)
+        obs = Observer({"sample_interval": 100})
         obs_matrix, obs_stats, obs_now = run(obs)
         assert obs_matrix == base_matrix
         assert obs_stats == base_stats
@@ -367,7 +405,7 @@ class TestObsDeterminism:
     def test_kernel_channel_tracing_is_bit_identical(self):
         config = parse_config("1x1x2")
         base = Prototype(config).measure_pair_latency(0, 1)
-        obs = Observer(categories=["kernel"])
+        obs = Observer({"trace": {"categories": ["kernel"]}})
         proto = Prototype(config, obs=obs)
         assert proto.measure_pair_latency(0, 1) == base
         kernel = [rec for rec in obs.tracer.events() if rec[3] == "kernel"]
@@ -378,9 +416,11 @@ class TestObsCli:
     def test_trace_command_emits_valid_bundle(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         metrics = tmp_path / "metrics.json"
+        spec = tmp_path / "plane.json"
+        spec.write_text(json.dumps({"sample_interval": 100}))
         assert main(["trace", "1x1x2", "--out", str(out),
                      "--metrics", str(metrics),
-                     "--sample-interval", "100"]) == 0
+                     "--instrument", str(spec)]) == 0
         validate_chrome_trace(str(out))
         bundle = json.loads(metrics.read_text())
         assert bundle["config"] == "1x1x2"
@@ -390,9 +430,12 @@ class TestObsCli:
 
     def test_trace_category_filter(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
+        spec = tmp_path / "plane.json"
+        spec.write_text(json.dumps(
+            {"trace": {"categories": ["mem", "probe"]}}))
         assert main(["trace", "1x1x2", "--out", str(out),
                      "--metrics", str(tmp_path / "m.json"),
-                     "--categories", "mem,probe"]) == 0
+                     "--instrument", str(spec)]) == 0
         trace = validate_chrome_trace(str(out))
         categories = {event.get("cat") for event in trace["traceEvents"]
                       if event["ph"] != "M"}

@@ -10,17 +10,18 @@ flag plumbing.
 """
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
 from repro import Prototype, parse_config
 from repro.cli import main
-from repro.cli_common import default_partitions, partitions_count
+from repro.cli_common import partitions_count
 from repro.engine import Simulator
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.interconnect.pcie import PCIE_ONE_WAY_CYCLES
-from repro.obs import Observer, StreamingTracer, chrome_from_jsonl
+from repro.obs import Observer, as_plane, chrome_from_jsonl
 from repro.partition import (PARTITION_TRACE_CATEGORIES,
                              PartitionedPrototype, fpga_groups,
                              lookahead_window, node_groups,
@@ -30,9 +31,12 @@ from repro.partition.storm import (run_monolithic_storm,
                                    run_partitioned_storm)
 from schedule_reference import route_channels_through_schedule
 
-#: Probe sampling is activity-driven per simulator, so identity runs
-#: push the interval out of reach instead of comparing sample grids.
-OBS_SPEC = {"sample_interval": 10**9}
+#: The one plane both sides of every identity run observe under.  A cut
+#: fabric link has a copy in each shard it joins, so the plane pushes
+#: the probe interval out of reach instead of comparing sample grids,
+#: and traces only what a partition worker can trace.
+PLANE = {"sample_interval": 10**9,
+         "trace": {"categories": list(PARTITION_TRACE_CATEGORIES)}}
 
 #: Inter-FPGA, intra-FPGA-inter-node (on 2x2x2), and intra-node pairs.
 PAIRS = ((0, 7), (2, 5), (0, 1))
@@ -66,14 +70,10 @@ def _use_simulators(monkeypatch, kernel, typed):
 def _mono_run(label, trace_path=None):
     """Latencies, stats, metrics, and final cycle of a monolithic run."""
     config = parse_config(label)
-    if trace_path is not None:
-        tracer = StreamingTracer(trace_path,
-                                 categories=PARTITION_TRACE_CATEGORIES)
-        obs = Observer(categories=PARTITION_TRACE_CATEGORIES,
-                       tracer=tracer, **OBS_SPEC)
-    else:
-        obs = Observer(categories=PARTITION_TRACE_CATEGORIES,
-                       tracing=False, **OBS_SPEC)
+    # Traced only with a stream file, like a partition worker.
+    plane = dataclasses.replace(as_plane(PLANE),
+                                tracing=trace_path is not None)
+    obs = Observer(plane, trace_path=trace_path)
     proto = Prototype(config, obs=obs)
     latencies = _drive(proto)
     result = {"latencies": latencies, "now": proto.now,
@@ -86,7 +86,7 @@ def _mono_run(label, trace_path=None):
 def _part_run(label, partitions, trace_dir=None):
     """The same run sharded across ``partitions`` worker processes."""
     proto = Prototype(parse_config(label), partitions=partitions,
-                      obs_spec=OBS_SPEC,
+                      obs_spec=PLANE,
                       trace_dir=None if trace_dir is None
                       else str(trace_dir))
     try:
@@ -211,14 +211,13 @@ class TestBitIdentity:
             json.dumps(reference, sort_keys=True)
 
     #: Streamed-probe-series plane for the identity test: node-local
-    #: metrics only (fabric links exist in several shards), component
-    #: sampling (sample instants then depend only on each component's
-    #: own hook sequence, which is partition-invariant), counter tracks
-    #: spilled to the JSONL stream instead of memory.
+    #: metrics only (fabric links exist in several shards), counter
+    #: tracks spilled to the JSONL stream instead of memory.  Sample
+    #: instants depend only on each component's own hook sequence,
+    #: which is partition-invariant.
     STREAM_PLANE = {
         "metrics": ["node*"],
         "sample_interval": 64,
-        "sampling": "component",
         "trace": {"categories": list(PARTITION_TRACE_CATEGORIES),
                   "stream_series": True},
     }
@@ -230,9 +229,7 @@ class TestBitIdentity:
         from repro.obs import probe_series_from_jsonl
         config = parse_config("4x1x2")
         mono_path = tmp_path / ("mono" + suffix)
-        tracer = StreamingTracer(str(mono_path),
-                                 categories=PARTITION_TRACE_CATEGORIES)
-        obs = Observer(tracer=tracer, plane=self.STREAM_PLANE)
+        obs = Observer(self.STREAM_PLANE, trace_path=str(mono_path))
         proto = Prototype(config, obs=obs)
         mono_latencies = _drive(proto)
         assert obs.probes.series() == {}       # streamed, never held
@@ -243,7 +240,7 @@ class TestBitIdentity:
         shard_dir = tmp_path / f"p{partitions}"
         shard_dir.mkdir()
         proto = Prototype(config, partitions=partitions,
-                          obs_spec={"plane": self.STREAM_PLANE},
+                          obs_spec=self.STREAM_PLANE,
                           trace_dir=str(shard_dir))
         try:
             latencies = _drive(proto)
@@ -269,7 +266,7 @@ class TestPartitionedSurface:
     def test_live_observer_rejected(self):
         with pytest.raises(ConfigError, match="obs_spec"):
             Prototype(parse_config("4x1x2"), partitions=2,
-                      obs=Observer(tracing=False))
+                      obs=Observer())
 
     def test_constructor_tail_is_keyword_only(self):
         config = parse_config("4x1x2")
@@ -337,18 +334,6 @@ class TestCli:
         with pytest.raises(argparse.ArgumentTypeError):
             partitions_count("two")
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARTITIONS", raising=False)
-        assert default_partitions() is None
-        monkeypatch.setenv("REPRO_PARTITIONS", "2")
-        assert default_partitions() == 2
-        monkeypatch.setenv("REPRO_PARTITIONS", "nope")
-        with pytest.raises(ReproError):
-            default_partitions()
-        monkeypatch.setenv("REPRO_PARTITIONS", "-2")
-        with pytest.raises(ReproError):
-            default_partitions()
-
     def test_latency_table_matches_monolithic(self, capsys):
         assert main(["latency", "2x1x2", "--partitions", "2"]) == 0
         partitioned = capsys.readouterr().out
@@ -361,10 +346,8 @@ class TestCli:
         assert "--jobs" in capsys.readouterr().err
 
     def test_sweep_rejects_partitions_flag(self, capsys):
-        assert main(["sweep", "--partitions", "2"]) == 2
-        assert "repro latency" in capsys.readouterr().err
-
-    def test_sweep_ignores_env_partitions(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONS", "2")
-        assert main(["sweep"]) == 0
-        assert "1x12" in capsys.readouterr().out
+        # sweep only estimates resource fit, so it has no such flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--partitions", "2"])
+        assert excinfo.value.code == 2
+        assert "--partitions" in capsys.readouterr().err

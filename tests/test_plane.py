@@ -26,7 +26,7 @@ from repro import Prototype, parse_config
 from repro.cli import main
 from repro.errors import FarmError, ReproError
 from repro.obs import (GatedTracer, InstrumentationPlane, Observer,
-                       ProbeSet, RunArchive, StreamingTracer, Tracer,
+                       ProbeSet, RunArchive, Tracer,
                        Trigger, as_plane, load_plane,
                        probe_series_from_jsonl)
 from repro.obs.diff import instrumentation_hash_of
@@ -35,7 +35,6 @@ SPEC = {
     "metrics": ["node*", "*.utilization"],
     "sample_interval": 100,
     "sample_intervals": {"noc": 50},
-    "sampling": "component",
     "trace": {"categories": ["noc", "cache", "probe"],
               "stream_series": True},
     "triggers": [{"kind": "start_at", "cycle": 200},
@@ -74,7 +73,6 @@ class TestSpecValidation:
         assert again.spec_hash == plane.spec_hash
         assert plane.metrics == ("node*", "*.utilization")
         assert plane.sample_intervals == {"noc": 50}
-        assert plane.sampling == "component"
         assert plane.stream_series
         assert [t.kind for t in plane.triggers] == ["start_at",
                                                     "stop_after"]
@@ -91,6 +89,10 @@ class TestSpecValidation:
             InstrumentationPlane.from_dict({"metrcs": ["*"]})
         with pytest.raises(ReproError, match="unknown trace keys"):
             InstrumentationPlane.from_dict({"trace": {"stream": True}})
+        # Probes have one sampling mode (by owning component), so the
+        # key that chose between two is gone.
+        with pytest.raises(ReproError, match="unknown spec keys"):
+            InstrumentationPlane.from_dict({"sampling": "component"})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ReproError, match=">= 1"):
@@ -98,8 +100,6 @@ class TestSpecValidation:
         with pytest.raises(ReproError, match="sample_intervals"):
             InstrumentationPlane.from_dict(
                 {"sample_intervals": {"noc": -5}})
-        with pytest.raises(ReproError, match="sampling"):
-            InstrumentationPlane.from_dict({"sampling": "per-tile"})
         with pytest.raises(ReproError, match="glob"):
             InstrumentationPlane.from_dict({"metrics": []})
         with pytest.raises(ReproError, match="unknown trace categories"):
@@ -232,11 +232,10 @@ class TestGatedTracer:
 
     def test_end_to_end_window_on_a_real_run(self, tmp_path):
         out = tmp_path / "gated.jsonl"
-        tracer = StreamingTracer(str(out))
         plane = InstrumentationPlane.from_dict(
             {"triggers": [{"kind": "start_at", "cycle": 200},
                           {"kind": "stop_after", "cycles": 300}]})
-        obs = Observer(tracer=tracer, plane=plane)
+        obs = Observer(plane, trace_path=str(out))
         proto = Prototype(parse_config("2x1x2"), obs=obs)
         for receiver in range(1, proto.config.total_tiles):
             proto.measure_pair_latency(0, receiver)
@@ -255,18 +254,28 @@ class TestGatedTracer:
 # ----------------------------------------------------------------------
 
 class TestObserverPlane:
-    def test_plane_fills_defaults_explicit_wins(self):
+    def test_plane_is_the_only_observer_config(self):
         plane = {"sample_interval": 77, "sample_intervals": {"noc": 7},
-                 "trace": {"categories": ["noc"]}}
-        obs = Observer(plane=plane)
+                 "trace": {"categories": ["noc"], "ring_capacity": 5}}
+        obs = Observer(plane)
         assert obs.probes.interval == 77
         assert obs.probes.interval_of("noc") == 7
         assert not obs.tracer.wants("cache")
-        explicit = Observer(sample_interval=55, plane=plane)
-        assert explicit.probes.interval == 55
+        for _ in range(6):
+            obs.tracer.instant("noc", "r0", "hop", 0)
+        assert obs.tracer.dropped == 1
+        assert Observer({"trace": {"enabled": False}}).tracer is None
+        assert isinstance(Observer().tracer, Tracer)
+
+    @pytest.mark.parametrize("keyword", [
+        "categories", "ring_capacity", "sample_interval",
+        "sample_intervals", "tracing", "tracer"])
+    def test_old_observer_keywords_are_gone(self, keyword):
+        with pytest.raises(TypeError):
+            Observer(**{keyword: None})
 
     def test_metric_selection_prunes_registration_and_export(self):
-        obs = Observer(tracing=False, plane={"metrics": ["keep.*"]})
+        obs = Observer({"metrics": ["keep.*"], "trace": {"enabled": False}})
         obs.register_gauge("keep.depth", lambda: 1.0)
         obs.register_gauge("drop.depth", lambda: 2.0)
         assert len(obs.probes) == 1
@@ -276,7 +285,7 @@ class TestObserverPlane:
         assert metrics["obs.probes.failed"] == 0
 
     def test_component_sampling_nudges_only_the_owner(self):
-        probes = ProbeSet(interval=10, by_owner=True)
+        probes = ProbeSet(interval=10)
         probes.add("a.x", lambda: 1.0, category="noc", owner="a")
         probes.add("b.y", lambda: 2.0, category="noc", owner="b")
         probes.nudge("a", 10)
@@ -286,7 +295,7 @@ class TestObserverPlane:
         assert probes.series("b.y") == [(25, 2.0)]
 
     def test_raising_probe_degrades_gracefully(self):
-        obs = Observer(tracing=False)
+        obs = Observer({"trace": {"enabled": False}})
         obs.register_gauge("good.depth", lambda: 1.0)
         obs.register_gauge("bad.depth",
                            lambda: (_ for _ in ()).throw(RuntimeError("x")))
@@ -320,8 +329,7 @@ class TestObserverPlane:
         out = tmp_path / "t.jsonl"
         plane = {"trace": {"stream_series": True},
                  "sample_interval": 10}
-        tracer = StreamingTracer(str(out))
-        obs = Observer(tracer=tracer, plane=plane)
+        obs = Observer(plane, trace_path=str(out))
         obs.register_gauge("node0.q", lambda: 4.0)
         obs.probes.sample(10)
         obs.probes.sample(30)
@@ -336,18 +344,35 @@ class TestObserverPlane:
 # ----------------------------------------------------------------------
 
 class TestCli:
-    @pytest.mark.parametrize("flags", [
-        ["--sample-interval", "0"],
-        ["--sample-interval", "x"],
-        ["--sample-intervals", "noc"],
-        ["--sample-intervals", "noc=-5"],
-        ["--sample-intervals", "noc=ten"],
+    @pytest.mark.parametrize("spec", [
+        {"sample_interval": 0},
+        {"sample_interval": "x"},
+        {"sample_intervals": ["noc"]},
+        {"sample_intervals": {"noc": -5}},
+        {"sample_intervals": {"noc": "ten"}},
     ])
-    def test_sampling_flags_validated_at_parse_time(self, flags, capsys):
+    def test_sampling_spec_validated_before_running(self, spec, tmp_path,
+                                                    capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        assert main(["stats", "2x1x2", "--instrument", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sample_interval" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--categories", "noc"],
+        ["trace", "--ring-capacity", "8"],
+        ["trace", "--sample-interval", "100"],
+        ["trace", "--sample-intervals", "noc=64"],
+        ["stats", "--sample-interval", "100"],
+        ["stats", "--sample-intervals", "noc=64"],
+    ])
+    def test_observation_flags_left_to_the_plane(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "2x1x2"] + flags)
+            main(argv)
         assert excinfo.value.code == 2
-        assert "--sample-interval" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_obs_validate(self, tmp_path, capsys):
         spec = tmp_path / "p.json"
@@ -370,9 +395,12 @@ class TestCli:
         assert "unknown spec keys" in capsys.readouterr().err
 
     def test_sweep_rejects_instrument(self, tmp_path, capsys):
+        # sweep only estimates resource fit: nothing to observe.
         spec = tmp_path / "p.json"
         spec.write_text("{}")
-        assert main(["sweep", "--instrument", str(spec)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--instrument", str(spec)])
+        assert excinfo.value.code == 2
         assert "--instrument" in capsys.readouterr().err
 
     def test_latency_instrument_requires_archive(self, tmp_path, capsys):
@@ -380,16 +408,6 @@ class TestCli:
         spec.write_text("{}")
         assert main(["latency", "2x1x2", "--instrument", str(spec)]) == 2
         assert "--archive" in capsys.readouterr().err
-
-    def test_trace_instrument_conflicts_with_categories(self, tmp_path,
-                                                        capsys):
-        spec = tmp_path / "p.json"
-        spec.write_text("{}")
-        assert main(["trace", "2x1x2", "--instrument", str(spec),
-                     "--categories", "noc",
-                     "--out", str(tmp_path / "t.json"),
-                     "--metrics", str(tmp_path / "m.json")]) == 2
-        assert "conflicts" in capsys.readouterr().err
 
     def test_instrumented_trace_records_spec_in_manifest(self, tmp_path,
                                                          capsys):
@@ -460,8 +478,7 @@ class TestFarmInstrumentation:
         filespec = load_spec_file(str(path))
         expected = InstrumentationPlane.from_dict({"metrics": ["node*"]})
         assert filespec.instrumentation == expected.to_dict()
-        assert filespec.suites[0].spec.obs_spec == \
-            {"plane": expected.to_dict()}
+        assert filespec.suites[0].spec.obs_spec == expected.to_dict()
         for job in filespec.jobs:
             assert job.instrumentation == expected.spec_hash
             assert job.describe()["instrumentation"] == expected.spec_hash
@@ -479,7 +496,49 @@ class TestFarmInstrumentation:
         filespec = load_spec_file(str(path))
         # An explicit per-suite obs wins over the spec-wide plane.
         assert filespec.suites[0].spec.obs_spec == {"sample_interval": 9}
-        assert filespec.jobs[0].instrumentation is None
+        assert filespec.jobs[0].instrumentation == \
+            InstrumentationPlane.from_dict({"sample_interval": 9}).spec_hash
+
+    def test_fleets_observed_differently_refuse_to_diff(self, tmp_path,
+                                                        capsys):
+        from repro.farm import load_spec_file, run_file_spec
+        plane = {"metrics": ["node*"]}
+        reports = {}
+        for name, instrumentation in (("plain", None), ("planed", plane)):
+            spec = {"hosts": [{"name": "h0", "slots": 1}],
+                    "suites": [{"suite": "fig7", "config": "1x1x2"}]}
+            if instrumentation is not None:
+                spec["instrumentation"] = instrumentation
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            reports[name] = tmp_path / name
+            result, _, errors = run_file_spec(
+                load_spec_file(str(path)), report_dir=str(reports[name]))
+            assert result.ok and not errors
+        expected = InstrumentationPlane.from_dict(plane).spec_hash
+        # The default plane records none; the plane's hash lands in the
+        # job archive and in the merged archive its jobs share.
+        assert instrumentation_hash_of(
+            str(reports["plain"] / "jobs" / "fig7-0")) is None
+        assert instrumentation_hash_of(
+            str(reports["plain"] / "merged")) is None
+        assert instrumentation_hash_of(
+            str(reports["planed"] / "jobs" / "fig7-0")) == expected
+        assert instrumentation_hash_of(
+            str(reports["planed"] / "merged")) == expected
+        assert main(["diff", str(reports["plain"] / "merged"),
+                     str(reports["planed"] / "merged")]) == 2
+        assert "instrumented differently" in capsys.readouterr().err
+
+    def test_mixed_fleet_gets_a_combined_plane_hash(self):
+        from repro.farm.report import _fleet_plane_hash
+        assert _fleet_plane_hash(set()) is None
+        assert _fleet_plane_hash({None}) is None
+        assert _fleet_plane_hash({"abc"}) == "abc"
+        mixed = _fleet_plane_hash({"abc", None})
+        assert mixed not in ("abc", None)
+        assert mixed == _fleet_plane_hash({None, "abc"})
+        assert mixed != _fleet_plane_hash({"abc", "def"})
 
     def test_bad_instrumentation_rejected(self, tmp_path):
         from repro.farm import load_spec_file

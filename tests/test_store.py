@@ -9,6 +9,7 @@ from repro import parse_config
 from repro.errors import StoreError
 from repro.parallel import (SweepSpec, fig8_spec, fig9_spec,
                             latency_matrix_spec, run_sweep, run_tasks)
+from repro.parallel.sweep import sweep_tasks
 from repro.store import (GCItem, ResultStore, STORE_SCHEMA_VERSION,
                          canonical_value, entry_key, gc_runs, gc_select,
                          parse_age, parse_bytes, store_from_env)
@@ -309,6 +310,65 @@ class TestRunSweepStore:
         config = parse_config(self.CONFIG)
         result = run_sweep(_toy_spec(config))
         assert result.config_hash == config_hash(config)
+
+
+class TestObsSpecKeys:
+    """A sweep's obs spec keys the store in its canonical plane form."""
+
+    #: 2x1x2 ``obs={}`` keys, pinned: stores written before obs specs
+    #: were canonicalized stay warm.
+    KEYS = {
+        "fig7": ["2833203969617c0300467f3e72543cebe074f49b"],
+        "fig8": ["c29f597870b94a90aa5e56a2f789705609a15ae8",
+                 "7b2280eb76fbd181c3d2ad6df490765767362910"],
+        "fig9": ["9d0f6929d0fc7b876f24b93c84124d641d603965",
+                 "3d0befa6ab8c44174cd1ac822deb1004b9d2ba36"],
+    }
+
+    @staticmethod
+    def _spec(family, obs_spec):
+        config = parse_config("2x1x2")
+        if family == "fig7":
+            return latency_matrix_spec(config, obs_spec=obs_spec)
+        if family == "fig8":
+            return fig8_spec(config, (2, 4), obs_spec=obs_spec)
+        return fig9_spec(config, n_threads=2, obs_spec=obs_spec)
+
+    @staticmethod
+    def _keys(spec):
+        return [entry_key(task[-1]) for task in sweep_tasks(spec)[1]]
+
+    @pytest.mark.parametrize("family", ["fig7", "fig8", "fig9"])
+    def test_empty_plane_keys_are_pinned(self, family):
+        assert self._keys(self._spec(family, {})) == self.KEYS[family]
+
+    @pytest.mark.parametrize("family", ["fig7", "fig8", "fig9"])
+    def test_spellings_of_one_plane_share_keys(self, family):
+        default = {"sample_interval": 1000,
+                   "trace": {"ring_capacity": 65536}}
+        assert self._keys(self._spec(family, default)) == self.KEYS[family]
+        other = self._keys(self._spec(family, {"sample_interval": 999}))
+        assert not set(other) & set(self.KEYS[family])
+
+    def test_spellings_share_one_stored_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        cold = run_sweep(self._spec("fig8", {}), store=store)
+        warm = run_sweep(self._spec("fig8", {"sample_interval": 1000}),
+                         store=ResultStore(tmp_path))
+        assert warm.warm
+        assert len(store.entries()) == 2
+        assert json.dumps(warm.value) == json.dumps(cold.value)
+
+    def test_point_query_keys_like_sweep_tasks(self):
+        from repro.serve.api import PointQuery
+        _, tasks = sweep_tasks(self._spec("fig8", {"sample_interval": 1000}))
+        for task in tasks:
+            payload = task[-1]
+            assert PointQuery(**payload).key_payload() == payload
+        # A query spelling the plane differently lands on the same entry.
+        query = PointQuery(**{**tasks[0][-1],
+                              "obs": {"sample_interval": 1000}})
+        assert entry_key(query.key_payload()) == self.KEYS["fig8"][0]
 
 
 class TestFig8WarmCache:
