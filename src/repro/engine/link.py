@@ -27,37 +27,36 @@ Sink = Callable[[object], None]
 class Link(Component):
     """A serializing, latency-imposing connection to a sink callback.
 
-    ``sink_args`` are appended to every delivery — the sink is called as
-    ``sink(message, *sink_args)`` — so endpoints can receive routing
-    context (e.g. arrival direction and channel) without a per-link
-    closure wrapping the handler.
+    ``delivery_delay`` hands each message to the sink that many cycles
+    after it arrives off the wire, so the receiving pipeline stage (a
+    router's ``hop_latency``) rides the delivery event itself.  It is not
+    wire time: the returned arrival, :attr:`busy_until`, the link's stats
+    and the ``link_transfer`` hook all see the wire arrival.
     """
 
     def __init__(self, sim: Simulator, name: str, sink: Sink,
                  latency: int = 1, cycles_per_unit: float = 1.0,
-                 sink_args: tuple = (), category: str = "link"):
+                 category: str = "link", delivery_delay: int = 0):
         super().__init__(sim, name)
         if latency < 0:
             raise ConfigError(f"{name}: negative latency {latency}")
         if cycles_per_unit < 0:
             raise ConfigError(
                 f"{name}: negative cycles_per_unit {cycles_per_unit}")
+        if delivery_delay < 0:
+            raise ConfigError(
+                f"{name}: negative delivery_delay {delivery_delay}")
         self.sink = sink
-        self.sink_args = sink_args
         self.latency = latency
         self.cycles_per_unit = cycles_per_unit
         self.category = category
+        self.delivery_delay = delivery_delay
         self._free_at = 0
         sim.obs.register_link(self)
         # Deliveries ride the typed fast path: the sink is fixed at
         # construction, only the arrival delay varies (queueing +
         # serialization), so every send is a single-payload send_after.
-        if sink_args:
-            def deliver(message: object, _sink=sink, _args=sink_args) -> None:
-                _sink(message, *_args)
-            self._channel = sim.channel(latency, deliver)
-        else:
-            self._channel = sim.channel(latency, sink)
+        self._channel = sim.channel(latency + delivery_delay, sink)
 
     def send(self, message: object, units: int = 1) -> int:
         """Transmit ``message`` of the given size; returns arrival time.
@@ -70,10 +69,12 @@ class Link(Component):
         now = sim.now
         free_at = self._free_at
         depart = now if free_at < now else free_at
-        serialization = int(round(units * self.cycles_per_unit))
-        self._free_at = depart + max(serialization, 1 if units else 0)
+        serialization = round(units * self.cycles_per_unit)
+        # A message occupies the link for at least one cycle.
+        self._free_at = depart + (serialization or (1 if units else 0))
         arrival = depart + serialization + self.latency
-        self._channel.send_after(arrival - now, message)
+        self._channel.send_after(arrival + self.delivery_delay - now,
+                                 message)
         stats = self.stats
         stats.inc("messages")
         stats.inc("units", units)
@@ -98,22 +99,23 @@ class Link(Component):
             return now
         free_at = self._free_at
         depart = now if free_at < now else free_at
-        serialization = int(round(units_each * self.cycles_per_unit))
+        serialization = round(units_each * self.cycles_per_unit)
         # Each message occupies the link for `occupy` cycles, so repeated
         # send() calls step both departure and arrival by exactly that.
-        occupy = max(serialization, 1 if units_each else 0)
+        occupy = serialization or (1 if units_each else 0)
         self._free_at = depart + occupy * n
         arrival = depart + serialization + self.latency
+        delay = arrival + self.delivery_delay - now
         if occupy == 0:
             # Zero occupancy (units_each == 0): the whole train arrives in
             # one cycle — a single batched calendar insert.
-            self._channel.send_after_many(arrival - now, messages)
+            self._channel.send_after_many(delay, messages)
         else:
             channel = self._channel
             for message in messages:
-                channel.send_after(arrival - now, message)
-                arrival += occupy
-            arrival -= occupy
+                channel.send_after(delay, message)
+                delay += occupy
+            arrival = delay - self.delivery_delay + now - occupy
         stats = self.stats
         stats.inc("messages", n)
         stats.inc("units", units_each * n)
@@ -130,7 +132,5 @@ class Link(Component):
 class InstantLink(Link):
     """A zero-latency, infinite-bandwidth link (for intra-module wiring)."""
 
-    def __init__(self, sim: Simulator, name: str, sink: Sink,
-                 sink_args: tuple = ()):
-        super().__init__(sim, name, sink, latency=0, cycles_per_unit=0.0,
-                         sink_args=sink_args)
+    def __init__(self, sim: Simulator, name: str, sink: Sink):
+        super().__init__(sim, name, sink, latency=0, cycles_per_unit=0.0)

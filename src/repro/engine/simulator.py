@@ -79,13 +79,24 @@ into the free list at once.  Its observable rules:
 * a ``max_events`` stop and a raising callback both recycle the consumed
   prefix of the current bucket and keep its tail queued, so no event
   ever runs twice, and the events that did run are credited to
-  :attr:`Simulator.events_executed` either way.
+  :attr:`Simulator.events_executed` either way;
+* the clock floor: a component that settles work *without* an event (a
+  router returning a credit it only records, see
+  :mod:`repro.noc.router`) raises :attr:`Simulator.clock_floor` to the
+  cycle the skipped event would have run at.  An unbounded ``run()``
+  ends with ``now`` at least at the floor, and ``run_until(bound)`` does
+  too when the floor lies below ``bound``, so the clock stops exactly
+  where the skipped event would have left it.  Bounded ``run()`` calls
+  and ``step()`` ignore it, and the skipped work never shows in
+  :attr:`~Simulator.events_executed`, :attr:`~Simulator.pending` or
+  :meth:`~Simulator.next_event_time`.
 
-Components never pass ``priority``; buckets are therefore already in
-execution order.  The first non-default priority at a timestamp marks
-that bucket for a single deterministic *stable* sort by priority at drain
-time — also mid-drain, when a callback schedules a prioritized event into
-the bucket being drained.  Stability preserves insertion order inside
+Only router credit events pass ``priority`` (:mod:`repro.noc.router`),
+so almost every bucket is already in execution order.  The first
+non-default priority at a timestamp marks that bucket for a single
+deterministic *stable* sort by priority at drain time — also mid-drain,
+when a callback schedules a prioritized event into the bucket being
+drained.  Stability preserves insertion order inside
 each priority level, so the fast path stays unsorted and the sorted path
 matches the historical ``(priority, seq)`` order.
 
@@ -447,6 +458,9 @@ class Simulator:
         self._ncancelled: int = 0    # cancelled events still in buckets
         self._unsorted: set = set()  # bucket times holding non-default priorities
         self._draining: Optional[int] = None  # bucket owned by the run loop
+        #: A complete drain leaves ``now`` at least here (see the module
+        #: docstring); components raise it, never lower it.
+        self.clock_floor: int = 0
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -572,11 +586,15 @@ class Simulator:
         ``max_events`` events execute.  Returns the number of events run.
 
         ``until`` is an absolute time: events with ``time > until`` stay in
-        the queue and ``now`` is advanced to ``until``.
+        the queue and ``now`` is advanced to ``until``.  A full drain
+        leaves ``now`` at least at :attr:`clock_floor`.
         """
         executed = self._drain_loop(until, max_events)
-        if until is not None and self.now < until:
-            self.now = until
+        if until is not None:
+            if self.now < until:
+                self.now = until
+        elif max_events is None and self.now < self.clock_floor:
+            self.now = self.clock_floor
         # Let streaming trace backends spill their buffered chunk between
         # drains: memory stays bounded over arbitrarily many run() calls
         # and a crash loses at most one chunk.  One no-op call on NO_OBS.
@@ -595,13 +613,16 @@ class Simulator:
         execute; a partition's clock must not outrun its own events just
         because a quantum boundary passed.  Events exactly at ``bound``
         (e.g. a boundary-message arrival on the quantum edge) stay
-        queued for the next quantum.
+        queued for the next quantum.  A clock floor below ``bound`` counts
+        as an executed event here (see the module docstring).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         if bound <= self.now:
             return 0
         executed = self._drain_loop(bound - 1, max_events)
+        if max_events is None and self.now < self.clock_floor < bound:
+            self.now = self.clock_floor
         self.obs.flush()
         return executed
 

@@ -291,11 +291,10 @@ class Observer(NullObserver):
                                 {"dst": str(packet.dst),
                                  "ch": packet.channel.name})
 
-    def noc_hop(self, router, packet, from_direction):
-        now = router.sim.now
-        self.probes.nudge(router.name, now)
+    def noc_hop(self, router, packet, from_direction, at):
+        self.probes.nudge(router.name, at)
         if self._want_noc:
-            self.tracer.instant("noc", router.name, "hop", now,
+            self.tracer.instant("noc", router.name, "hop", at,
                                 {"from": from_direction.value,
                                  "ch": packet.channel.name})
 

@@ -149,9 +149,9 @@ class TestDebugBatch:
 def _link_train(batched, latency=2, cycles_per_unit=1.0, units_each=3):
     sim = Simulator()
     deliveries = []
-    link = Link(sim, "l", lambda m, tag: deliveries.append((sim.now, m, tag)),
+    link = Link(sim, "l", lambda m: deliveries.append((sim.now, m)),
                 latency=latency, cycles_per_unit=cycles_per_unit,
-                sink_args=("ctx",))
+                delivery_delay=2)
     link.send("warmup", units=2)
     if batched:
         arrival = link.send_many(["a", "b", "c"], units_each=units_each)

@@ -185,6 +185,31 @@ class TestDrainLoop:
         assert sim.pending == 0
         assert sim.events_executed == 12
 
+    @pytest.mark.parametrize("drain,expected_now", [
+        (lambda sim: sim.run(), 12),
+        (lambda sim: sim.run(until=8), 8),
+        (lambda sim: sim.run(max_events=5), 6),
+        (lambda sim: sim.run_until(13), 12),
+        (lambda sim: sim.run_until(12), 6),
+    ], ids=["run", "run-until", "run-max-events", "run_until-above",
+            "run_until-at"])
+    def test_clock_floor(self, drain, expected_now):
+        # Work settled without an event at cycle 12 (the floor an event
+        # at 6 raises) moves the clock like an event at 12 would have:
+        # a full drain reaches it, run_until only when it lies below the
+        # bound, bounded runs and step() never.
+        sim = Simulator()
+
+        def settle():
+            sim.clock_floor = 12
+
+        sim.schedule(6, settle)
+        drain(sim)
+        assert sim.now == expected_now
+        assert sim.events_executed == 1
+        assert sim.pending == 0
+        assert sim.next_event_time() is None
+
     def test_compaction_recycles_cancelled_bursts(self):
         sim = Simulator()
         trace = []
@@ -219,6 +244,18 @@ class TestLink:
         link.send("b", units=2)   # departs 4, serializes 2, arrives 8
         sim.run()
         assert arrivals == [(6, "a"), (8, "b")]
+
+    def test_delivery_delay_is_not_wire_time(self):
+        sim = Simulator()
+        arrivals = []
+        link = Link(sim, "l", lambda m: arrivals.append((sim.now, m)),
+                    latency=1, cycles_per_unit=1.0, delivery_delay=2)
+        assert link.send("a", units=2) == 3   # wire arrival
+        assert link.busy_until == 2
+        sim.run()
+        assert arrivals == [(5, "a")]        # handed over 2 cycles later
+        assert link.stats.get("units") == 2
+        assert link.stats.histogram("queueing").mean == 0
 
     def test_back_to_back_bandwidth(self):
         sim = Simulator()
