@@ -9,10 +9,7 @@ the cycle-level 4x1x12 prototype, then fed into the phase-level IS model
 zero machine measurements (``obs.store.hit`` == point count) and yields
 a byte-identical series; ``REPRO_ARCHIVE=runs`` persists the
 shard-merged metrics — including the ``obs.store.*`` counters — plus the
-series as a run archive at ``runs/fig8-4x1x12``;
-``REPRO_FARM=HOSTSxSLOTS`` runs the sweep as a farm suite instead (same
-points, same seeds, byte-identical series — the farm is a scheduler,
-not a different experiment).
+series as a run archive at ``runs/fig8-4x1x12``.
 """
 
 import os
@@ -20,7 +17,6 @@ import time
 
 from repro.analysis import line_series
 from repro.core.config import parse_config
-from repro.farm import farm_from_env, farm_sweep
 from repro.obs.archive import RunArchive, archive_root_from_env
 from repro.osmodel import NumaMachine
 from repro.parallel import env_jobs, fig8_spec, run_sweep
@@ -32,13 +28,9 @@ def compute_fig8():
     root = archive_root_from_env()
     store = store_from_env()
     jobs = env_jobs()
-    farm = farm_from_env()
     start = time.perf_counter()
     spec = fig8_spec(config, obs_spec={} if root else None)
-    if farm is not None:
-        result = farm_sweep(spec, farm, store=store)
-    else:
-        result = run_sweep(spec, jobs=jobs, store=store)
+    result = run_sweep(spec, jobs=jobs, store=store)
     machine = NumaMachine.from_dict(result.value["machine"])
     series = result.value["series"]
     if root is not None:

@@ -3,8 +3,7 @@
 ``REPRO_JOBS=N`` shards the sweep one task per node count;
 ``REPRO_STORE=store`` memoizes every point (a warm rerun measures no
 machines); ``REPRO_ARCHIVE=runs`` persists the merged metrics and the
-series at ``runs/fig9-4x1x12``; ``REPRO_FARM=HOSTSxSLOTS`` runs the
-sweep as a farm suite with a byte-identical series.
+series at ``runs/fig9-4x1x12``.
 """
 
 import os
@@ -12,7 +11,6 @@ import time
 
 from repro.analysis import line_series
 from repro.core.config import parse_config
-from repro.farm import farm_from_env, farm_sweep
 from repro.obs.archive import RunArchive, archive_root_from_env
 from repro.parallel import env_jobs, fig9_spec, run_sweep
 from repro.store import store_from_env
@@ -23,13 +21,9 @@ def compute_fig9():
     root = archive_root_from_env()
     store = store_from_env()
     jobs = env_jobs()
-    farm = farm_from_env()
     start = time.perf_counter()
     spec = fig9_spec(config, obs_spec={} if root else None)
-    if farm is not None:
-        result = farm_sweep(spec, farm, store=store)
-    else:
-        result = run_sweep(spec, jobs=jobs, store=store)
+    result = run_sweep(spec, jobs=jobs, store=store)
     series = result.value["series"]
     if root is not None:
         metrics = dict(result.value["metrics"])

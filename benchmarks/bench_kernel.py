@@ -43,8 +43,8 @@ import time
 from pathlib import Path
 
 from repro.core.config import parse_config
-from repro.core.prototype import Prototype
 from repro.engine import Simulator
+from repro.parallel import latency_matrix_spec, run_sweep
 from repro.partition.storm import (run_monolithic_storm,
                                    run_partitioned_storm)
 
@@ -262,9 +262,9 @@ def _storm_digests_match(reference, partitioned) -> bool:
 
 
 def _fig7_matrix(jobs):
-    proto = Prototype(parse_config("4x1x12"))
+    spec = latency_matrix_spec(parse_config("4x1x12"))
     start = time.perf_counter()
-    matrix = proto.latency_matrix(jobs=jobs)
+    matrix = run_sweep(spec, jobs=jobs).value["rows"]
     return time.perf_counter() - start, matrix
 
 

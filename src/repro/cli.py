@@ -7,7 +7,7 @@ simulation::
 
     python -m repro describe 4x1x12        # resources, build, pricing
     python -m repro sweep                  # every configuration that fits
-    python -m repro latency 2x1x4          # Fig.-7-style probe summary
+    python -m repro latency 2x1x4          # Fig. 7 matrix summary
     python -m repro hello 1x1x2            # boot HelloWorld, show console
     python -m repro cost                   # Fig.-13 cost table
     python -m repro trace 2x1x2            # Perfetto trace + metrics bundle
@@ -42,13 +42,13 @@ from .analysis import render_table
 from .cli_common import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, archive_flags,
                          emit, emit_payload, format_flags,
                          instrument_flags, jobs_flags, load_plane_arg,
-                         output_flags, partitions_flags, seed_flags,
-                         store_flags, write_archive)
+                         output_flags, seed_flags, store_flags,
+                         write_archive)
 from .cost import FIG13_TOOLS, benchmark_costs, suite_costs
 from .errors import ReproError
 from .fpga import (DRAM_INTERFACES_PER_FPGA, cheapest_instance_for, estimate,
                    estimate_build, max_tiles_per_fpga)
-from .parallel import probe_rows, run_tasks
+from .parallel import latency_matrix_spec, run_sweep, run_tasks
 from .store import ResultStore, default_store_root, gc_runs, parse_age
 from .store import parse_bytes as parse_size
 
@@ -105,99 +105,32 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_latency(args) -> int:
+    """The Fig. 7 matrix, summarized: one ``run_sweep`` over
+    :func:`~repro.parallel.latency_matrix_spec`, so ``--jobs`` and
+    ``--store`` change only how fast the table appears."""
     config = parse_config(args.config, seed=args.seed)
     plane = load_plane_arg(args)
     if plane is not None and not args.archive:
         raise ReproError(
             "latency --instrument measures through the observer; pass "
             "--archive to persist what the plane collects")
-    total = config.total_tiles
-    tiles_per_node = config.tiles_per_node
-    senders = list(range(0, total, max(1, total // 6)))
-    intra, inter = [], []
-    metrics = None
-    partitions = args.partitions
-    if partitions is not None:
-        if args.jobs is not None:
-            raise ReproError(
-                "--partitions shards one simulation, --jobs shards "
-                "independent sweep points — pick one")
-        from .partition import resolve_partitions
-        if resolve_partitions(config, partitions) < 2:
-            partitions = None   # resolves monolithic: use the plain scan
+    obs_spec = None
+    if args.archive:
+        obs_spec = plane.to_dict() if plane is not None else {}
+    store = ResultStore(args.store) if args.store else None
     start = time.perf_counter()
-    if partitions is not None:
-        # One partitioned prototype scanned in place: same probes and
-        # bit-identical latencies as the monolithic scan, sharded across
-        # worker processes at the PCIe boundary.  --archive merges the
-        # per-partition metric shards exactly and adds the
-        # obs.partition.* counters.
-        if args.store:
-            raise ReproError(
-                "latency --store memoizes sweep points; it does not "
-                "apply to --partitions")
-        obs_spec = None
-        if args.archive:
-            obs_spec = plane.to_dict() if plane is not None else {}
-        proto = Prototype(config, partitions=partitions, obs_spec=obs_spec)
-        try:
-            for sender in senders:
-                for receiver in range(total):
-                    if sender == receiver:
-                        continue
-                    latency = proto.measure_pair_latency(sender, receiver)
-                    same_node = (sender // tiles_per_node
-                                 == receiver // tiles_per_node)
-                    (intra if same_node else inter).append(latency)
-            if args.archive:
-                metrics = proto.merged_metrics()
-                # Wall-clock belongs in the manifest, not the metrics:
-                # archived metrics must diff to zero on same-seed reruns.
-                metrics.update({
-                    name: value
-                    for name, value in proto.partition_metrics().items()
-                    if not name.endswith("_seconds")})
-        finally:
-            proto.close()
-    elif args.jobs is not None:
-        # Sharded engine: one fresh prototype per sender row, results
-        # identical at any worker count.  --store memoizes each row;
-        # --archive attaches per-worker observers and persists the
-        # exactly merged metrics.
-        store = ResultStore(args.store) if args.store else None
-        with_metrics = bool(args.archive)
-        rows = probe_rows(config, senders, jobs=args.jobs,
-                          with_metrics=with_metrics, store=store,
-                          obs_spec=(plane.to_dict() if plane is not None
-                                    else None))
-        if with_metrics:
-            rows, metrics = rows
-        if store is not None:
-            if metrics is None:
-                metrics = {}
-            metrics.update(store.export_metrics())
-        for sender, row in zip(senders, rows):
-            for receiver, latency in enumerate(row):
-                if sender == receiver:
-                    continue
-                same_node = (sender // tiles_per_node
-                             == receiver // tiles_per_node)
-                (intra if same_node else inter).append(latency)
-    else:
-        if args.archive or args.store:
-            raise ReproError(
-                "latency --archive/--store require the sharded engine; "
-                "pass --jobs")
-        proto = build(args.config)
-        for sender in senders:
-            for receiver in range(total):
-                if sender == receiver:
-                    continue
-                latency = proto.measure_pair_latency(sender, receiver)
-                same_node = (sender // tiles_per_node
-                             == receiver // tiles_per_node)
-                (intra if same_node else inter).append(latency)
+    result = run_sweep(latency_matrix_spec(config, obs_spec=obs_spec),
+                       jobs=args.jobs, store=store)
     wall = time.perf_counter() - start
+    tiles_per_node = config.tiles_per_node
+    intra, inter = [], []
+    for sender, row in enumerate(result.value["rows"]):
+        for receiver, latency in enumerate(row):
+            if sender == receiver:
+                continue
+            same_node = (sender // tiles_per_node
+                         == receiver // tiles_per_node)
+            (intra if same_node else inter).append(latency)
     rows = [["intra-node", f"{statistics.mean(intra):.0f}",
              min(intra), max(intra)]]
     if inter:
@@ -211,8 +144,11 @@ def cmd_latency(args) -> int:
                                   f"{args.config}"),
          what="latency table")
     if args.archive:
+        metrics = dict(result.value["metrics"])
+        if store is not None:
+            metrics.update(store.export_metrics())
         write_archive(args, config, metrics, wall_seconds=wall,
-                      plane=plane)
+                      config_hash=result.config_hash, plane=plane)
     return 0
 
 
@@ -287,34 +223,11 @@ def cmd_stats(args) -> int:
     plane = load_plane_arg(args)
     config = parse_config(args.config, seed=args.seed)
     start = time.perf_counter()
-    sweep_hash = None
-    if args.jobs is not None:
-        # Sharded sweep through the unified engine: per-worker observers,
-        # shard dicts merged exactly (byte-identical at any worker
-        # count); --store memoizes every shard.  The plane travels in the
-        # obs_spec, so it is part of every store key by construction.
-        from .parallel import latency_matrix_spec, run_sweep
-        store = ResultStore(args.store) if args.store else None
-        spec = latency_matrix_spec(
-            config, obs_spec=plane.to_dict() if plane is not None else {})
-        result = run_sweep(spec, jobs=args.jobs, store=store)
-        metrics = dict(result.value["metrics"])
-        if store is not None:
-            metrics.update(store.export_metrics())
-        sweep_hash = result.config_hash
-        cycles = events = None
-        series = None
-    else:
-        if args.store:
-            raise ReproError(
-                "stats --store requires the sharded sweep; pass --jobs")
-        obs = Observer(dataclasses.replace(
-            plane or InstrumentationPlane(), tracing=False))
-        proto = Prototype(config, obs=obs)
-        _drive_probes(proto)
-        metrics = obs.export_metrics()
-        cycles, events = proto.now, proto.sim.events_executed
-        series = obs.probes.series()
+    obs = Observer(dataclasses.replace(
+        plane or InstrumentationPlane(), tracing=False))
+    proto = Prototype(config, obs=obs)
+    _drive_probes(proto)
+    metrics = obs.export_metrics()
     wall = time.perf_counter() - start
     if args.format == "json":
         text = json.dumps(metrics, indent=2, sort_keys=True)
@@ -323,9 +236,10 @@ def cmd_stats(args) -> int:
         text = registry.to_prometheus().rstrip("\n")
     emit(args, text, what=f"{args.format} metrics")
     if args.archive:
-        write_archive(args, config, metrics, cycles=cycles,
-                      events_executed=events, wall_seconds=wall,
-                      series=series, config_hash=sweep_hash, plane=plane)
+        write_archive(args, config, metrics, cycles=proto.now,
+                      events_executed=proto.sim.events_executed,
+                      wall_seconds=wall, series=obs.probes.series(),
+                      plane=plane)
     return 0
 
 
@@ -848,19 +762,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sweep = subparsers.add_parser(
         "sweep", help="every BxC configuration that fits one FPGA",
-        parents=[jobs_flags(default=1),
+        parents=[jobs_flags(),
                  output_flags("write the table to PATH instead of "
                               "stdout")])
     sweep.add_argument("--core", default="ariane")
     sweep.set_defaults(func=cmd_sweep)
 
     latency = subparsers.add_parser(
-        "latency", help="measure core-to-core latencies (Fig. 7 style)",
-        parents=[jobs_flags(default=None,
-                            help="worker processes for the sharded probe "
-                                 "engine (0 = one per CPU; omit for the "
-                                 "legacy in-place scan)"),
-                 partitions_flags(), seed_flags(), output_flags(),
+        "latency", help="summarize the Fig. 7 core-to-core latency "
+                        "matrix (intra/inter-node mean, min, max)",
+        parents=[jobs_flags(), seed_flags(), output_flags(),
                  archive_flags(), store_flags(), instrument_flags()])
     latency.add_argument("config")
     latency.set_defaults(func=cmd_latency)
@@ -896,13 +807,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "registry as Prometheus text or JSON",
         parents=[seed_flags(), archive_flags(), instrument_flags(),
                  format_flags(choices=("prom", "json"), default="prom"),
-                 output_flags("write the dump to PATH instead of stdout"),
-                 jobs_flags(default=None,
-                            help="run the sharded Fig. 7 sweep instead of "
-                                 "the single probe row and merge "
-                                 "per-worker metrics exactly (0 = one "
-                                 "per CPU)"),
-                 store_flags()])
+                 output_flags("write the dump to PATH instead of stdout")])
     stats.add_argument("config", nargs="?", default="2x1x2")
     stats.set_defaults(func=cmd_stats)
 

@@ -36,21 +36,6 @@ def jobs_count(value: str) -> int:
     return jobs
 
 
-def partitions_count(value: str) -> int:
-    """argparse type for ``--partitions``: a non-negative int
-    (0 = one partition per FPGA), mirroring the ``--jobs`` contract."""
-    try:
-        partitions = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {value!r}")
-    if partitions < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 means one partition per FPGA), "
-            f"got {partitions}")
-    return partitions
-
-
 # ----------------------------------------------------------------------
 # Parent parsers (argparse parents=[...], one flag family each)
 # ----------------------------------------------------------------------
@@ -108,23 +93,11 @@ def load_plane_arg(args):
     return load_plane(path)
 
 
-def jobs_flags(default: Optional[int] = 1,
-               help: str = "worker processes (0 = one per CPU)"
-               ) -> argparse.ArgumentParser:
+def jobs_flags() -> argparse.ArgumentParser:
+    """``--jobs``: worker processes; never changes what is printed."""
     parent = _parent()
-    parent.add_argument("--jobs", type=jobs_count, default=default,
-                        metavar="N", help=help)
-    return parent
-
-
-def partitions_flags() -> argparse.ArgumentParser:
-    """``--partitions``: shard one simulation across worker processes."""
-    parent = _parent()
-    parent.add_argument("--partitions", type=partitions_count,
-                        default=None, metavar="N",
-                        help="split one simulation across N worker "
-                             "processes at FPGA boundaries (0 = one per "
-                             "FPGA; default monolithic)")
+    parent.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
+                        help="worker processes (0 = one per CPU)")
     return parent
 
 

@@ -208,7 +208,8 @@ class Prototype:
         ``receiver`` (flat Fig. 7 indices): the time for the sender to load
         a cache line that the receiver's core owns dirty and whose home
         slice is the receiver's tile — a cache-line transfer between the
-        two cores through the coherence fabric.
+        two cores through the coherence fabric.  The full Fig. 7 matrix
+        is :func:`repro.parallel.latency_matrix_spec`.
         """
         src = self.tile_addr(sender)
         dst = self.tile_addr(receiver)
@@ -218,55 +219,6 @@ class Prototype:
         # Sender's load pulls the line across: request + downgrade + data.
         _, cycles = self.mem_access(src.node, src.tile, load(addr))
         return cycles
-
-    def latency_matrix(self, probes_per_pair: int = 1,
-                       jobs: Optional[int] = None,
-                       with_metrics: bool = False,
-                       store=None):
-        """Full Fig. 7 heatmap: total_tiles x total_tiles round trips.
-
-        With ``jobs=None`` every probe runs in-place on this prototype
-        (the legacy serial scan).  Any other value routes through the
-        sweep engine in :mod:`repro.parallel`, which measures fixed
-        sender-row shards on fresh prototypes — serially for ``jobs=1``,
-        across a process pool for ``jobs>1``, one worker per CPU for
-        ``jobs=0`` — with bit-identical results at every worker count.
-
-        ``with_metrics=True`` (sharded path only) returns ``(matrix,
-        merged_metrics)``: every worker attaches a metrics-only observer
-        and the shard dicts merge exactly, so the sweep archives the same
-        observability at any worker count.  ``store`` (sharded path
-        only) memoizes every shard in a
-        :class:`~repro.store.ResultStore`, so a warm rerun skips
-        simulation for unchanged shards.
-        """
-        if jobs is None:
-            if store is not None:
-                raise ConfigError(
-                    "store requires the sharded path; pass jobs=")
-            if with_metrics:
-                raise ConfigError(
-                    "with_metrics requires the sharded path; pass jobs=")
-            size = self.config.total_tiles
-            matrix = [[0] * size for _ in range(size)]
-            probe = 0
-            for sender in range(size):
-                for receiver in range(size):
-                    samples = []
-                    for _ in range(probes_per_pair):
-                        samples.append(
-                            self.measure_pair_latency(sender, receiver, probe))
-                        probe += 1
-                    matrix[sender][receiver] = sum(samples) // len(samples)
-            return matrix
-        from ..parallel import latency_matrix_spec, run_sweep
-        spec = latency_matrix_spec(
-            self.config, probes_per_pair=probes_per_pair,
-            obs_spec={} if with_metrics else None)
-        merged = run_sweep(spec, jobs=jobs, store=store).value
-        if with_metrics:
-            return merged["rows"], merged["metrics"]
-        return merged["rows"]
 
     # ------------------------------------------------------------------
     # Reporting

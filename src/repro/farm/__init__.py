@@ -34,15 +34,13 @@ from .hosts import (ExternalHost, Host, JobHandle, LocalHost, build_host,
 from .report import (collect_report, job_metrics, load_farm_manifest,
                      write_farm_manifest)
 from .scheduler import (FarmCounters, FarmResult, JobState, run_farm)
-from .spec import (FARM_ENV, FarmSpec, FileSpec, HostSpec, JobSpec,
-                   apply_fault_injection, farm_from_env, load_spec_file,
-                   local_farm)
+from .spec import (FarmSpec, FileSpec, HostSpec, JobSpec,
+                   apply_fault_injection, load_spec_file, local_farm)
 from .suites import (SuitePlan, build_adhoc_job, build_suite_plan,
                      cloud_load_job, farm_sweep, finish_suite,
                      partition_latency_job, plan_sweep, run_file_spec)
 
 __all__ = [
-    "FARM_ENV",
     "ExternalHost",
     "FarmCounters",
     "FarmResult",
@@ -61,7 +59,6 @@ __all__ = [
     "build_suite_plan",
     "cloud_load_job",
     "collect_report",
-    "farm_from_env",
     "farm_sweep",
     "finish_suite",
     "job_metrics",

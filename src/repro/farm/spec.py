@@ -3,7 +3,7 @@
 A farm run is declared by two things: a :class:`FarmSpec` (the pool —
 hosts with slot capacity plus the retry/heartbeat policy) and a list of
 :class:`JobSpec`\\ s (the fleet — what to run).  Both are plain
-dataclasses so programmatic callers (``farm_sweep``, the benchmarks)
+dataclasses so programmatic callers (``farm_sweep``, ``repro serve``)
 build them directly, and both round-trip through the on-disk spec file
 that ``repro farm run <spec.json|yaml>`` consumes::
 
@@ -35,12 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import FarmError, ReproError
-
-#: Environment variable the benchmarks check to run their sweeps as farm
-#: suites: ``REPRO_FARM=2x2`` means 2 local hosts with 2 slots each,
-#: ``REPRO_FARM=4`` means one 4-slot host; unset means no farm.
-FARM_ENV = "REPRO_FARM"
-
 
 @dataclass(frozen=True)
 class HostSpec:
@@ -156,27 +150,6 @@ def local_farm(hosts: int = 1, slots: int = 1, **policy) -> FarmSpec:
         raise FarmError(f"farm: hosts must be >= 1, got {hosts}")
     return FarmSpec(hosts=tuple(HostSpec(f"local-{index}", slots=slots)
                                 for index in range(hosts)), **policy)
-
-
-def farm_from_env(var: str = FARM_ENV) -> Optional[FarmSpec]:
-    """The benchmark opt-in: ``REPRO_FARM=HOSTSxSLOTS`` (or ``SLOTS``).
-
-    Returns None when unset, so benchmarks fall back to the plain
-    ``run_sweep`` path.
-    """
-    raw = os.environ.get(var)
-    if raw is None or raw == "":
-        return None
-    parts = raw.lower().split("x")
-    try:
-        if len(parts) == 1:
-            return local_farm(hosts=1, slots=int(parts[0]))
-        if len(parts) == 2:
-            return local_farm(hosts=int(parts[0]), slots=int(parts[1]))
-    except (ValueError, FarmError) as error:
-        raise FarmError(f"farm: bad {var}={raw!r} ({error}); "
-                        f"use e.g. 2x2 or 4")
-    raise FarmError(f"farm: bad {var}={raw!r}; use HOSTSxSLOTS or SLOTS")
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ and call :func:`run_sweep`.)
 """
 
 from .osmodel import fig8_spec, fig9_spec
-from .probes import latency_matrix_spec, probe_rows
+from .probes import latency_matrix_spec
 from .runner import env_jobs, fixed_shards, resolve_jobs, run_tasks, task_seed
 from .sweep import (SweepResult, SweepSpec, collect_sweep, run_sweep,
                     sweep_point_task, sweep_tasks)
@@ -36,7 +36,6 @@ __all__ = [
     "fig9_spec",
     "fixed_shards",
     "latency_matrix_spec",
-    "probe_rows",
     "resolve_jobs",
     "run_sweep",
     "run_tasks",

@@ -39,6 +39,7 @@ import dataclasses
 import json
 from typing import Dict, List, Optional
 
+from ..core.prototype import Prototype
 from ..errors import ConfigError
 from .sweep import SweepSpec, sweep_cached
 
@@ -49,8 +50,6 @@ OSMODEL_POINT_VERSION = "1"
 
 def _measure_machine(config, obs_spec):
     """Build one prototype: ``(NumaMachine, exported metrics | None)``."""
-    # Imported here: repro.core imports this package for its --jobs path.
-    from ..core.prototype import Prototype
     from ..osmodel import machine_from_prototype
 
     obs = None

@@ -1,4 +1,4 @@
-"""Sharded latency probes: the parallel Fig. 7 machinery.
+"""Sharded latency probes: the Fig. 7 matrix as one sweep.
 
 The full heatmap on a 4x1x12 prototype is 2304 independent coherence
 probes.  Probes are sharded by sender row in fixed groups of
@@ -8,26 +8,27 @@ addresses depend only on the configuration — never on the worker count —
 the matrix is bit-identical at every ``jobs`` value.
 
 (The shard size does shape the result slightly: rows within one shard
-share a prototype, exactly like consecutive rows of the legacy serial
-scan.  It is therefore part of the experiment definition — and of the
-result-store key — not a tuning knob to vary per run.)
+share a prototype's cache state.  It is therefore part of the experiment
+definition — and of the result-store key — not a tuning knob.)
 
-Everything here is expressed as a :class:`~repro.parallel.sweep.SweepSpec`
-(family ``"fig7"``): :func:`latency_matrix_spec` builds the spec,
-:func:`~repro.parallel.run_sweep` runs it, with optional
-:class:`~repro.store.ResultStore` memoization per shard.  Observability
-rides along as before: an ``obs_spec`` (an instrumentation plane dict)
-attaches a metrics-only :class:`~repro.obs.Observer` inside every
-worker and the shard dicts merge exactly, byte-identical at every
-worker count.
+:func:`latency_matrix_spec` is the only way into Fig. 7: ``repro
+latency``, ``bench_fig7.py``, the farm's ``fig7`` suite, serve and the
+end-to-end benchmark all run it through
+:func:`~repro.parallel.run_sweep`, with optional
+:class:`~repro.store.ResultStore` memoization per shard.  An
+``obs_spec`` (an instrumentation plane dict) attaches a metrics-only
+:class:`~repro.obs.Observer` inside every worker and the shard dicts
+merge exactly, byte-identical at every worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from .sweep import SweepSpec, run_sweep
+from ..core.prototype import Prototype
+from .runner import fixed_shards
+from .sweep import SweepSpec
 
 #: Sender rows measured per worker task.  Amortizes the prototype build
 #: (~1/3 of a row's probe time) while leaving enough shards to load
@@ -42,12 +43,10 @@ FIG7_POINT_VERSION = "1"
 def measure_rows_point(config, point, _seed, obs_spec):
     """Sweep point fn: fresh prototype, full receiver rows for a shard.
 
-    ``point`` is ``{"senders": [...], "probes_per_pair": k}``.  Returns
-    ``{"rows": [[cycles]], "metrics": dict | None}``.
+    ``point`` is ``{"senders": [...], "probes_per_pair": 1}``; the
+    constant second key keeps every stored shard's key unchanged.
+    Returns ``{"rows": [[cycles]], "metrics": dict | None}``.
     """
-    # Imported here: repro.core imports this package for its --jobs path.
-    from ..core.prototype import Prototype
-
     obs = None
     if obs_spec is not None:
         from ..obs import Observer, as_plane
@@ -55,20 +54,12 @@ def measure_rows_point(config, point, _seed, obs_spec):
                                            tracing=False))
     proto = Prototype(config, obs=obs)
     size = config.total_tiles
-    probes_per_pair = point["probes_per_pair"]
-    rows = []
-    for sender in point["senders"]:
-        row = []
-        for receiver in range(size):
-            # Same probe numbering as the serial scan: unique per sample,
-            # regardless of sharding.
-            base = (sender * size + receiver) * probes_per_pair
-            samples = [
-                proto.measure_pair_latency(sender, receiver, base + k)
-                for k in range(probes_per_pair)
-            ]
-            row.append(sum(samples) // len(samples))
-        rows.append(row)
+    # Every probe gets its own line (index sender * size + receiver),
+    # whichever shard it lands in.
+    rows = [[proto.measure_pair_latency(sender, receiver,
+                                        sender * size + receiver)
+             for receiver in range(size)]
+            for sender in point["senders"]]
     return {"rows": rows,
             "metrics": obs.export_metrics() if obs is not None else None}
 
@@ -84,50 +75,17 @@ def merge_rows(values: List[dict]) -> Dict[str, object]:
     return {"rows": rows, "metrics": metrics}
 
 
-def latency_matrix_spec(config, senders: Optional[Sequence[int]] = None,
-                        probes_per_pair: int = 1,
-                        rows_per_shard: int = ROWS_PER_SHARD,
-                        obs_spec: Optional[dict] = None,
+def latency_matrix_spec(config, obs_spec: Optional[dict] = None,
                         root_seed: int = 0) -> SweepSpec:
-    """The Fig. 7 probe sweep as a :class:`SweepSpec`.
+    """The Fig. 7 probe sweep over every sender, as a :class:`SweepSpec`.
 
-    ``senders=None`` covers every sender (the full heatmap).  The shard
-    composition is part of each point — and therefore of its store key —
-    so cached and fresh shards can never mix meanings.
+    The shard composition is part of each point — and therefore of its
+    store key — so cached and fresh shards can never mix meanings.
     """
-    from .runner import fixed_shards
-
-    if senders is None:
-        senders = range(config.total_tiles)
-    points = [{"senders": list(shard), "probes_per_pair": probes_per_pair}
-              for shard in fixed_shards(list(senders), rows_per_shard)]
+    points = [{"senders": shard, "probes_per_pair": 1}
+              for shard in fixed_shards(list(range(config.total_tiles)),
+                                        ROWS_PER_SHARD)]
     return SweepSpec(family="fig7", config=config, points=points,
                      point_fn=measure_rows_point, merge_fn=merge_rows,
                      version=FIG7_POINT_VERSION, root_seed=root_seed,
                      obs_spec=obs_spec)
-
-
-def probe_rows(config, senders: Sequence[int], probes_per_pair: int = 1,
-               jobs: Optional[int] = 1,
-               rows_per_shard: int = 1,
-               with_metrics: bool = False,
-               obs_spec: Optional[dict] = None,
-               store=None):
-    """Full receiver rows for selected ``senders`` (CLI ``latency``).
-
-    Each sender gets its own fresh prototype by default
-    (``rows_per_shard=1``), so the row set — unlike the full matrix scan —
-    is independent of which senders were requested together.  With
-    ``with_metrics=True`` returns ``(rows, merged_metrics)``.  A
-    ``store`` memoizes each shard under the ``"fig7"`` family.
-    """
-    if with_metrics and obs_spec is None:
-        obs_spec = {}
-    spec = latency_matrix_spec(config, senders=senders,
-                               probes_per_pair=probes_per_pair,
-                               rows_per_shard=rows_per_shard,
-                               obs_spec=obs_spec if with_metrics else None)
-    merged = run_sweep(spec, jobs=jobs, store=store).value
-    if with_metrics:
-        return merged["rows"], merged["metrics"]
-    return merged["rows"]

@@ -90,12 +90,21 @@ class PartitionEngine:
     # ------------------------------------------------------------------
     # Protocol plumbing
     # ------------------------------------------------------------------
+    @staticmethod
+    def _send(conn, message) -> None:
+        try:
+            conn.send(message)
+        except OSError as error:    # broken pipe: the worker is gone
+            raise SimulationError(
+                f"partition worker died ({error})") from None
+
     def _recv(self, conn):
         try:
             status, payload = conn.recv()
-        except EOFError:
+        except (EOFError, OSError) as error:
             raise SimulationError(
-                "partition worker died before replying") from None
+                f"partition worker died before replying "
+                f"({type(error).__name__})") from None
         if status != "ok":
             raise SimulationError(f"partition worker failed:\n{payload}")
         return payload
@@ -103,7 +112,7 @@ class PartitionEngine:
     def call(self, partition: int, name: str, *args):
         """One named control call on one shard."""
         conn = self._conns[partition]
-        conn.send(("call", name, args))
+        self._send(conn, ("call", name, args))
         reply = self._recv(conn)
         self._next_times[partition] = reply["next_time"]
         return reply["value"]
@@ -111,7 +120,7 @@ class PartitionEngine:
     def broadcast(self, name: str, *args) -> list:
         """The same control call on every shard; values in shard order."""
         for conn in self._conns:
-            conn.send(("call", name, args))
+            self._send(conn, ("call", name, args))
         values = []
         for index, conn in enumerate(self._conns):
             reply = self._recv(conn)
@@ -139,7 +148,7 @@ class PartitionEngine:
         for index, conn in enumerate(conns):
             inbox = self._inboxes[index]
             inbox.sort(key=lambda entry: entry[_INBOX_ORDER])
-            conn.send(("quantum", bound, inbox))
+            self._send(conn, ("quantum", bound, inbox))
             self._inboxes[index] = []
         barrier_start = time.perf_counter()
         slowest = 0.0

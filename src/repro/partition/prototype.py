@@ -1,10 +1,11 @@
 """The sharded prototype: the `Prototype` API over partition workers.
 
 ``Prototype(config, partitions=N)`` dispatches here (see
-``Prototype.__new__``) when ``N`` resolves to more than one partition.
-The public surface — ``mem_access``, ``run``, ``now``,
-``measure_pair_latency``, ``latency_matrix``, ``load_image`` /
-``peek_memory``, ``stats_report`` — matches the monolithic class, and
+``Prototype.__new__``) when ``N`` resolves to more than one partition;
+the partition-2 end-to-end workload and the farm's ``partition-latency``
+job are its callers.  The public surface — ``mem_access``, ``run``,
+``now``, ``measure_pair_latency``, ``load_image`` / ``peek_memory``,
+``stats_report`` — matches the monolithic class, and
 every architectural result (cycle counts, metrics, traces) is
 bit-identical to a monolithic run of the same config; the observability
 plumbing differs only in how it is wired (per-worker observers built

@@ -41,3 +41,14 @@ def route_channels_through_schedule(monkeypatch):
     """Make every simulator channel built from here on a ScheduleChannel,
     so whole prototypes can run on the reference path."""
     monkeypatch.setattr(Simulator, "channel", schedule_channel)
+
+
+def scan_matrix(proto):
+    """Every Fig. 7 pair probed in place on one prototype, each probe on
+    its own line: the whole-run workload the identity tests compare on
+    both paths (the paper matrix itself is ``latency_matrix_spec``)."""
+    size = proto.config.total_tiles
+    return [[proto.measure_pair_latency(sender, receiver,
+                                        sender * size + receiver)
+             for receiver in range(size)]
+            for sender in range(size)]

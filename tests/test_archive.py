@@ -422,15 +422,6 @@ class TestStatsTraceCli:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_stats_sharded_path_archives(self, tmp_path, capsys):
-        run = tmp_path / "run"
-        assert main(["stats", "2x1x2", "--jobs", "2", "--format", "json",
-                     "--output", str(tmp_path / "m.json"),
-                     "--archive", str(run)]) == 0
-        loaded = RunArchive.load(run)
-        assert loaded.metrics == json.loads(
-            (tmp_path / "m.json").read_text())
-
     def test_trace_stream_cli(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl.gz"
         assert main(["trace", "2x1x2", "--stream", "--out", str(out),

@@ -53,6 +53,42 @@ class TestLatency:
         assert "inter-node" in out
         assert "NUMA ratio" in out
 
+    def test_latency_is_the_fig7_matrix_at_every_jobs(self, capsys):
+        from repro import parse_config
+        from repro.parallel import latency_matrix_spec, run_sweep
+        matrix = run_sweep(latency_matrix_spec(
+            parse_config("2x1x6"))).value["rows"]
+        blocks = {True: [], False: []}
+        for sender, row in enumerate(matrix):
+            for receiver, latency in enumerate(row):
+                if sender != receiver:
+                    blocks[sender // 6 == receiver // 6].append(latency)
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["latency", "2x1x6", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for name, same_node in (("intra-node", True), ("inter-node", False)):
+            values = blocks[same_node]
+            line = next(line for line in outputs[0].splitlines()
+                        if line.startswith(name))
+            cells = [cell.strip() for cell in line.split("|")]
+            assert cells[1:] == [f"{sum(values) / len(values):.0f}",
+                                 str(min(values)), str(max(values))]
+
+    def test_latency_archive_holds_the_sweep_metrics(self, tmp_path,
+                                                     capsys):
+        from repro import parse_config
+        from repro.obs import RunArchive
+        from repro.parallel import latency_matrix_spec, run_sweep
+        run = tmp_path / "run"
+        assert main(["latency", "2x1x2", "--archive", str(run)]) == 0
+        result = run_sweep(latency_matrix_spec(parse_config("2x1x2"),
+                                               obs_spec={}))
+        archive = RunArchive.load(run)
+        assert archive.metrics == result.value["metrics"]
+        assert archive.manifest["config_hash"] == result.config_hash
+
 
 class TestHello:
     def test_hello_prints_console(self, capsys):
@@ -72,11 +108,6 @@ class TestCost:
 
 
 class TestLatencyStore:
-    def test_latency_store_requires_jobs(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["latency", "1x1x4", "--store", store]) == 2
-        assert "pass --jobs" in capsys.readouterr().err
-
     def test_latency_cold_then_warm_identical_output(self, tmp_path,
                                                      capsys):
         import os

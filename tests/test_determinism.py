@@ -7,12 +7,13 @@ changes (event pooling, calendar-queue scheduling, compaction) that could
 silently reorder same-cycle events.
 """
 
-from repro import build
+from repro import build, parse_config
 from repro.engine import Simulator
+from repro.parallel import latency_matrix_spec, run_sweep
 from repro.workloads import run_helloworld
 from repro.workloads.noise import fig10_speedups
 from schedule_reference import route_channels_through_schedule, \
-    schedule_channel
+    scan_matrix, schedule_channel
 
 
 def _scripted_run(sim: Simulator):
@@ -66,9 +67,8 @@ class TestKernelDeterminism:
 
 class TestSystemDeterminism:
     def test_latency_matrix_repeatable(self):
-        first = build("1x2x2").latency_matrix()
-        second = build("1x2x2").latency_matrix()
-        assert first == second
+        spec = latency_matrix_spec(parse_config("1x2x2"))
+        assert run_sweep(spec).value == run_sweep(spec).value
 
     def test_stats_report_repeatable(self):
         reports = []
@@ -128,13 +128,12 @@ class TestFastPathDeterminism:
         assert _mixed_path_run() == _mixed_path_run()
 
     def test_prototype_channels_match_generic_schedule(self, monkeypatch):
-        from repro.core.config import parse_config
         from repro.core.prototype import Prototype
 
         config = parse_config("1x2x2")
         fast = Prototype(config)
-        fast_matrix = fast.latency_matrix()
+        fast_matrix = scan_matrix(fast)
         route_channels_through_schedule(monkeypatch)
         generic = Prototype(config)
-        assert fast_matrix == generic.latency_matrix()
+        assert fast_matrix == scan_matrix(generic)
         assert fast.sim.events_executed == generic.sim.events_executed

@@ -14,9 +14,9 @@ from repro import parse_config
 from repro.errors import FarmError, TransientJobError
 from repro.farm import (ExternalHost, FarmSpec, HostSpec, JobSpec,
                         LocalHost, apply_fault_injection, build_host,
-                        farm_from_env, farm_sweep, finish_suite,
-                        load_farm_manifest, load_spec_file, local_farm,
-                        plan_sweep, register_host_backend, run_farm)
+                        farm_sweep, finish_suite, load_farm_manifest,
+                        load_spec_file, local_farm, plan_sweep,
+                        register_host_backend, run_farm)
 from repro.parallel import fig8_spec, run_sweep
 from repro.store import ResultStore
 
@@ -67,28 +67,6 @@ class TestSpecs:
     def test_farm_rejects_duplicate_hosts(self):
         with pytest.raises(FarmError):
             FarmSpec(hosts=(HostSpec("a"), HostSpec("a")))
-
-    def test_farm_from_env_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FARM", raising=False)
-        assert farm_from_env() is None
-
-    def test_farm_from_env_hosts_x_slots(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM", "2x3")
-        farm = farm_from_env()
-        assert len(farm.hosts) == 2 and farm.total_slots == 6
-
-    def test_farm_from_env_slots_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM", "4")
-        farm = farm_from_env()
-        assert len(farm.hosts) == 1 and farm.total_slots == 4
-
-    def test_farm_from_env_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM", "2x2x2")
-        with pytest.raises(FarmError):
-            farm_from_env()
-        monkeypatch.setenv("REPRO_FARM", "banana")
-        with pytest.raises(FarmError):
-            farm_from_env()
 
     def test_fault_injection_rewrites_named_jobs(self):
         jobs = [JobSpec("a", ok_job, {"x": 1}),

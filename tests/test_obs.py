@@ -20,7 +20,7 @@ from repro.obs import (MetricRegistry, Observer, ProbeSet, Tracer,
                        link_utilization_probe, validate_chrome_trace)
 from repro.obs.observer import metric_path
 from repro.obs.registry import prom_name
-from schedule_reference import route_channels_through_schedule
+from schedule_reference import route_channels_through_schedule, scan_matrix
 
 
 class TestHistogramSerde:
@@ -390,7 +390,7 @@ class TestObsDeterminism:
 
         def run(obs):
             proto = Prototype(parse_config(config), obs=obs)
-            matrix = proto.latency_matrix()
+            matrix = scan_matrix(proto)
             return matrix, proto.stats_report(), proto.now
 
         base_matrix, base_stats, base_now = run(None)

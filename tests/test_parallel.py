@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro import build, parse_config
+from repro import parse_config
 from repro.errors import ConfigError
 from repro.parallel import (SweepSpec, env_jobs, fig8_spec, fig9_spec,
-                            fixed_shards, latency_matrix_spec, probe_rows,
-                            resolve_jobs, run_sweep, run_tasks, task_seed)
+                            fixed_shards, latency_matrix_spec, resolve_jobs,
+                            run_sweep, run_tasks, task_seed)
 from repro.parallel import sweep as sweep_mod
+from repro.store import ResultStore
 
 
 def _square(value):
@@ -94,32 +95,29 @@ class TestRunner:
 
 
 class TestShardedProbes:
-    def test_matrix_identical_serial_vs_parallel(self):
-        config = parse_config("1x2x2")
-        serial = run_sweep(latency_matrix_spec(config), jobs=1)
-        parallel = run_sweep(latency_matrix_spec(config), jobs=4)
-        assert serial.value["rows"] == parallel.value["rows"]
-
-    def test_matrix_identical_via_prototype_api(self):
-        proto = build("1x2x2")
-        assert proto.latency_matrix(jobs=1) == proto.latency_matrix(jobs=4)
+    def test_matrix_identical_serial_vs_parallel(self, tmp_path):
+        # 2x1x4 is two 4-row shards, so jobs=2 really starts a pool.
+        spec = latency_matrix_spec(parse_config("2x1x4"), obs_spec={})
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
+        assert serial.points == 2
+        assert json.dumps(parallel.value) == json.dumps(serial.value)
+        assert serial.value["metrics"]
+        cold = run_sweep(spec, jobs=2, store=ResultStore(tmp_path))
+        assert (cold.hits, cold.misses) == (0, 2)
+        warm = run_sweep(spec, jobs=1, store=ResultStore(tmp_path))
+        assert (warm.hits, warm.misses) == (2, 0)
+        assert json.dumps(cold.value) == json.dumps(serial.value)
+        assert json.dumps(warm.value) == json.dumps(serial.value)
 
     def test_shard_size_part_of_experiment(self):
-        # rows_per_shard defines which probes share a prototype; any jobs
-        # value leaves it alone, so results never depend on worker count.
-        config = parse_config("1x2x2")
-        spec = latency_matrix_spec(config, rows_per_shard=2)
-        one = run_sweep(spec, jobs=1).value["rows"]
-        two = run_sweep(spec, jobs=2).value["rows"]
-        assert one == two
-
-    def test_probe_rows_match_matrix_diagonal_blocks(self):
-        config = parse_config("1x2x2")
-        rows = probe_rows(config, [0, 2], jobs=2)
-        assert len(rows) == 2
-        assert all(len(row) == config.total_tiles for row in rows)
-        # A row measured alone equals the same row measured in a batch.
-        assert probe_rows(config, [0], jobs=1)[0] == rows[0]
+        # Fixed 4-row shards define which probes share a prototype; the
+        # point payloads (and so every store key) never depend on jobs.
+        spec = latency_matrix_spec(parse_config("2x1x6"))
+        assert spec.points == [
+            {"senders": [0, 1, 2, 3], "probes_per_pair": 1},
+            {"senders": [4, 5, 6, 7], "probes_per_pair": 1},
+            {"senders": [8, 9, 10, 11], "probes_per_pair": 1}]
 
 
 class TestCliJobs:
@@ -127,14 +125,6 @@ class TestCliJobs:
         from repro.cli import main
         assert main(["sweep", "--jobs", "2"]) == 0
         assert "configurations that fit" in capsys.readouterr().out
-
-    def test_latency_jobs_matches_legacy(self, capsys):
-        from repro.cli import main
-        assert main(["latency", "1x2x2", "--jobs", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert main(["latency", "1x2x2"]) == 0
-        legacy = capsys.readouterr().out
-        assert sharded == legacy
 
 
 class TestShardedOsModel:

@@ -5,21 +5,21 @@ processes (``Prototype(config, partitions=N)``) must produce the exact
 latencies, cycle counts, merged metrics, and merged streaming traces of
 the monolithic run, at any partition count, with typed channels or the
 generic ``schedule()`` path, on the production or the debug simulator.
-Plus the window derivation, the partition-count validation, and the CLI
-flag plumbing.
+Plus the window derivation, the partition-count validation, and a dead
+worker ending in a typed error.
 """
 
-import argparse
 import dataclasses
 import json
+import os
+import signal
 
 import pytest
 
 from repro import Prototype, parse_config
 from repro.cli import main
-from repro.cli_common import partitions_count
 from repro.engine import Simulator
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.interconnect.pcie import PCIE_ONE_WAY_CYCLES
 from repro.noc import MsgClass, NocChannel, NodeNetwork, Packet, TileAddr
 from repro.obs import Observer, as_plane, chrome_from_jsonl
@@ -378,29 +378,28 @@ class TestClockFloor:
             assert engine.global_now == 7
 
 
+class TestWorkerDeath:
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_worker_is_a_typed_error_and_reaped(self, victim):
+        proto = Prototype(parse_config("2x1x2"), partitions=2)
+        procs = list(proto._engine._procs)
+        try:
+            proto.measure_pair_latency(0, 3)
+            os.kill(procs[victim].pid, signal.SIGKILL)
+            procs[victim].join(timeout=10)
+            with pytest.raises(SimulationError, match="worker died"):
+                proto.measure_pair_latency(0, 3)
+        finally:
+            proto.close()
+        assert not any(proc.is_alive() for proc in procs)
+
+
 class TestCli:
-    def test_partitions_count_type(self):
-        assert partitions_count("0") == 0
-        assert partitions_count("3") == 3
-        with pytest.raises(argparse.ArgumentTypeError):
-            partitions_count("-1")
-        with pytest.raises(argparse.ArgumentTypeError):
-            partitions_count("two")
-
-    def test_latency_table_matches_monolithic(self, capsys):
-        assert main(["latency", "2x1x2", "--partitions", "2"]) == 0
-        partitioned = capsys.readouterr().out
-        assert main(["latency", "2x1x2"]) == 0
-        assert capsys.readouterr().out == partitioned
-
-    def test_latency_rejects_jobs_with_partitions(self, capsys):
-        assert main(["latency", "4x1x2", "--partitions", "2",
-                     "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
     def test_sweep_rejects_partitions_flag(self, capsys):
-        # sweep only estimates resource fit, so it has no such flag.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--partitions", "2"])
-        assert excinfo.value.code == 2
-        assert "--partitions" in capsys.readouterr().err
+        # Partitioning has no CLI flag: sweep only estimates resource
+        # fit, and latency runs the one Fig. 7 sweep.
+        for command in (["sweep"], ["latency", "2x1x2"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--partitions", "2"])
+            assert excinfo.value.code == 2
+            assert "--partitions" in capsys.readouterr().err

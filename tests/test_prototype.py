@@ -7,6 +7,7 @@ import pytest
 from repro import ConfigError, Prototype, build, parse_config
 from repro.cache import load, store
 from repro.errors import ResourceError
+from repro.parallel import latency_matrix_spec, run_sweep
 
 
 class TestConfig:
@@ -151,8 +152,8 @@ class TestFig7Machinery:
         assert 2.0 <= inter / intra <= 3.5
 
     def test_latency_matrix_shape(self):
-        proto = build("2x1x2")
-        matrix = proto.latency_matrix()
+        spec = latency_matrix_spec(parse_config("2x1x2"))
+        matrix = run_sweep(spec).value["rows"]
         assert len(matrix) == 4
         assert all(len(row) == 4 for row in matrix)
         # NUMA structure: diagonal blocks cheap, off-diagonal expensive.

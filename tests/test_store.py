@@ -399,17 +399,6 @@ class TestFig8WarmCache:
         fresh = run_sweep(spec, jobs=1)
         assert json.dumps(warm.value) == json.dumps(fresh.value)
 
-    def test_latency_matrix_store_via_prototype(self, tmp_path):
-        from repro import build
-        proto = build(self.CONFIG)
-        store = ResultStore(tmp_path)
-        cold = proto.latency_matrix(jobs=1, store=store)
-        assert store.misses > 0
-        warm_store = ResultStore(tmp_path)
-        warm = proto.latency_matrix(jobs=2, store=warm_store)
-        assert warm_store.hits > 0 and warm_store.misses == 0
-        assert cold == warm == proto.latency_matrix(jobs=1)
-
 
 class TestDeprecatedWrappersRemoved:
     """The PR-5 deprecation has landed: the sharded_* names are gone and
