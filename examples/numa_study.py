@@ -13,9 +13,8 @@ Run:  python examples/numa_study.py
 """
 
 from repro import build
-from repro.analysis import block_summary, heatmap, line_series
-from repro.osmodel import machine_from_prototype
-from repro.workloads import fig8_series, fig9_series
+from repro.analysis import heatmap, line_series
+from repro.parallel import fig8_spec, fig9_spec, run_sweep
 
 
 def main() -> None:
@@ -28,13 +27,16 @@ def main() -> None:
               for s in senders]
     print(heatmap(matrix, title="inter-core latency, one sender per node"))
 
-    machine = machine_from_prototype(proto)
-    print(f"\nmeasured: local={machine.local_latency:.0f} cycles, "
-          f"remote={machine.remote_latency:.0f} cycles "
-          f"({machine.remote_latency / machine.local_latency:.1f}x)")
+    # Figs. 8 and 9 measure the NUMA machine on a fresh prototype of the
+    # same config, then evaluate the IS model once per sweep point.
+    fig8 = run_sweep(fig8_spec(proto.config)).value
+    machine = fig8["machine"]
+    local, remote = machine["local_latency"], machine["remote_latency"]
+    print(f"\nmeasured: local={local:.0f} cycles, "
+          f"remote={remote:.0f} cycles ({remote / local:.1f}x)")
 
     # Fig. 8: runtime scaling with NUMA mode on/off.
-    series = fig8_series(machine)
+    series = fig8["series"]
     print()
     print(line_series([f"{t}T" for t in series["threads"]],
                       {"NUMA on": series["numa_on"],
@@ -46,7 +48,7 @@ def main() -> None:
           "(3 -> 48 threads)")
 
     # Fig. 9: 12 threads pinned to 1..4 nodes.
-    pinning = fig9_series(machine)
+    pinning = run_sweep(fig9_spec(proto.config)).value["series"]
     print()
     print(line_series([f"{k} nodes" for k in pinning["active_nodes"]],
                       {"NUMA on": pinning["numa_on"],

@@ -4,7 +4,7 @@ from .instances import EC2_INSTANCES, Ec2Instance, cheapest_for
 from .model import (FIG13_TOOLS, benchmark_costs, gem5_cost_ratio,
                     suite_costs, verilator_cost_efficiency_ratio,
                     verilator_runtime_seconds)
-from .onprem import CostComparison, fig14_series
+from .onprem import CostComparison
 from .simulators import SIMULATORS, SimulatorModel, TARGET_IPC, table3_rows
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "TARGET_IPC",
     "benchmark_costs",
     "cheapest_for",
-    "fig14_series",
     "gem5_cost_ratio",
     "suite_costs",
     "table3_rows",

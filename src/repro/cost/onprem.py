@@ -50,7 +50,3 @@ class CostComparison:
             "onprem": [self.onprem_cost(d) for d in days],
         }
 
-
-def fig14_series(max_days: int = 350, step: int = 10) -> dict:
-    """The Fig. 14 curves for the single-FPGA setup."""
-    return CostComparison().series(max_days=max_days, step=step)

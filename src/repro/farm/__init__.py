@@ -6,10 +6,10 @@ cloud FPGA instances the budget allows (Paper Sec. 3, Fig. 12).  This
 package is that layer for the simulation, shaped after FireSim's
 ``run_farm`` / ``instance_deploy_manager``:
 
-* a :class:`FarmSpec` declares the pool — hosts with slot capacity
-  (the built-in backend is a local process pool; ``ExternalHost`` is
-  the pluggable protocol for multi-machine later) and the
-  retry/backoff/heartbeat policy;
+* a :class:`FarmSpec` declares the pool — hosts with slot capacity,
+  each a :class:`LocalHost` of persistent worker processes that live
+  for one :func:`run_farm` call — and the retry/backoff/heartbeat
+  policy;
 * :class:`JobSpec` fleets come from sweeps (:func:`farm_sweep` expands
   a :class:`~repro.parallel.SweepSpec` one job per point) or ad-hoc
   builders (partitioned runs weighing N slots, cloud load points);
@@ -23,14 +23,15 @@ package is that layer for the simulation, shaped after FireSim's
   archive that ``repro diff`` can gate — rendered by
   ``repro farm status``.
 
-The determinism contract survives the new layer: a farm suite runs the
-same per-point tasks as :func:`~repro.parallel.run_sweep` and folds
-them in point order, so *serial == pool sweep == farm*, byte for byte,
-at any host/slot count.
+This is the one launcher for ``--jobs``/``REPRO_JOBS`` work:
+:func:`~repro.parallel.run_sweep` and :func:`~repro.parallel.run_tasks`
+at ``jobs > 1`` run on a one-host :func:`local_farm` of ``jobs`` slots.
+The determinism contract survives the layer: a farm suite runs the same
+per-point tasks as the serial sweep and folds them in point order, so
+*serial == farm*, byte for byte, at any host/slot count.
 """
 
-from .hosts import (ExternalHost, Host, JobHandle, LocalHost, build_host,
-                    register_host_backend)
+from .hosts import Host, JobHandle, LocalHost
 from .report import (collect_report, job_metrics, load_farm_manifest,
                      write_farm_manifest)
 from .scheduler import (FarmCounters, FarmResult, JobState, run_farm)
@@ -41,7 +42,6 @@ from .suites import (SuitePlan, build_adhoc_job, build_suite_plan,
                      partition_latency_job, plan_sweep, run_file_spec)
 
 __all__ = [
-    "ExternalHost",
     "FarmCounters",
     "FarmResult",
     "FarmSpec",
@@ -55,7 +55,6 @@ __all__ = [
     "SuitePlan",
     "apply_fault_injection",
     "build_adhoc_job",
-    "build_host",
     "build_suite_plan",
     "cloud_load_job",
     "collect_report",
@@ -67,7 +66,6 @@ __all__ = [
     "local_farm",
     "partition_latency_job",
     "plan_sweep",
-    "register_host_backend",
     "run_farm",
     "run_file_spec",
     "write_farm_manifest",

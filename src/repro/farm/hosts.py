@@ -1,22 +1,24 @@
 """Farm hosts: where job attempts actually run.
 
-The built-in backend is :class:`LocalHost` — every attempt is a forked
-worker process on this machine, and a host's ``slots`` bound how many
-slot-weights run on it at once (the process-pool analogue of FireSim's
-``run_farm`` instances).  The deploy seam is deliberately narrow so a
-multi-machine backend can plug in later: a host launches an attempt and
-returns a :class:`JobHandle` carrying the attempt's private event pipe;
-the scheduler polls handles for liveness, reads events off their pipes,
-and kills through the handle.  :class:`ExternalHost` is the protocol
-stub for externally provisioned hosts — subclass it, implement
-``launch`` (relay the remote worker's events into a local pipe), and
-register the backend name with :func:`register_host_backend`.
+:class:`LocalHost` keeps up to ``slots`` persistent worker processes for
+the length of one :func:`~repro.farm.run_farm` call, each serving
+attempts one after another over its own duplex pipe
+(:mod:`repro.farm.worker`), so work every point of a sweep repeats
+(:func:`~repro.parallel.sweep.sweep_cached`) is done once per worker.  A
+worker whose attempt crashed, was killed, or hit pipe EOF is discarded,
+and the next launch starts a fresh one in its place.
+
+The seam is narrow: a :class:`Host` launches an attempt and returns a
+:class:`JobHandle` carrying the worker's event pipe; the scheduler polls
+handles for liveness, reads events, kills and reaps through the handle,
+and closes every host when the fleet settles.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, Optional, Type
+import pickle
+from typing import List, Optional
 
 from ..errors import FarmError
 from .spec import HostSpec, JobSpec
@@ -27,15 +29,15 @@ class JobHandle:
     """One running attempt, as the scheduler sees it.
 
     ``events`` is the read end of the attempt's event pipe (an object
-    with ``poll``/``recv``/``close``/``fileno``); the scheduler owns it
-    after launch and closes it on release.
+    with ``poll``/``recv``/``fileno``); the scheduler clears
+    ``events_open`` when it reads EOF there.
     """
 
     def __init__(self, job: JobSpec, attempt: int, events) -> None:
         self.job = job
         self.attempt = attempt
         self.events = events
-        self.events_open = events is not None
+        self.events_open = True
 
     def alive(self) -> bool:
         raise NotImplementedError
@@ -47,13 +49,8 @@ class JobHandle:
         raise NotImplementedError
 
     def reap(self) -> None:
-        """Release OS resources after the attempt finished."""
-        if self.events is not None:
-            try:
-                self.events.close()
-            except OSError:
-                pass
-            self.events_open = False
+        """Release the attempt's resources once it is over."""
+        raise NotImplementedError
 
 
 class Host:
@@ -68,10 +65,6 @@ class Host:
         return self.spec.name
 
     @property
-    def slots(self) -> int:
-        return self.spec.slots
-
-    @property
     def free_slots(self) -> int:
         return self.spec.slots - self.busy_slots
 
@@ -79,12 +72,48 @@ class Host:
                heartbeat_interval: float) -> JobHandle:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Stop whatever the host keeps between attempts."""
 
-class _ProcessHandle(JobHandle):
-    def __init__(self, job: JobSpec, attempt: int, events,
-                 process: multiprocessing.Process) -> None:
-        super().__init__(job, attempt, events)
-        self.process = process
+
+class _Worker:
+    """One persistent worker process and the parent's end of its pipe."""
+
+    def __init__(self, name: str) -> None:
+        self.conn, child_conn = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=worker_main, args=(child_conn, self.conn), name=name,
+            daemon=False)   # a job may start processes of its own
+        self.process.start()
+        # The child inherited its end; closing ours makes worker death
+        # observable as EOF on the parent end.
+        child_conn.close()
+
+    def stop(self, kill: bool = False) -> None:
+        """Ask the worker to exit (or kill it), then release it."""
+        try:
+            if not kill:
+                self.conn.send(None)
+                self.process.join(timeout=5.0)
+        except OSError:
+            pass   # already gone
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
+        self.process.close()
+
+
+class _WorkerHandle(JobHandle):
+    """One attempt on one of a :class:`LocalHost`'s workers."""
+
+    def __init__(self, job: JobSpec, attempt: int, host: "LocalHost",
+                 worker: _Worker) -> None:
+        super().__init__(job, attempt, worker.conn)
+        self.host = host
+        self.worker = worker
+        self.process = worker.process
+        self.killed = False
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -93,78 +122,57 @@ class _ProcessHandle(JobHandle):
         return self.process.exitcode
 
     def terminate(self) -> None:
+        self.killed = True
         if self.process.is_alive():
             self.process.terminate()
 
     def reap(self) -> None:
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        try:
-            self.process.close()
-        except ValueError:
-            pass
-        super().reap()
+        """Return the worker to the host if the attempt ended with its
+        own ``done``/``failed`` event; otherwise discard it."""
+        if self.events_open and not self.killed and self.alive():
+            self.host.idle.append(self.worker)
+        else:
+            self.worker.stop(kill=True)
+        self.events_open = False
 
 
 class LocalHost(Host):
-    """The built-in backend: one forked worker process per attempt,
-    with a private event pipe per attempt (kill-safe by construction)."""
+    """The built-in backend: persistent local worker processes, each
+    with a private duplex pipe (kill-safe by construction)."""
+
+    def __init__(self, spec: HostSpec) -> None:
+        super().__init__(spec)
+        self.idle: List[_Worker] = []
+        self._started = 0
 
     def launch(self, job: JobSpec, attempt: int,
                heartbeat_interval: float) -> JobHandle:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=worker_main,
-            args=(job.job_id, attempt, job.fn, job.payload, child_conn,
-                  heartbeat_interval, job.inject_fail, job.inject_crash,
-                  job.inject_hang),
-            name=f"repro-farm-{self.name}-{job.job_id}-a{attempt}",
-            daemon=False)
-        process.start()
-        # The child inherited its end; closing ours makes worker death
-        # observable as EOF on the parent end.
-        child_conn.close()
-        return _ProcessHandle(job, attempt, parent_conn, process)
+        try:
+            message = pickle.dumps(
+                (job.job_id, attempt, job.fn, job.payload,
+                 heartbeat_interval, job.inject_fail, job.inject_crash,
+                 job.inject_hang), protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as error:
+            raise FarmError(f"farm: job {job.job_id!r} cannot be sent "
+                            f"to a worker ({error})")
+        while self.idle:
+            worker = self.idle.pop()
+            try:
+                worker.conn.send_bytes(message)
+            except OSError:
+                worker.stop(kill=True)   # died while idle; replace it
+                continue
+            return _WorkerHandle(job, attempt, self, worker)
+        self._started += 1
+        worker = _Worker(f"repro-farm-{self.name}-w{self._started}")
+        try:
+            worker.conn.send_bytes(message)
+        except OSError:
+            pass   # died at start: the scheduler sees a crashed attempt
+        return _WorkerHandle(job, attempt, self, worker)
 
-
-class ExternalHost(Host):
-    """Protocol stub for externally provisioned (multi-machine) hosts.
-
-    A real implementation ships the job payload to a remote machine
-    (SSH, a cloud instance, a queue), relays the remote worker's event
-    stream into the handle's local pipe, and maps
-    ``alive``/``terminate`` onto the remote process.  The stub exists
-    so the scheduler's seam is typed and tested today; launching on it
-    is an explicit error, not a silent local fallback.
-    """
-
-    def launch(self, job: JobSpec, attempt: int,
-               heartbeat_interval: float) -> JobHandle:
-        raise FarmError(
-            f"farm: host {self.name!r} uses the 'external' protocol "
-            f"stub; subclass ExternalHost and register_host_backend() "
-            f"a real implementation")
-
-
-_BACKENDS: Dict[str, Type[Host]] = {
-    "local": LocalHost,
-    "external": ExternalHost,
-}
-
-
-def register_host_backend(name: str, cls: Type[Host]) -> None:
-    """Register a host backend (the multi-host plug-in point)."""
-    if not issubclass(cls, Host):
-        raise FarmError(f"farm: backend {name!r} must subclass Host")
-    _BACKENDS[name] = cls
-
-
-def build_host(spec: HostSpec) -> Host:
-    cls = _BACKENDS.get(spec.backend)
-    if cls is None:
-        raise FarmError(
-            f"farm: host {spec.name!r} names unknown backend "
-            f"{spec.backend!r} (known: {sorted(_BACKENDS)})")
-    return cls(spec)
+    def close(self) -> None:
+        """Stop the idle workers (the scheduler reaps busy ones first)."""
+        workers, self.idle = self.idle, []
+        for worker in workers:
+            worker.stop()

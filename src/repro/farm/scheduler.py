@@ -7,12 +7,12 @@ One single-threaded monitor loop owns the whole fleet (the FireSim
    first host with enough free slots, in submission order; a job's
    ``slots`` weight is reserved for its whole attempt (an N-partition
    job holds N slots).
-2. **Monitor** — workers stream ``started``/``heartbeat``/``done``/
-   ``failed`` events over a private pipe per attempt; a worker that
-   dies without a word (crash, OOM kill) is detected through pipe EOF
-   plus its exit code, and a worker that stops heartbeating past
-   ``heartbeat_timeout`` is terminated.  Both count as transient
-   failures.
+2. **Monitor** — each host's persistent workers stream ``started``/
+   ``heartbeat``/``done``/``failed`` events over a private pipe per
+   worker; a worker that dies without a word (crash, OOM kill) is
+   detected through pipe EOF plus its exit code, and a worker that stops
+   heartbeating past ``heartbeat_timeout`` is terminated.  Both count as
+   transient failures, and the host replaces the lost worker.
 3. **Retry / quarantine** — transient failures re-queue with capped
    exponential backoff until ``max_retries`` retries are spent.  A
    *deterministic* failure (the job function raised something other
@@ -43,7 +43,7 @@ from multiprocessing.connection import wait as _wait_connections
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FarmError
-from .hosts import Host, JobHandle, build_host
+from .hosts import Host, LocalHost
 from .spec import FarmSpec, JobSpec
 
 #: Seconds a dead worker may stay silent before its missing completion
@@ -184,7 +184,7 @@ class _Monitor:
         if len(set(ids)) != len(ids):
             raise FarmError(f"farm: duplicate job ids submitted")
         self.spec = spec
-        self.hosts: List[Host] = [build_host(h) for h in spec.hosts]
+        self.hosts: List[Host] = [LocalHost(h) for h in spec.hosts]
         self.states = [JobState(job=job) for job in jobs]
         self.by_id = {state.job_id: state for state in self.states}
         #: job_id -> [handle, host, last_seen, dead_since]
@@ -270,9 +270,9 @@ class _Monitor:
 
     # -- event / liveness handling -------------------------------------
     def _drain_events(self) -> None:
-        """Wait up to ``poll_interval`` for events on any attempt pipe.
+        """Wait up to ``poll_interval`` for events on any busy worker's pipe.
 
-        Each attempt has its own pipe, so terminating one worker can
+        Each worker has its own pipe, so terminating one worker can
         never wedge another's channel (the shared-queue failure mode:
         a writer killed mid-``put`` leaves the queue lock held forever).
         """
@@ -366,6 +366,8 @@ def run_farm(spec: FarmSpec, jobs: Sequence[JobSpec],
     Every job ends ``done``, ``failed``, or ``quarantined`` — a farm
     run never raises for job failures (inspect
     :meth:`FarmResult.failed_states`), only for a mis-specified fleet.
+    The hosts' workers live for this call only: they are stopped before
+    it returns or raises.
     """
     jobs = list(jobs)
     if not jobs:
@@ -380,10 +382,12 @@ def run_farm(spec: FarmSpec, jobs: Sequence[JobSpec],
             monitor._check_liveness()
             monitor._stream_report()
     finally:
-        # Belt and braces: never leak worker processes.
+        # Never leak worker processes: kill busy ones, stop idle ones.
         for entry in monitor.running.values():
             entry[0].terminate()
             entry[0].reap()
+        for host in monitor.hosts:
+            host.close()
     result = FarmResult(spec, monitor.states, monitor.counters,
                         wall_seconds=time.time() - started,
                         report_dir=report_dir)

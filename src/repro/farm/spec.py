@@ -16,14 +16,17 @@ that ``repro farm run <spec.json|yaml>`` consumes::
                   "partitions": 2}],
      "fault_injection": {"fig8/0": {"fail": 1}}}
 
+Each ``hosts`` entry is a local host of up to ``slots`` persistent
+worker processes; a host entry with any other key is rejected.
 ``suites`` expand to one job per sweep point through the builders in
-:mod:`repro.farm.suites` (so a farm suite and a plain
-:func:`repro.parallel.run_sweep` of the same spec are byte-identical);
-``jobs`` are ad-hoc single jobs (partitioned latency scans that weigh
-N slots, cloud-pipeline load points).  ``fault_injection`` exists for
-tests and CI: it makes named jobs fail (raise a transient error) or
-crash (die without a word) on their first N attempts, which is how the
-retry path stays exercised.
+:mod:`repro.farm.suites` — the same plan :func:`repro.parallel.run_sweep`
+runs at ``jobs > 1`` on a one-host farm, so a farm suite and a plain
+sweep of the same spec are byte-identical.  ``jobs`` are ad-hoc single
+jobs (partitioned latency scans that weigh N slots, cloud-pipeline load
+points).  ``fault_injection`` exists for tests and CI: it makes named
+jobs fail (raise a transient error), crash (die without a word) or hang
+(stop heartbeating) on their first N attempts, which is how the retry
+path stays exercised.
 """
 
 from __future__ import annotations
@@ -36,19 +39,17 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import FarmError, ReproError
 
+
 @dataclass(frozen=True)
 class HostSpec:
-    """One member of the pool: a name, a slot capacity, a backend.
+    """One member of the pool: a name and a slot capacity.
 
-    ``backend="local"`` is the built-in process-pool host.  Any other
-    name must be registered via
-    :func:`repro.farm.hosts.register_host_backend` — the pluggable
-    seam for externally provisioned (multi-machine) hosts.
+    Every host is a :class:`~repro.farm.hosts.LocalHost`: up to
+    ``slots`` persistent worker processes on this machine.
     """
 
     name: str
     slots: int = 1
-    backend: str = "local"
 
     def __post_init__(self) -> None:
         if self.slots < 1:

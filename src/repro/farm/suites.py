@@ -9,9 +9,10 @@ every job runs :func:`~repro.parallel.sweep.sweep_point_task`, the
 *same* worker callable ``run_sweep`` would run.  The fold back into a
 :class:`~repro.parallel.sweep.SweepResult` goes through the shared
 :func:`~repro.parallel.sweep.collect_sweep` in point order.  Nothing is
-left to agree by coincidence: serial == pool sweep == farm, byte for
-byte, at any host/slot count — asserted by tests/test_farm.py and the
-CI ``farm-smoke`` job.
+left to agree by coincidence: serial == farm, byte for byte, at any
+host/slot count — asserted by tests/test_farm.py and the CI
+``farm-smoke`` job.  ``run_sweep(spec, jobs=N)`` is :func:`farm_sweep`
+on a one-host farm of N slots.
 
 Ad-hoc job kinds cover the runs that are not sweep points: a
 partitioned latency scan (slot weight = partition count, since the job

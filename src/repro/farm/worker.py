@@ -1,9 +1,12 @@
-"""The farm worker: one process, one job attempt, a stream of events.
+"""The farm worker: one persistent process serving job attempts in turn.
 
-The deploy manager launches every attempt as its own process running
-:func:`worker_main`.  The worker's only channel back is its private
-event pipe; everything it says is a tuple whose first element is the
-event kind:
+A :class:`~repro.farm.hosts.LocalHost` starts each worker on
+:func:`worker_main` with its own duplex pipe and keeps it for the length
+of one :func:`~repro.farm.run_farm` call.  The parent sends one attempt
+at a time, ``(job_id, attempt, fn, payload, heartbeat_interval,
+inject_fail, inject_crash, inject_hang)``, or ``None`` to stop the
+worker.  Everything the worker says back is a tuple whose first element
+is the event kind:
 
 ``("started", job_id, attempt, pid)``
     Sent first, before the job function runs.
@@ -17,14 +20,17 @@ event kind:
     retrying (:class:`~repro.errors.TransientJobError`); everything
     else is judged by the scheduler's quarantine rule instead.
 
-Each attempt gets its *own* pipe on purpose: a shared
+``done``/``failed`` is the attempt's last event: the heartbeat thread
+has stopped before it is sent, so two threads never send at once and
+the next attempt on the same pipe never sees a beat from the last one.
+Each worker has its *own* pipe on purpose: a shared
 ``multiprocessing.Queue`` can be poisoned for every worker when one
 writer is terminated mid-``put`` (the feeder thread dies holding the
 queue lock), whereas killing a pipe writer costs nothing but its own
-channel.  A worker that dies without a ``done``/``failed`` event
-(crash, OOM kill, injected ``os._exit``) is detected by the deploy
-manager through pipe EOF plus its exit code and treated as a transient
-failure.
+channel.  A worker that dies without a ``done``/``failed`` event (crash,
+OOM kill, injected ``os._exit``) is detected by the deploy manager
+through pipe EOF plus its exit code, treated as a transient failure,
+and replaced.
 """
 
 from __future__ import annotations
@@ -41,40 +47,31 @@ from ..errors import TransientJobError
 CRASH_EXIT_CODE = 43
 
 
-class EventSender:
-    """Thread-safe sender over the attempt's pipe connection.
-
-    ``Connection.send`` is not documented as thread-safe and the
-    heartbeat thread races the main thread's completion event, so every
-    send takes the lock.  Send failures are swallowed: once the
-    scheduler has released the attempt (closed its end), nothing the
-    worker still has to say matters.
-    """
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self._lock = threading.Lock()
-
-    def send(self, event) -> None:
-        try:
-            with self._lock:
-                self.conn.send(event)
-        except (OSError, ValueError, BrokenPipeError):
-            pass
+def _send(conn, event) -> None:
+    """Send one event; failures are swallowed.  Once the scheduler has
+    dropped the worker (closed its end), nothing it still has to say
+    matters, and the next receive ends the loop."""
+    try:
+        conn.send(event)
+    except (OSError, ValueError):
+        pass
 
 
-def _heartbeat_loop(events: EventSender, job_id: str, attempt: int,
-                    interval: float, stop: threading.Event) -> None:
+def _heartbeat_loop(conn, job_id: str, attempt: int, interval: float,
+                    stop: threading.Event) -> None:
     while not stop.wait(interval):
-        events.send(("heartbeat", job_id, attempt, time.time()))
+        _send(conn, ("heartbeat", job_id, attempt, time.time()))
 
 
-def worker_main(job_id: str, attempt: int, fn, payload, conn,
+def run_attempt(conn, job_id: str, attempt: int, fn, payload,
                 heartbeat_interval: float, inject_fail: int,
                 inject_crash: int, inject_hang: int) -> None:
-    """Run one job attempt; never raises (everything goes to the pipe)."""
-    events = EventSender(conn)
-    events.send(("started", job_id, attempt, os.getpid()))
+    """Run one job attempt; a job's error goes to the pipe as an event.
+
+    An interrupt or exit raised by the job ends the worker, which the
+    scheduler sees as a crash.
+    """
+    _send(conn, ("started", job_id, attempt, os.getpid()))
     if inject_hang >= attempt:
         # Injected hang: stay alive but never beat — exercises the
         # heartbeat-timeout kill path.  (No heartbeat thread at all.)
@@ -83,29 +80,43 @@ def worker_main(job_id: str, attempt: int, fn, payload, conn,
     if inject_crash >= attempt:
         # Injected crash: die without a word, like an OOM kill.
         os._exit(CRASH_EXIT_CODE)
-    events.send(("heartbeat", job_id, attempt, time.time()))
+    _send(conn, ("heartbeat", job_id, attempt, time.time()))
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
-        args=(events, job_id, attempt, heartbeat_interval, stop),
+        args=(conn, job_id, attempt, heartbeat_interval, stop),
         daemon=True)
     beat.start()
     try:
         if inject_fail >= attempt:
             raise TransientJobError(
                 f"injected transient failure (attempt {attempt})")
-        result = fn(payload)
-    except BaseException as error:   # noqa: BLE001 — everything reports
-        events.send(("failed", job_id, attempt,
-                     isinstance(error, TransientJobError),
-                     type(error).__name__, str(error),
-                     traceback.format_exc()))
-    else:
-        events.send(("done", job_id, attempt, result))
+        event = ("done", job_id, attempt, fn(payload))
+    except Exception as error:   # noqa: BLE001 — every job error reports
+        event = ("failed", job_id, attempt,
+                 isinstance(error, TransientJobError),
+                 type(error).__name__, str(error),
+                 traceback.format_exc())
     finally:
         stop.set()
-        beat.join(timeout=1.0)
+        beat.join()
+    _send(conn, event)
+
+
+def worker_main(conn, parent_end) -> None:
+    """Serve attempts from ``conn`` until told to stop or the pipe ends.
+
+    ``parent_end`` is the parent's end of the same pipe, inherited over
+    the fork; closing it here lets the worker see EOF (and exit) if the
+    parent goes away without stopping it.
+    """
+    parent_end.close()
+    while True:
         try:
+            attempt = conn.recv()
+        except (EOFError, OSError):
+            attempt = None
+        if attempt is None:
             conn.close()
-        except OSError:
-            pass
+            return
+        run_attempt(conn, *attempt)

@@ -34,7 +34,7 @@ from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from .archive import RunArchive
+from .archive import RunArchive, _is_histogram_entry
 
 _DIRECTIONS = ("both", "lower", "upper")
 
@@ -124,10 +124,6 @@ def rule_for(name: str, rules: Sequence[Rule]) -> Optional[Rule]:
         if rule.matches(name):
             governing = rule
     return governing
-
-
-def _is_histogram_entry(value) -> bool:
-    return isinstance(value, dict) and "counts" in value
 
 
 def _compare(name: str, a, b, rule: Rule) -> Delta:

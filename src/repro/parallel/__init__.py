@@ -3,22 +3,22 @@
 Every large SMAPPIC artifact is embarrassingly parallel at the granularity
 of whole simulations: the Fig. 7 heatmap is 2304 independent coherence
 probes, the GNG grid is benchmark x mode cells, the ablations sweep
-configuration points.  This package shards such work across a process
-pool with a hard determinism contract: results are **bit-identical to
-serial execution at any worker count**, because sharding (which
-simulations share state) is fixed independently of ``jobs``, every task
-derives its random seed from the root seed and its own identity, and the
-merge preserves task order.
+configuration points.  This package shards such work with a hard
+determinism contract: results are **bit-identical to serial execution at
+any worker count**, because sharding (which simulations share state) is
+fixed independently of ``jobs``, every task derives its random seed from
+the root seed and its own identity, and the merge preserves task order.
 
-``run_tasks`` is the generic engine.  On top of it,
 :func:`~repro.parallel.sweep.run_sweep` is the one sweep entry point —
 a :class:`~repro.parallel.sweep.SweepSpec` names the config, the point
 list, the point function, and the merge, and optionally memoizes every
 point in a :class:`~repro.store.ResultStore` (warm reruns skip
-simulation entirely).  :mod:`repro.parallel.probes` builds the Fig. 7
-latency specs and :mod:`repro.parallel.osmodel` the Fig. 8/9 OS-model
-specs.  (The deprecated ``sharded_*`` wrappers are gone; build the spec
-and call :func:`run_sweep`.)
+simulation entirely).  ``run_tasks`` maps a function over a task list
+for the non-sweep grids.  At ``jobs > 1`` both run on the persistent
+local workers of :mod:`repro.farm` (imported on first use), the one
+process launcher, which retries a crashed point.
+:mod:`repro.parallel.probes` builds the Fig. 7 latency specs and
+:mod:`repro.parallel.osmodel` the Fig. 8/9 OS-model specs.
 """
 
 from .osmodel import fig8_spec, fig9_spec

@@ -8,8 +8,9 @@ prototype build plus latency probes) dominates the wall clock.  The
 sweep is sharded one point per task, but every point of one sweep needs
 the same machine, so :func:`model_point` measures it through
 :func:`~repro.parallel.sweep.sweep_cached`: once per sweep in a serial
-run, once per worker process in a ``jobs=N`` pool, and once per attempt
-on a farm (each attempt is one point in its own process).
+run, and once per worker process on a farm (``jobs=N``, ``repro farm
+run`` suites, serve fleets), whose workers serve one point after
+another for the length of one ``run_farm`` call.
 
 Both figures are now :class:`~repro.parallel.sweep.SweepSpec`\\ s
 (families ``"fig8"`` / ``"fig9"``) run through
@@ -24,7 +25,8 @@ measures a bit-identical ``NumaMachine`` and every point carries the
 metrics export of one identical measurement; task composition and
 per-task seeds derive only from the inputs; the merge preserves task
 order; and cached values are JSON-canonical, so *serial == parallel ==
-cached == legacy serial* exactly — the tests assert all of them.
+cached* exactly, and both equal the series computed directly from one
+measured machine — the tests assert all of them.
 
 Each point carries a seed derived via :func:`~repro.parallel.task_seed`.
 The IS model is currently analytic, so workers do not consume it yet; it

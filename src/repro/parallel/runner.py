@@ -1,16 +1,15 @@
-"""Process-pool task runner with a bit-identical-to-serial contract.
+"""Task runner with a bit-identical-to-serial contract.
 
-The runner is intentionally a thin, strict layer over
-:class:`concurrent.futures.ProcessPoolExecutor`:
+The runner is a thin, strict layer over the run farm (:mod:`repro.farm`):
 
-* **Order-preserving merge** — results come back in task-submission
-  order, never completion order.
+* **Order-preserving merge** — results come back in task order, never
+  completion order.
 * **Serial short-circuit** — ``jobs=1`` (and single-task inputs) run in
-  the calling process with no pool, so a parallel run can be asserted
+  the calling process with no workers, so a parallel run can be asserted
   equal to a serial run in tests.
-* **Chunked dispatch** — tasks ship to workers in contiguous chunks to
-  amortize pickling, but chunking can never affect results because tasks
-  are independent by contract.
+* **One launcher** — ``jobs=N`` submits one farm job per task to a
+  one-host :func:`~repro.farm.local_farm` of ``N`` slots, whose
+  persistent workers retry a crashed task instead of breaking the run.
 * **Derived seeds** — :func:`task_seed` gives every task an independent,
   reproducible random stream from one root seed.
 
@@ -22,7 +21,6 @@ in its return value.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from ..engine.rng import derive_seed
@@ -43,9 +41,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
-              jobs: Optional[int] = 1,
-              chunksize: Optional[int] = None) -> List[R]:
-    """Run ``fn`` over ``tasks``, in-process or across a process pool.
+              jobs: Optional[int] = 1) -> List[R]:
+    """Run ``fn`` over ``tasks``, in-process or on farm workers.
 
     Returns results in task order.  With ``jobs=1`` the tasks run
     serially in the calling process; with ``jobs=N`` they run on ``N``
@@ -53,28 +50,37 @@ def run_tasks(fn: Callable[[T], R], tasks: Iterable[T],
     output is identical in all three cases provided ``fn`` is pure, which
     is the package-wide contract.
 
-    A worker exception propagates to the caller (remaining tasks may be
-    abandoned), matching the serial behaviour of the same failure.
+    A serial task's exception propagates as is; on workers a failing
+    task is retried once, then the call raises
+    :class:`~repro.errors.FarmError` naming its error type and message.
     """
     task_list = list(tasks)
     n_workers = min(resolve_jobs(jobs), len(task_list))
     if n_workers <= 1:
         return [fn(task) for task in task_list]
-    if chunksize is None:
-        # ~4 chunks per worker balances load against pickling overhead.
-        chunksize = max(1, len(task_list) // (n_workers * 4))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, task_list, chunksize=chunksize))
+    from ..farm import JobSpec, local_farm, run_farm
+
+    jobs_list = [JobSpec(f"task/{index}", fn, task)
+                 for index, task in enumerate(task_list)]
+    result = run_farm(local_farm(slots=n_workers), jobs_list)
+    return [result.value_of(job.job_id) for job in jobs_list]
 
 
-def env_jobs(default: int = 1, var: str = "REPRO_JOBS") -> int:
-    """Worker count requested via the environment (benchmark harness).
+def env_jobs(default: int = 1) -> int:
+    """Worker count requested via ``REPRO_JOBS`` (benchmark harness).
 
     ``REPRO_JOBS=4 pytest benchmarks/`` parallelizes the wired benchmarks
-    without changing a single artifact byte (see the package contract).
+    without changing a single artifact byte (see the package contract);
+    ``0`` means one worker per CPU.
     """
-    value = os.environ.get(var)
-    return default if value is None else int(value)
+    value = os.environ.get("REPRO_JOBS")
+    if value is None:
+        return default
+    if not value.strip().isdecimal():
+        raise ConfigError(
+            f"REPRO_JOBS must be a whole number >= 0 (0: one worker per "
+            f"CPU), got {value!r}")
+    return int(value)
 
 
 def task_seed(root_seed: int, name: str, index: int) -> int:

@@ -2,13 +2,13 @@
 
 Every sharded experiment in this repo has the same shape: a
 configuration, a list of independent sweep points, a module-level point
-function evaluated once per point (in-process or across a process pool),
-and a merge that folds per-point values in task order.  ``run_sweep``
+function evaluated once per point (in-process or on farm workers), and
+a merge that folds per-point values in task order.  ``run_sweep``
 is that shape as a single entry point (the legacy ``sharded_*`` wrapper
 names are gone — build a spec and call ``run_sweep``).
 
 The store hook lives here and only here: when a
-:class:`~repro.store.ResultStore` is passed, every worker first checks
+:class:`~repro.store.ResultStore` is passed, every point first checks
 the store under the point's content address — ``(family, version,
 config_hash, point, seed, obs spec)`` — and only simulates on a miss,
 publishing the result for the next run.  ``config_hash`` is computed
@@ -23,8 +23,9 @@ tests/test_store.py.
 
 Work that every point of one sweep repeats bit-identically (the Fig. 8/9
 machine measurement) goes through :func:`sweep_cached`, which computes
-it once per process per sweep.  That memo is not a second store: it
-never outlives the sweep and changes no point value.
+it once per sweep in a serial run and once per farm worker otherwise.
+That memo is not a second store: it never outlives the sweep (or the
+worker's :func:`~repro.farm.run_farm` call) and changes no point value.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..store import ResultStore, canonical_value, entry_key
-from .runner import run_tasks, task_seed
+from .runner import resolve_jobs, task_seed
 
 #: A worker task: (point fn, config, point payload, derived seed,
 #: observer spec, store root or None, store key payload).
@@ -47,11 +48,12 @@ _SWEEP_CACHE: Dict[Hashable, object] = {}
 def sweep_cached(key: Hashable, compute: Callable[[], object]):
     """``compute()``, evaluated once per ``key`` for the current sweep.
 
-    Lifetime is one sweep: :func:`run_sweep` empties the cache when it
-    returns or raises, a ``jobs=N`` pool worker keeps its entries until
-    the pool shuts down at the end of the sweep, and a farm attempt runs
-    one point in its own process.  ``key`` must name every input of
-    ``compute``, and callers must not mutate the value they get back.
+    Lifetime is one sweep: a serial :func:`run_sweep` empties the cache
+    when it returns or raises, and a farm worker (``jobs=N``, ``repro
+    farm run``, serve fleets) keeps its entries until its
+    :func:`~repro.farm.run_farm` call stops it.  ``key`` must name every
+    input of ``compute``, and callers must not mutate the value they get
+    back.
     """
     try:
         return _SWEEP_CACHE[key]
@@ -109,12 +111,14 @@ class SweepResult:
         self.warm = bool(self.values) and self.misses == 0 and self.hits > 0
 
 
-def _sweep_worker(task: _SweepTask):
+def sweep_point_task(task: _SweepTask):
     """Evaluate one sweep point, consulting the store first.
 
-    Returns ``(canonical value, hit?, evictions, writes)`` — the cache
-    counters ride back to the parent, which folds them into the caller's
-    store instance (workers run in separate processes).
+    The serial sweep and every farm job run this *same* callable per
+    point, which is what makes a farm suite byte-identical to a serial
+    ``run_sweep`` by construction.  Returns ``(canonical value, hit?,
+    evictions, writes)`` — the cache counters ride back to the caller,
+    which folds them into its own store instance.
     """
     point_fn, config, point, seed, obs_spec, store_root, payload = task
     store = None
@@ -131,21 +135,16 @@ def _sweep_worker(task: _SweepTask):
             store.writes if store else 0)
 
 
-#: Public name of the worker for other executors (``repro.farm`` runs
-#: the *same* callable per point, which is what makes a farm suite
-#: byte-identical to ``run_sweep`` by construction).
-sweep_point_task = _sweep_worker
-
-
 def sweep_tasks(spec: SweepSpec,
                 store_root: Optional[str] = None
                 ) -> Tuple[str, List[_SweepTask]]:
     """``(config_hash, ordered task list)`` for one sweep.
 
     The single source of point identity — task composition, derived
-    seeds, and store key payloads — shared by :func:`run_sweep` and the
-    :mod:`repro.farm` suite builders, so both executors address the
-    same cache entries and produce the same values for the same spec.
+    seeds, and store key payloads — shared by the serial
+    :func:`run_sweep` and the :mod:`repro.farm` suite builders, so both
+    address the same cache entries and produce the same values for the
+    same spec.
     """
     from ..obs.archive import config_hash
     from ..obs.plane import canonical_plane
@@ -175,8 +174,8 @@ def collect_sweep(spec: SweepSpec, cfg_hash: str, results: Sequence,
 
     ``results`` are :func:`sweep_point_task` returns in task order; the
     fold (value extraction, counter accounting, ``merge_fn``) is shared
-    by every executor, so *how* the points ran can never change what
-    the sweep is worth.
+    by the serial sweep, farm suites and serve fleets, so *how* the
+    points ran can never change what the sweep is worth.
     """
     values = [value for value, _hit, _evicted, _writes in results]
     hits = sum(1 for _v, hit, _e, _w in results if hit)
@@ -194,19 +193,23 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = 1,
               store: Optional[ResultStore] = None) -> SweepResult:
     """Run one sweep: shard, memoize, merge.
 
-    ``jobs`` follows the package contract (1 = in-process serial, N = a
-    process pool, 0/None = one worker per CPU; results identical
-    everywhere).  With a ``store``, every point is looked up before it is
-    simulated and published after; the caller's store instance ends up
-    with the whole sweep's hit/miss/evict/write counters regardless of
-    where the workers ran.  (:func:`repro.farm.farm_sweep` is the third
-    executor of the same tasks — scheduled on a host pool with retry —
-    and returns a byte-identical result.)
+    ``jobs`` follows the package contract (1 = in-process serial, N =
+    :func:`repro.farm.farm_sweep` on a one-host farm of ``N`` slots,
+    0/None = one slot per CPU; results identical everywhere).  On the
+    farm a crashed point is retried, and a point that cannot finish
+    raises :class:`~repro.errors.FarmError`.  With a ``store``, every
+    point is looked up before it is simulated and published after; the
+    caller's store instance ends up with the whole sweep's
+    hit/miss/evict/write counters regardless of where the points ran.
     """
+    n_workers = min(resolve_jobs(jobs), len(spec.points))
+    if n_workers > 1:
+        from ..farm import farm_sweep, local_farm
+        return farm_sweep(spec, local_farm(slots=n_workers), store)
     cfg_hash, tasks = sweep_tasks(
         spec, store_root=store.root if store is not None else None)
     try:
-        results = run_tasks(_sweep_worker, tasks, jobs=jobs)
+        results = [sweep_point_task(task) for task in tasks]
     finally:
         _SWEEP_CACHE.clear()
     return collect_sweep(spec, cfg_hash, results, store=store)

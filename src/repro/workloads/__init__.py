@@ -1,8 +1,7 @@
 """Workloads and benchmark models from the paper's evaluation."""
 
 from .helloworld import HelloWorldResult, run_helloworld
-from .intsort import (CLASS_C_KEYS, IntSortModel, IntSortParams, fig8_series,
-                      fig9_series)
+from .intsort import CLASS_C_KEYS, IntSortModel, IntSortParams
 from .maple_kernels import (KERNELS, KERNEL_SPECS, MapleKernelBench,
                             fig11_speedups)
 from .noise import GngBenchmark, fig10_speedups
@@ -21,8 +20,6 @@ __all__ = [
     "SPECINT_2017",
     "SpecBenchmark",
     "benchmark_names",
-    "fig8_series",
-    "fig9_series",
     "fig10_speedups",
     "fig11_speedups",
     "run_helloworld",

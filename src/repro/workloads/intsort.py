@@ -134,30 +134,3 @@ class IntSortModel:
                         taskset: Taskset = None) -> float:
         return self.machine.seconds(self.runtime_cycles(n_threads, taskset))
 
-
-def fig8_series(machine: NumaMachine,
-                thread_counts=(3, 6, 12, 24, 48),
-                params: IntSortParams = IntSortParams()):
-    """Fig. 8: runtime vs threads, NUMA on and off."""
-    on = IntSortModel(machine, numa_on=True, params=params)
-    off = IntSortModel(machine, numa_on=False, params=params)
-    return {
-        "threads": list(thread_counts),
-        "numa_on": [on.runtime_seconds(t) for t in thread_counts],
-        "numa_off": [off.runtime_seconds(t) for t in thread_counts],
-    }
-
-
-def fig9_series(machine: NumaMachine, n_threads: int = 12,
-                params: IntSortParams = IntSortParams()):
-    """Fig. 9: 12 threads pinned to 1..4 nodes, NUMA on and off."""
-    on = IntSortModel(machine, numa_on=True, params=params)
-    off = IntSortModel(machine, numa_on=False, params=params)
-    node_counts = list(range(1, machine.n_nodes + 1))
-    return {
-        "active_nodes": node_counts,
-        "numa_on": [on.runtime_seconds(n_threads, Taskset.first_nodes(k))
-                    for k in node_counts],
-        "numa_off": [off.runtime_seconds(n_threads, Taskset.first_nodes(k))
-                     for k in node_counts],
-    }

@@ -160,7 +160,7 @@ def fig10_speedups(n_samples: int = 512, seed: int = 11,
 
     The eight benchmark x mode cells are independent simulations, so they
     run through :func:`repro.parallel.run_tasks` — serial for ``jobs=1``,
-    sharded across a pool otherwise, identical output either way.
+    on farm workers otherwise, identical output either way.
     """
     from ..parallel import run_tasks
 

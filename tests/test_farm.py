@@ -6,17 +6,17 @@ survives injected transient failures, crashes, and hangs via retry.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro import parse_config
 from repro.errors import FarmError, TransientJobError
-from repro.farm import (ExternalHost, FarmSpec, HostSpec, JobSpec,
-                        LocalHost, apply_fault_injection, build_host,
-                        farm_sweep, finish_suite, load_farm_manifest,
-                        load_spec_file, local_farm, plan_sweep,
-                        register_host_backend, run_farm)
+from repro.farm import (FarmSpec, HostSpec, JobSpec, LocalHost,
+                        apply_fault_injection, farm_sweep, finish_suite,
+                        load_farm_manifest, load_spec_file, local_farm,
+                        plan_sweep, run_farm)
 from repro.parallel import fig8_spec, run_sweep
 from repro.store import ResultStore
 
@@ -35,6 +35,11 @@ def bad_job(payload):
 
 def flaky_value_job(payload):
     raise TransientJobError("flaky by nature")
+
+
+def pid_job(payload):
+    """The pid of the worker process that ran the job."""
+    return os.getpid()
 
 
 def _small_fig8(**kwargs):
@@ -194,32 +199,49 @@ class TestScheduler:
 
 
 # ----------------------------------------------------------------------
-# Hosts and backends
+# Hosts: persistent local workers
 # ----------------------------------------------------------------------
 
 class TestHosts:
-    def test_external_host_stub_refuses_to_launch(self):
-        host = build_host(HostSpec("remote-0", slots=4,
-                                   backend="external"))
-        assert isinstance(host, ExternalHost)
-        with pytest.raises(FarmError):
-            host.launch(JobSpec("j", ok_job, {}), 1, 0.2)
+    def test_workers_serve_many_attempts(self):
+        result = run_farm(local_farm(slots=2, **FAST),
+                          [JobSpec(f"pid/{i}", pid_job, i)
+                           for i in range(6)])
+        assert result.ok
+        pids = set(result.values())
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(FarmError):
-            build_host(HostSpec("h", backend="teleport"))
+    def test_worker_killed_on_heartbeat_timeout_is_replaced(
+            self, monkeypatch):
+        launches = []
+        launch = LocalHost.launch
 
-    def test_register_backend_requires_host_subclass(self):
-        with pytest.raises(FarmError):
-            register_host_backend("bogus", dict)
+        def spy(self, job, attempt, heartbeat_interval):
+            handle = launch(self, job, attempt, heartbeat_interval)
+            launches.append((job.job_id, attempt, handle.process.pid))
+            return handle
 
-    def test_registered_backend_is_buildable(self):
-        class MyHost(LocalHost):
-            pass
+        monkeypatch.setattr(LocalHost, "launch", spy)
+        result = run_farm(
+            local_farm(slots=1, heartbeat_timeout=0.6,
+                       heartbeat_interval=0.1, **FAST),
+            [JobSpec("hung", pid_job, 0, inject_hang=1)]
+            + [JobSpec(f"pid/{i}", pid_job, i) for i in range(3)])
+        assert result.ok
+        assert result.state_of("hung").retries == 1
+        assert launches[0][:2] == ("hung", 1)
+        killed = launches[0][2]
+        assert killed not in [pid for _id, _a, pid in launches[1:]]
+        assert killed not in result.values()
+        assert multiprocessing.active_children() == []
 
-        register_host_backend("my-test-backend", MyHost)
-        host = build_host(HostSpec("h", backend="my-test-backend"))
-        assert isinstance(host, MyHost)
+    def test_unpicklable_job_is_a_farm_error(self):
+        with pytest.raises(FarmError, match="cannot be sent"):
+            run_farm(local_farm(**FAST),
+                     [JobSpec("ok", ok_job, {"x": 1}),
+                      JobSpec("local", lambda payload: payload, {})])
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -283,11 +305,11 @@ class TestReports:
         assert manifest["counters"]["obs.farm.done"] == 2
         assert {job["state"] for job in manifest["jobs"]} == {"done"}
         assert RunArchive.is_archive(os.path.join(report, "merged"))
-        merged = json.load(open(os.path.join(report, "merged",
-                                             "metrics.json")))
+        with open(os.path.join(report, "merged", "metrics.json")) as f:
+            merged = json.load(f)
         assert merged["obs.farm.done"] == 2
-        suite = json.load(open(os.path.join(report, "suites",
-                                            "fig8.json")))
+        with open(os.path.join(report, "suites", "fig8.json")) as f:
+            suite = json.load(f)
         assert suite["points"] == 2
         jobs_dir = os.path.join(report, "jobs")
         assert sorted(os.listdir(jobs_dir)) == ["fig8-0", "fig8-1"]
@@ -311,6 +333,13 @@ class TestSpecFiles:
     def test_unknown_keys_rejected(self, tmp_path):
         path = _write_spec(tmp_path, {"suites": [], "surprise": 1})
         with pytest.raises(FarmError, match="surprise"):
+            load_spec_file(path)
+
+    def test_host_entry_naming_a_backend_rejected(self, tmp_path):
+        path = _write_spec(tmp_path, {
+            "hosts": [{"name": "h", "slots": 1, "backend": "local"}],
+            "jobs": [{"kind": "cloud"}]})
+        with pytest.raises(FarmError, match="bad host entry"):
             load_spec_file(path)
 
     def test_empty_spec_rejected(self, tmp_path):

@@ -1,11 +1,15 @@
 """Tests for repro.parallel: bit-identical serial/parallel execution."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
+from intsort_reference import fig8_series, fig9_series
 from repro import parse_config
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FarmError
 from repro.parallel import (SweepSpec, env_jobs, fig8_spec, fig9_spec,
                             fixed_shards, latency_matrix_spec, resolve_jobs,
                             run_sweep, run_tasks, task_seed)
@@ -19,6 +23,15 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"task {value} failed")
+
+
+def _kill_first_attempt(config, point, seed, obs_spec):
+    """Sweep point fn: a ``kill`` point SIGKILLs its own process the
+    first time it runs (the marker file remembers that it did)."""
+    if point["kill"] and not os.path.exists(point["marker"]):
+        open(point["marker"], "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"square": point["i"] ** 2, "seed": seed}
 
 
 def _cache_then_fail(config, point, seed, obs_spec):
@@ -53,8 +66,7 @@ class TestRunner:
 
     def test_order_preserved_with_many_chunks(self):
         tasks = list(range(50))
-        assert run_tasks(_square, tasks, jobs=3, chunksize=1) == \
-            [t * t for t in tasks]
+        assert run_tasks(_square, tasks, jobs=3) == [t * t for t in tasks]
 
     def test_empty_and_single_task(self):
         assert run_tasks(_square, [], jobs=4) == []
@@ -63,8 +75,10 @@ class TestRunner:
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError):
             run_tasks(_boom, [1], jobs=1)
-        with pytest.raises(ValueError):
+        # On workers the failure is retried once, then quarantined.
+        with pytest.raises(FarmError, match="ValueError: task 1 failed"):
             run_tasks(_boom, [1, 2, 3], jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -79,6 +93,14 @@ class TestRunner:
         assert env_jobs(default=4) == 4
         monkeypatch.setenv("REPRO_JOBS", "8")
         assert env_jobs() == 8
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert env_jobs() == 0
+
+    def test_env_jobs_rejects_bad_values(self, monkeypatch):
+        for value in ("abc", "-2", "1.5", ""):
+            monkeypatch.setenv("REPRO_JOBS", value)
+            with pytest.raises(ConfigError, match="REPRO_JOBS"):
+                env_jobs()
 
     def test_fixed_shards(self):
         assert fixed_shards([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
@@ -120,6 +142,21 @@ class TestShardedProbes:
             {"senders": [8, 9, 10, 11], "probes_per_pair": 1}]
 
 
+class TestWorkerFaults:
+    def test_killed_point_is_retried_to_the_serial_value(self, tmp_path):
+        marker = str(tmp_path / "killed")
+        spec = SweepSpec(family="kill", config=parse_config("1x2x2"),
+                         points=[{"i": i, "kill": i == 1, "marker": marker}
+                                 for i in range(3)],
+                         point_fn=_kill_first_attempt)
+        parallel = run_sweep(spec, jobs=2)
+        assert os.path.exists(marker)       # the first attempt died
+        serial = run_sweep(spec, jobs=1)    # the marker spares this one
+        assert json.dumps(parallel.value) == json.dumps(serial.value)
+        assert parallel.config_hash == serial.config_hash
+        assert multiprocessing.active_children() == []
+
+
 class TestCliJobs:
     def test_sweep_jobs(self, capsys):
         from repro.cli import main
@@ -137,7 +174,7 @@ class TestShardedOsModel:
         from repro.core.prototype import Prototype
         from repro.osmodel import machine_from_prototype
         from repro.parallel import fig8_spec
-        from repro.workloads.intsort import IntSortParams, fig8_series
+        from repro.workloads.intsort import IntSortParams
 
         config = parse_config(self.CONFIG)
         serial = run_sweep(fig8_spec(config, self.THREADS), jobs=1).value
@@ -152,7 +189,7 @@ class TestShardedOsModel:
         from repro.core.prototype import Prototype
         from repro.osmodel import machine_from_prototype
         from repro.parallel import fig9_spec
-        from repro.workloads.intsort import IntSortParams, fig9_series
+        from repro.workloads.intsort import IntSortParams
 
         config = parse_config(self.CONFIG)
         serial = run_sweep(fig9_spec(config, n_threads=2), jobs=1).value

@@ -8,9 +8,10 @@ from repro.errors import ConfigError, WorkloadError
 from repro.osmodel import NumaKernel, NumaMachine, Taskset, \
     machine_from_prototype
 from repro.workloads import (SPECINT_2017, IntSortModel, IntSortParams,
-                             fig8_series, fig9_series, fig10_speedups,
-                             fig11_speedups, run_helloworld,
+                             fig10_speedups, fig11_speedups, run_helloworld,
                              total_instructions)
+
+from intsort_reference import fig8_series, fig9_series
 
 MACHINE = NumaMachine(n_nodes=4, cores_per_node=12)
 
