@@ -256,11 +256,18 @@ def _contended_run(credits, seed, reference, monkeypatch, hop_latency=2):
     return {
         "deliveries": [(cycle, tile, packet.payload)
                        for cycle, tile, packet in received],
-        "routers": [router.stats.as_dict() for router in net.routers],
-        "links": [port.link.stats.as_dict() for router in net.routers
+        "routers": [stat_snapshot(router.stats) for router in net.routers],
+        "links": [stat_snapshot(port.link.stats) for router in net.routers
                   for port in router._ports],
         "clocks": clocks,
     }
+
+
+def stat_snapshot(group):
+    """A stat group's counters and full histograms, as plain dicts."""
+    return {"counters": dict(group.counters),
+            "histograms": {key: hist.to_dict()
+                           for key, hist in group.histograms.items()}}
 
 
 class TestLazyCredits:
@@ -272,7 +279,7 @@ class TestLazyCredits:
     def test_same_run_as_credit_events(self, credits, seed, monkeypatch):
         lazy = _contended_run(credits, seed, False, monkeypatch)
         eager = _contended_run(credits, seed, True, monkeypatch)
-        stalls = sum(stats.get("credit_stalls", 0)
+        stalls = sum(stats["counters"].get("credit_stalls", 0)
                      for stats in lazy["routers"])
         assert stalls > 50
         assert lazy == eager
