@@ -36,6 +36,9 @@ class AxiSlave(Protocol):
 class AxiPort(Component):
     """Point-to-point AXI master port bound to one slave."""
 
+    counted = ("writes", "reads")
+    writes = reads = 0
+
     def __init__(self, sim: Simulator, name: str, slave: AxiSlave,
                  latency: int = 2, cycles_per_beat: float = 1.0):
         super().__init__(sim, name)
@@ -58,7 +61,7 @@ class AxiPort(Component):
         if txn.uid in self._write_waiters:
             raise ProtocolError(f"{self.name}: duplicate write uid {txn.uid}")
         self._write_waiters[txn.uid] = on_resp
-        self.stats.inc("writes")
+        self.writes += 1
         self.obs.axi_txn(self, "write", txn)
         self._req_link.send(txn, units=1 + txn.beats)
 
@@ -66,60 +69,9 @@ class AxiPort(Component):
         if txn.uid in self._read_waiters:
             raise ProtocolError(f"{self.name}: duplicate read uid {txn.uid}")
         self._read_waiters[txn.uid] = on_resp
-        self.stats.inc("reads")
+        self.reads += 1
         self.obs.axi_txn(self, "read", txn)
         self._req_link.send(txn, units=1)
-
-    def write_many(self, txns, on_resp: WriteCallback) -> None:
-        """Issue a train of writes sharing one response callback.
-
-        Timing- and delivery-identical to ``for t in txns:
-        write(t, on_resp)`` (the link's queueing histogram coarsens to
-        one sample per train); consecutive equally-sized bursts ride the
-        request link as one batched train.
-        """
-        waiters = self._write_waiters
-        obs = self.obs
-        for txn in txns:
-            if txn.uid in waiters:
-                raise ProtocolError(
-                    f"{self.name}: duplicate write uid {txn.uid}")
-            waiters[txn.uid] = on_resp
-            if obs.enabled:
-                obs.axi_txn(self, "write", txn)
-        self.stats.inc("writes", len(txns))
-        self._send_trains(txns, lambda txn: 1 + txn.beats)
-
-    def read_many(self, txns, on_resp: ReadCallback) -> None:
-        """Issue a train of reads sharing one response callback (the
-        request beat of a read is always one unit, so the whole train is
-        one batched link send)."""
-        waiters = self._read_waiters
-        obs = self.obs
-        for txn in txns:
-            if txn.uid in waiters:
-                raise ProtocolError(
-                    f"{self.name}: duplicate read uid {txn.uid}")
-            waiters[txn.uid] = on_resp
-            if obs.enabled:
-                obs.axi_txn(self, "read", txn)
-        self.stats.inc("reads", len(txns))
-        if txns:
-            self._req_link.send_many(txns, units_each=1)
-
-    def _send_trains(self, txns, units_of) -> None:
-        """Send ``txns`` on the request link, grouping consecutive
-        equally-sized transactions into batched trains."""
-        link = self._req_link
-        i = 0
-        n = len(txns)
-        while i < n:
-            units = units_of(txns[i])
-            j = i + 1
-            while j < n and units_of(txns[j]) == units:
-                j += 1
-            link.send_many(txns[i:j], units_each=units)
-            i = j
 
     @property
     def outstanding(self) -> int:

@@ -62,6 +62,11 @@ class _Mshr:
 class Bpc(Component):
     """Private cache controller for one tile."""
 
+    counted = ("misses", "load_hits", "amo_hits", "store_hits", "upgrades",
+               "invalidations", "downgrades")
+    misses = load_hits = amo_hits = store_hits = upgrades = 0
+    invalidations = downgrades = 0
+
     def __init__(self, sim: Simulator, name: str, tile: TileAddr,
                  homing: Homing, send_msg: MsgSender,
                  size_bytes: int = 8 * 1024, ways: int = 4,
@@ -83,6 +88,8 @@ class Bpc(Component):
         # single-payload sends.
         self._lookup_lane = sim.channel(hit_latency, self._lookup)
         self._replay_lane = sim.channel(0, self._lookup)
+        self._op_latency = self.stats.histogram("op_latency")
+        self._miss_latency = self.stats.histogram("miss_latency")
         sim.obs.register_gauge(f"{name}.mshrs", self._mshrs.__len__,
                                category="cache")
 
@@ -112,26 +119,26 @@ class Bpc(Component):
             return
         entry = self.array.lookup(line)
         if entry is None:
-            self.stats.inc("misses")
+            self.misses += 1
             self._start_miss(op)
             return
         payload: _Line = entry.payload
         if op.kind is OpKind.LOAD:
-            self.stats.inc("load_hits")
+            self.load_hits += 1
             self._finish(op, bytes(self._window(payload, op)))
         elif payload.state == "M":
             if op.kind is OpKind.AMO:
-                self.stats.inc("amo_hits")
+                self.amo_hits += 1
                 old_bytes = bytes(self._window(payload, op))
                 self._apply_amo(payload, op, old_bytes)
                 self._finish(op, old_bytes)
             else:
-                self.stats.inc("store_hits")
+                self.store_hits += 1
                 self._write(payload, op)
                 self._finish(op, None)
         else:
             # Store/AMO to an S line: upgrade (entry stays until Inv/DataM).
-            self.stats.inc("upgrades")
+            self.upgrades += 1
             self._start_miss(op, upgrade=True)
 
     def _window(self, payload: _Line, op: MemOp) -> bytearray:
@@ -151,7 +158,7 @@ class Bpc(Component):
             new_value.to_bytes(op.size, "little")
 
     def _finish(self, op: MemOp, result: Optional[bytes]) -> None:
-        self.stats.observe("op_latency", self.now - op.issued_at)
+        self._op_latency.add(self.sim.now - op.issued_at)
         self.obs.cache_op(self, op)
         on_done = op.on_done
         op.on_done = None
@@ -221,7 +228,7 @@ class Bpc(Component):
         else:
             self._make_room(msg.line)
             self.array.insert(msg.line, _Line(state, msg.data))
-        self.stats.observe("miss_latency", self.now - mshr.issued_at)
+        self._miss_latency.add(self.sim.now - mshr.issued_at)
         # Replay deferred ops synchronously: the fill must satisfy its
         # waiting ops *before* any queued probe is serviced, or a racing
         # Inv could steal the line before use and livelock the requester.
@@ -255,7 +262,7 @@ class Bpc(Component):
         self.array.remove(line)
         if self._l1_invalidate is not None:
             self._l1_invalidate(line)
-        self.stats.inc("invalidations")
+        self.invalidations += 1
         self.send_msg(InvAck(line, self.tile, data=data),
                       self.homing.home_of(line, self.tile))
 
@@ -268,7 +275,7 @@ class Bpc(Component):
             raise ProtocolError(
                 f"{self.name}: Downgrade for line {line:#x} not held in M")
         entry.payload.state = "S"
-        self.stats.inc("downgrades")
+        self.downgrades += 1
         self.send_msg(DowngradeData(line, self.tile,
                                     data=bytes(entry.payload.data)),
                       self.homing.home_of(line, self.tile))

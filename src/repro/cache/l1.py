@@ -28,6 +28,9 @@ class _L1Line:
 class L1Cache(Component):
     """Write-through L1D in front of one BPC."""
 
+    counted = ("load_hits", "load_misses", "amos", "stores")
+    load_hits = load_misses = amos = stores = 0
+
     def __init__(self, sim: Simulator, name: str, bpc: Bpc,
                  size_bytes: int = 8 * 1024, ways: int = 4,
                  hit_latency: int = 1):
@@ -44,17 +47,17 @@ class L1Cache(Component):
         if op.kind is OpKind.LOAD:
             entry = self.array.lookup(line)
             if entry is not None:
-                self.stats.inc("load_hits")
+                self.load_hits += 1
                 data = bytes(entry.payload.data[offset:offset + op.size])
                 self.schedule(self.hit_latency, on_done, data)
                 return
-            self.stats.inc("load_misses")
+            self.load_misses += 1
             self.bpc.access(op, lambda data: self._fill(op, data, on_done))
             return
         if op.kind is OpKind.AMO:
             # Atomics resolve at the BPC; drop any stale L1 copy.
             self.array.remove(line)
-            self.stats.inc("amos")
+            self.amos += 1
             self.bpc.access(op, on_done)
             return
         # Stores: write-through.  Update the L1 copy if present (no
@@ -62,7 +65,7 @@ class L1Cache(Component):
         entry = self.array.lookup(line, touch=False)
         if entry is not None:
             entry.payload.data[offset:offset + op.size] = op.data
-        self.stats.inc("stores")
+        self.stores += 1
         self.bpc.access(op, on_done)
 
     def _fill(self, op: MemOp, data: Optional[bytes],

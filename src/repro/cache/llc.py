@@ -70,6 +70,9 @@ class _Txn:
 class LlcSlice(Component):
     """One slice of the distributed last-level cache, plus directory."""
 
+    counted = ("gets", "getm", "putm", "array_hits", "array_misses")
+    gets = getm = putm = array_hits = array_misses = 0
+
     def __init__(self, sim: Simulator, name: str, tile: TileAddr,
                  send_msg: MsgSender, send_mem: MemSender,
                  send_msgs: Optional[MsgsSender] = None,
@@ -101,6 +104,7 @@ class LlcSlice(Component):
         self._dispatch_lane = sim.channel(access_latency, self._dispatch)
         self._redispatch_lane = sim.channel(0, self._dispatch)
         self._hook_lane = sim.channel(0, self._run_hook)
+        self._txn_latency = self.stats.histogram("txn_latency")
         sim.obs.register_gauge(f"{name}.busy_lines", self._active.__len__,
                                category="cache")
 
@@ -137,13 +141,13 @@ class LlcSlice(Component):
             self._dispatch_into_txn(txn, msg)
             return
         if isinstance(msg, GetS):
-            self.stats.inc("gets")
+            self.gets += 1
             self._start(line, msg, self._txn_gets)
         elif isinstance(msg, GetM):
-            self.stats.inc("getm")
+            self.getm += 1
             self._start(line, msg, self._txn_getm)
         elif isinstance(msg, PutM):
-            self.stats.inc("putm")
+            self.putm += 1
             self._standalone_putm(msg)
         elif isinstance(msg, (InvAck, DowngradeData)):
             raise ProtocolError(
@@ -306,10 +310,10 @@ class LlcSlice(Component):
     def _ensure_present(self, txn: _Txn, k) -> None:
         entry = self.array.lookup(txn.line, touch=True)
         if entry is not None:
-            self.stats.inc("array_hits")
+            self.array_hits += 1
             k(entry)
             return
-        self.stats.inc("array_misses")
+        self.array_misses += 1
         victim = self.array.victim_for(
             txn.line,
             prefer=lambda e: (e.payload.dir_state == "I"
@@ -404,7 +408,7 @@ class LlcSlice(Component):
         hook()
 
     def _complete(self, txn: _Txn) -> None:
-        self.stats.observe("txn_latency", self.now - txn.started_at)
+        self._txn_latency.add(self.sim.now - txn.started_at)
         self.obs.llc_txn(self, txn.line, txn.started_at)
         del self._active[txn.line]
         queue = self._queued.get(txn.line)

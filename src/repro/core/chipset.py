@@ -27,6 +27,9 @@ _CONTROLLER_OVERHEAD = 30
 class Chipset(Component):
     """One node's chipset."""
 
+    counted = ("mem_requests",)
+    mem_requests = 0
+
     def __init__(self, sim: Simulator, name: str, node_id: int, node,
                  memory: MainMemory, params):
         super().__init__(sim, name)
@@ -109,7 +112,7 @@ class Chipset(Component):
     def handle_packet(self, packet: Packet) -> None:
         payload = packet.payload
         if isinstance(payload, (MemRead, MemWrite)):
-            self.stats.inc("mem_requests")
+            self.mem_requests += 1
             self.controller.handle_request(payload)
         elif isinstance(payload, (MemReadResp, MemWriteAck)):
             waiter = self._host_waiters.pop(payload.uid, None)

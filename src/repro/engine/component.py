@@ -7,8 +7,10 @@ simulator, and a :class:`~repro.engine.stats.StatGroup` for counters.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from .simulator import Simulator
-from .stats import StatGroup
+from .stats import Histogram, StatGroup
 
 
 class Component:
@@ -16,12 +18,22 @@ class Component:
 
     Subclasses schedule their own events through ``self.sim`` and count
     interesting happenings through ``self.stats``.
+
+    A count taken once per message or access is a plain int attribute
+    instead, named in the class's :attr:`counted` tuple and defaulting
+    to a class-level 0.  The first ``self.key += n`` creates the
+    instance attribute, which is exactly when ``stats.inc`` would have
+    created the counter, so reads of ``self.stats`` list the same
+    counters with the same values.
     """
+
+    #: Int attributes exported as counters once they are first counted.
+    counted: Tuple[str, ...] = ()
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.stats = StatGroup(name)
+        self.stats = StatGroup(name, self)
         # Bind the simulator's schedule directly: component hot paths call
         # self.schedule per message, and the instance attribute skips the
         # passthrough frame below.
@@ -33,6 +45,16 @@ class Component:
         # registration code.
         self.obs = sim.obs
         sim.obs.bind_stats(name, self.stats)
+
+    def export_counters(self, counters: Dict[str, int]) -> None:
+        """Add the counters kept as attributes to a ``self.stats`` read."""
+        values = vars(self)
+        for key in self.counted:
+            if key in values:
+                counters[key] = values[key]
+
+    def export_histograms(self, histograms: Dict[str, Histogram]) -> None:
+        """Add histograms derived at export time (none by default)."""
 
     @property
     def now(self) -> int:

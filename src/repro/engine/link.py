@@ -15,16 +15,16 @@ SMAPPIC inserts at node boundaries (paper Sec. 3.5).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict, Optional
 
 from ..errors import ConfigError
-from .component import Component
 from .simulator import Simulator
+from .stats import Histogram, StatGroup
 
 Sink = Callable[[object], None]
 
 
-class Link(Component):
+class Link:
     """A serializing, latency-imposing connection to a sink callback.
 
     ``delivery_delay`` hands each message to the sink that many cycles
@@ -32,12 +32,22 @@ class Link(Component):
     router's ``hop_latency``) rides the delivery event itself.  It is not
     wire time: the returned arrival, :attr:`busy_until`, the link's stats
     and the ``link_transfer`` hook all see the wire arrival.
+
+    A link keeps its counts as plain attributes, not in a
+    :class:`~repro.engine.stats.StatGroup`: :attr:`messages`,
+    :attr:`units`, and the ``queueing`` samples that are not 0 (most
+    messages find the link free).  :attr:`stats` builds the group view
+    from them on every read; see :meth:`export_counters` and
+    :meth:`export_histograms`.
     """
+
+    #: Messages sent and units (flits, beats) they carried.
+    messages = 0
+    units = 0
 
     def __init__(self, sim: Simulator, name: str, sink: Sink,
                  latency: int = 1, cycles_per_unit: float = 1.0,
                  category: str = "link", delivery_delay: int = 0):
-        super().__init__(sim, name)
         if latency < 0:
             raise ConfigError(f"{name}: negative latency {latency}")
         if cycles_per_unit < 0:
@@ -46,12 +56,17 @@ class Link(Component):
         if delivery_delay < 0:
             raise ConfigError(
                 f"{name}: negative delivery_delay {delivery_delay}")
+        self.sim = sim
+        self.name = name
+        self.obs = sim.obs
         self.sink = sink
         self.latency = latency
         self.cycles_per_unit = cycles_per_unit
         self.category = category
         self.delivery_delay = delivery_delay
         self._free_at = 0
+        # Queueing delays other than 0, from the first one on.
+        self._queued: Optional[Histogram] = None
         sim.obs.register_link(self)
         # Deliveries ride the typed fast path: the sink is fixed at
         # construction, only the arrival delay varies (queueing +
@@ -68,65 +83,66 @@ class Link(Component):
         sim = self.sim
         now = sim.now
         free_at = self._free_at
-        depart = now if free_at < now else free_at
         serialization = round(units * self.cycles_per_unit)
+        if free_at > now:
+            depart = free_at
+            queued = self._queued
+            if queued is None:
+                queued = self._queued = Histogram()
+            queued.add(free_at - now)
+        else:
+            depart = now
         # A message occupies the link for at least one cycle.
         self._free_at = depart + (serialization or (1 if units else 0))
         arrival = depart + serialization + self.latency
         self._channel.send_after(arrival + self.delivery_delay - now,
                                  message)
-        stats = self.stats
-        stats.inc("messages")
-        stats.inc("units", units)
-        stats.observe("queueing", depart - now)
+        self.messages += 1
+        self.units += units
         self.obs.link_transfer(self, units, depart, arrival)
         return arrival
 
     def send_many(self, messages, units_each: int = 1) -> int:
-        """Transmit a train of equally-sized messages; returns the last
-        arrival time.
-
-        Delivery-for-delivery identical to ``for m in messages:
-        send(m, units_each)``, but the stats/obs updates happen once per
-        train and — when serialization is zero, the common case for
-        pipeline drains — the whole train lands in the sink's calendar
-        bucket with a single batched insert.
-        """
-        n = len(messages)
-        sim = self.sim
-        now = sim.now
-        if not n:
-            return now
-        free_at = self._free_at
-        depart = now if free_at < now else free_at
-        serialization = round(units_each * self.cycles_per_unit)
-        # Each message occupies the link for `occupy` cycles, so repeated
-        # send() calls step both departure and arrival by exactly that.
-        occupy = serialization or (1 if units_each else 0)
-        self._free_at = depart + occupy * n
-        arrival = depart + serialization + self.latency
-        delay = arrival + self.delivery_delay - now
-        if occupy == 0:
-            # Zero occupancy (units_each == 0): the whole train arrives in
-            # one cycle — a single batched calendar insert.
-            self._channel.send_after_many(delay, messages)
-        else:
-            channel = self._channel
-            for message in messages:
-                channel.send_after(delay, message)
-                delay += occupy
-            arrival = delay - self.delivery_delay + now - occupy
-        stats = self.stats
-        stats.inc("messages", n)
-        stats.inc("units", units_each * n)
-        stats.observe("queueing", depart - now)
-        self.obs.link_transfer(self, units_each * n, depart, arrival)
+        """:meth:`send` each of ``messages`` in turn; returns the last
+        arrival time (``now`` for no messages)."""
+        arrival = self.sim.now
+        for message in messages:
+            arrival = self.send(message, units_each)
         return arrival
 
     @property
     def busy_until(self) -> int:
         """Cycle at which the link becomes free for the next message."""
         return self._free_at
+
+    # ------------------------------------------------------------------
+    # Stats, derived from the counts above at every read
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> StatGroup:
+        """A :class:`StatGroup` view of the link's live counts."""
+        return StatGroup(self.name, self)
+
+    def export_counters(self, counters: Dict[str, int]) -> None:
+        """``messages`` and ``units``, both from the first send on."""
+        if self.messages:
+            counters["messages"] = self.messages
+            counters["units"] = self.units
+
+    def export_histograms(self, histograms: Dict[str, Histogram]) -> None:
+        """``queueing``: one sample per message, so its 0 bucket is the
+        messages that found the link free."""
+        if not self.messages:
+            return
+        queueing = Histogram()
+        queued = self._queued
+        if queued is None:
+            queueing.add(0, self.messages)
+        else:
+            if queued.count < self.messages:
+                queueing.add(0, self.messages - queued.count)
+            queueing.merge(queued)
+        histograms["queueing"] = queueing
 
 
 class InstantLink(Link):

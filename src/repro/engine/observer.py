@@ -47,7 +47,7 @@ class NullObserver:
         """
 
     def register_link(self, link):
-        """Track a Link for occupancy sampling."""
+        """Export a Link's stats and track it for occupancy sampling."""
 
     def bind_stats(self, prefix, group):
         """Export a StatGroup's counters/histograms under ``prefix``."""

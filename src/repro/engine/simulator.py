@@ -53,16 +53,18 @@ through ``schedule()``, which the determinism tests assert.
 Batch lanes
 -----------
 
-Burst producers (router inject/drain lanes, link flit trains, BPC/LLC
-pipeline issue) emit many same-cycle sends back to back.
-:meth:`~ConstLatencyChannel.send_many` (and
-:meth:`~ConstLatencyChannel.send_after_many`) append the whole burst
-into one ``(time, bucket)`` lane: the event pool is sliced once for the
-burst instead of popped per payload, and the calendar sees a single
-``extend`` (plus at most one heap push) instead of one insert per event.
-The bucket receives the payloads in exactly iteration order, so
-``send_many(ps)`` is event-for-event identical to ``for p in ps:
-send(p)``, which the property tests assert.
+Burst producers (a router's inject lane for a same-cycle injection
+burst, the BPC replay lane, the LLC completion-hook lane) emit many
+same-cycle sends back to back.  :meth:`~ConstLatencyChannel.send_many`
+appends the whole burst into one ``(time, bucket)`` lane: the event
+pool is sliced once for the burst instead of popped per payload, and the
+calendar sees a single ``extend`` (plus at most one heap push) instead
+of one insert per event.  The bucket receives the payloads in exactly
+iteration order, so ``send_many(ps)`` is event-for-event identical to
+``for p in ps: send(p)``, which the property tests assert.
+:meth:`~ConstLatencyChannel.send_after_many` is that loop over
+:meth:`~ConstLatencyChannel.send_after`; no model code sends trains with
+a per-call delay.
 
 Drain loop
 ----------
@@ -367,32 +369,8 @@ class ConstLatencyChannel:
         return events
 
     def send_after_many(self, delay: int, payloads) -> list:
-        """Like :meth:`send_many` with a per-call delay (flit/beat trains
-        whose arrival varies while the sink stays fixed)."""
-        if type(delay) is not int:
-            delay = int(delay)
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule in the past: delay={delay}")
-        if not payloads:
-            return []
-        t = self._sim.now + delay
-        events = self._events_for(t, payloads)
-        if delay and t == self._time:
-            self._bucket_extend(events)
-            return events
-        buckets = self._buckets
-        bucket = buckets.get(t)
-        if bucket is None:
-            bucket = buckets[t] = events
-            heappush(self._times, t)
-        else:
-            bucket.extend(events)
-        if delay:
-            self._time = t
-            self._bucket_append = bucket.append
-            self._bucket_extend = bucket.extend
-        return events
+        """:meth:`send_after` for each payload, in order."""
+        return [self.send_after(delay, payload) for payload in payloads]
 
 
 class _DebugChannel(ConstLatencyChannel):
@@ -411,10 +389,6 @@ class _DebugChannel(ConstLatencyChannel):
 
     def send_many(self, payloads) -> list:
         events = ConstLatencyChannel.send_many(self, payloads)
-        return [EventHandle(event, event.generation) for event in events]
-
-    def send_after_many(self, delay: int, payloads) -> list:
-        events = ConstLatencyChannel.send_after_many(self, delay, payloads)
         return [EventHandle(event, event.generation) for event in events]
 
 

@@ -1,7 +1,8 @@
 """Lightweight statistics: counters, accumulators, and histograms.
 
-Every component carries a :class:`StatGroup`.  Stats are plain Python
-numbers — fast to update and trivial to serialize into benchmark reports.
+Every component carries a :class:`StatGroup` (a link exports the same
+view without keeping one).  Stats are plain Python numbers — fast to
+update and trivial to serialize into benchmark reports.
 """
 
 from __future__ import annotations
@@ -107,34 +108,65 @@ class StatGroup:
     ``group.inc("noc_packets")`` creates the counter on first use; this keeps
     component code free of registration boilerplate while still producing a
     complete report at the end of a run.
+
+    Counts taken once per message or access skip the group.  The owning
+    component keeps them as plain int attributes, samples latencies with
+    :meth:`Histogram.add` on a histogram it took from :meth:`histogram`,
+    and derives whatever an existing count implies.  Every read of the
+    group sees them: :attr:`counters` is the ``inc`` counters plus
+    ``owner.export_counters``, :attr:`histograms` lists a histogram once
+    it holds a sample plus ``owner.export_histograms``, and :meth:`get`,
+    :meth:`as_dict` and the obs registry read those two views.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, owner=None):
         self.name = name
-        self.counters: Dict[str, int] = {}
-        self.histograms: Dict[str, Histogram] = {}
+        self._owner = owner
+        self._counters: Dict[str, int] = {}
+        self._histograms: Dict[str, Histogram] = {}
 
     def inc(self, key: str, amount: int = 1) -> None:
-        counters = self.counters
+        counters = self._counters
         if key in counters:
             counters[key] += amount
         else:
             counters[key] = amount
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Every counter by name (a fresh dict when an owner adds some)."""
+        owner = self._owner
+        if owner is None:
+            return self._counters
+        counters = dict(self._counters)
+        owner.export_counters(counters)
+        return counters
+
     def get(self, key: str) -> int:
         return self.counters.get(key, 0)
 
     def observe(self, key: str, value: int) -> None:
-        hist = self.histograms.get(key)
+        hist = self._histograms.get(key)
         if hist is None:
-            hist = self.histograms[key] = Histogram()
+            hist = self._histograms[key] = Histogram()
         hist.add(value)
 
     def histogram(self, key: str) -> Histogram:
-        hist = self.histograms.get(key)
+        """The histogram under ``key``, created empty if need be; it is
+        exported from its first sample on."""
+        hist = self._histograms.get(key)
         if hist is None:
-            hist = self.histograms[key] = Histogram()
+            hist = self._histograms[key] = Histogram()
         return hist
+
+    @property
+    def histograms(self) -> Dict[str, Histogram]:
+        """Every histogram holding a sample, by name."""
+        histograms = {key: hist for key, hist in self._histograms.items()
+                      if hist.count}
+        if self._owner is not None:
+            self._owner.export_histograms(histograms)
+        return histograms
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten counters plus histogram means for reporting."""

@@ -47,6 +47,9 @@ FlowKey = Tuple[int, NocChannel]   # (peer node, channel)
 class InterNodeBridge(Component):
     """Bridges one node's NoC onto the AXI/PCIe fabric."""
 
+    counted = ("sent_packets", "axi_writes", "write_acks", "recv_packets")
+    sent_packets = axi_writes = write_acks = recv_packets = 0
+
     def __init__(self, sim: Simulator, name: str, node_id: int,
                  fabric: PcieFabric, network: NodeNetwork,
                  credits: int = DEFAULT_CREDITS,
@@ -84,7 +87,7 @@ class InterNodeBridge(Component):
         """Entry point for packets leaving this node."""
         if packet.dst.node == self.node_id:
             raise ProtocolError(f"{self.name}: local packet {packet}")
-        self.stats.inc("sent_packets")
+        self.sent_packets += 1
         if self._shaper is not None:
             self._shaper.send(packet, units=packet.flits)
         else:
@@ -111,14 +114,14 @@ class InterNodeBridge(Component):
             user=packet)
         self.fabric.send_write(self.node_id, packet.dst.node, txn,
                                self._write_acked)
-        self.stats.inc("axi_writes")
+        self.axi_writes += 1
         if self._credits[key] <= self.max_credits // 2:
             self._maybe_poll(key)
 
     def _write_acked(self, resp: AxiWriteResp) -> None:
         if resp.resp is not AxiResp.OKAY:
             raise ProtocolError(f"{self.name}: AXI error on tunnel write")
-        self.stats.inc("write_acks")
+        self.write_acks += 1
 
     # ------------------------------------------------------------------
     # Credit polling (AR/R path, paper Fig. 4 stage 3)
@@ -161,7 +164,7 @@ class InterNodeBridge(Component):
         if not isinstance(packet, Packet):
             raise ProtocolError(f"{self.name}: tunnel write without packet")
         reply(AxiWriteResp(axi_id=txn.axi_id))
-        self.stats.inc("recv_packets")
+        self.recv_packets += 1
         self.schedule(self.decode_latency, self._inject, packet,
                       (decoded.src_node, decoded.channel))
 

@@ -53,6 +53,9 @@ class BridgeEndpoint(Protocol):
 class PcieFabric(Component):
     """Routes AXI bursts between node bridges across FPGAs."""
 
+    counted = ("writes", "reads")
+    writes = reads = 0
+
     def __init__(self, sim: Simulator, name: str,
                  placement: Dict[int, int],
                  pcie_one_way: int = PCIE_ONE_WAY_CYCLES,
@@ -120,12 +123,12 @@ class PcieFabric(Component):
     # ------------------------------------------------------------------
     def send_write(self, src_node: int, dst_node: int, txn: AxiWrite,
                    on_resp: Callable[[AxiWriteResp], None]) -> None:
-        self.stats.inc("writes")
+        self.writes += 1
         self._send(src_node, dst_node, ("w", txn, on_resp), 1 + txn.beats)
 
     def send_read(self, src_node: int, dst_node: int, txn: AxiRead,
                   on_resp: Callable[[AxiReadResp], None]) -> None:
-        self.stats.inc("reads")
+        self.reads += 1
         self._send(src_node, dst_node, ("r", txn, on_resp), 1)
 
     def _send(self, src_node: int, dst_node: int, item, units: int) -> None:

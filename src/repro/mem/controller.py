@@ -63,6 +63,9 @@ class _Engine:
 class NocAxiMemoryController(Component):
     """Transduces NoC memory messages into AXI4 bursts and back."""
 
+    counted = ("reads", "writes")
+    reads = writes = 0
+
     def __init__(self, sim: Simulator, name: str, axi_port: AxiPort,
                  respond: Responder, ingress_latency: int = 4,
                  egress_latency: int = 4, ids_per_engine: int = 16):
@@ -73,6 +76,8 @@ class NocAxiMemoryController(Component):
         self.egress_latency = egress_latency
         self._read_engine = _Engine(ids_per_engine)
         self._write_engine = _Engine(ids_per_engine)
+        self._read_latency = self.stats.histogram("read_latency")
+        self._write_latency = self.stats.histogram("write_latency")
         sim.obs.register_gauge(f"{name}.inflight", lambda: self.inflight,
                                category="mem")
         sim.obs.register_gauge(
@@ -90,10 +95,10 @@ class NocAxiMemoryController(Component):
 
     def _manage(self, request: MemRequest) -> None:
         if isinstance(request, MemRead):
-            self.stats.inc("reads")
+            self.reads += 1
             self._dispatch(self._read_engine, request)
         elif isinstance(request, MemWrite):
-            self.stats.inc("writes")
+            self.writes += 1
             self._dispatch(self._write_engine, request)
         else:
             raise ProtocolError(f"{self.name}: unknown request {request!r}")
@@ -131,7 +136,7 @@ class NocAxiMemoryController(Component):
         mshr = self._retire(self._read_engine, axi_id, resp.resp)
         request = mshr.request
         window = resp.data[mshr.offset:mshr.offset + request.size]
-        self.stats.observe("read_latency", self.now - mshr.issued_at)
+        self._read_latency.add(self.now - mshr.issued_at)
         self.obs.mem_retire(self, "read", self.now - mshr.issued_at)
         reply = MemReadResp(uid=request.uid, addr=request.addr, data=window)
         self.schedule(self.egress_latency, self.respond, reply,
@@ -140,7 +145,7 @@ class NocAxiMemoryController(Component):
     def _write_done(self, axi_id: int, resp: AxiWriteResp) -> None:
         mshr = self._retire(self._write_engine, axi_id, resp.resp)
         request = mshr.request
-        self.stats.observe("write_latency", self.now - mshr.issued_at)
+        self._write_latency.add(self.now - mshr.issued_at)
         self.obs.mem_retire(self, "write", self.now - mshr.issued_at)
         reply = MemWriteAck(uid=request.uid, addr=request.addr)
         self.schedule(self.egress_latency, self.respond, reply,

@@ -24,6 +24,9 @@ class Dram(Component):
     line address).
     """
 
+    counted = ("writes", "bytes_written", "reads", "bytes_read")
+    writes = bytes_written = reads = bytes_read = 0
+
     def __init__(self, sim: Simulator, name: str, memory: MainMemory,
                  latency: int = 60, cycles_per_beat: float = 1.0,
                  banks: int = 8):
@@ -57,8 +60,8 @@ class Dram(Component):
     # AxiSlave interface
     # ------------------------------------------------------------------
     def axi_write(self, txn: AxiWrite, reply) -> None:
-        self.stats.inc("writes")
-        self.stats.inc("bytes_written", len(txn.data))
+        self.writes += 1
+        self.bytes_written += len(txn.data)
         delay = self._service_delay(txn.addr, txn.beats)
         self.obs.dram_access(self, "write", delay, txn.beats)
 
@@ -69,8 +72,8 @@ class Dram(Component):
         self.schedule(delay, finish)
 
     def axi_read(self, txn: AxiRead, reply) -> None:
-        self.stats.inc("reads")
-        self.stats.inc("bytes_read", txn.length)
+        self.reads += 1
+        self.bytes_read += txn.length
         delay = self._service_delay(txn.addr, txn.beats)
         self.obs.dram_access(self, "read", delay, txn.beats)
 

@@ -20,6 +20,9 @@ from .topology import Direction, Mesh
 class NodeNetwork(Component):
     """All three NoCs of one node, at packet granularity."""
 
+    counted = ("injected", "edge_injected")
+    injected = edge_injected = 0
+
     def __init__(self, sim: Simulator, name: str, node_id: int, n_tiles: int,
                  hop_latency: int = 2, credits: int = 4, link_latency: int = 1,
                  cycles_per_flit: float = 1.0, mesh: Optional[Mesh] = None):
@@ -69,7 +72,7 @@ class NodeNetwork(Component):
             raise ProtocolError(
                 f"{self.name}: inject from wrong node ({packet})")
         packet.created_at = self.now
-        self.stats.inc("injected")
+        self.injected += 1
         self.routers[tile].inject(packet)
 
     def inject_many(self, packets, tile: int) -> None:
@@ -81,12 +84,12 @@ class NodeNetwork(Component):
                 raise ProtocolError(
                     f"{self.name}: inject from wrong node ({packet})")
             packet.created_at = now
-        self.stats.inc("injected", len(packets))
+        self.injected += len(packets)
         self.routers[tile].inject_many(packets)
 
     def inject_from_edge(self, packet: Packet) -> None:
         """A packet entering the node from the chipset or the bridge."""
-        self.stats.inc("edge_injected")
+        self.edge_injected += 1
         self.routers[0].inject(packet)
 
     def _offchip_demux(self, packet: Packet) -> None:

@@ -107,7 +107,15 @@ class _OutputPort:
 
 
 class Router(Component):
-    """One tile's router.  Wired up by :class:`~repro.noc.network.NodeNetwork`."""
+    """One tile's router.  Wired up by :class:`~repro.noc.network.NodeNetwork`.
+
+    Its per-packet counters are int attributes (``counted``), and
+    ``forwarded`` is derived at export: every forward is one message on
+    one of the router's output links.
+    """
+
+    counted = ("injected", "received", "ejected", "offchip")
+    injected = received = ejected = offchip = 0
 
     def __init__(self, sim: Simulator, name: str, node_id: int, tile: int,
                  mesh: Mesh, hop_latency: int = 2, credits: int = 4,
@@ -141,6 +149,12 @@ class Router(Component):
     def _credit_wait_depth(self) -> int:
         """Packets parked across all ports waiting for a credit (gauge)."""
         return sum(len(port.waiting) for port in self._ports)
+
+    def export_counters(self, counters) -> None:
+        super().export_counters(counters)
+        forwarded = sum(port.link.messages for port in self._ports)
+        if forwarded:
+            counters["forwarded"] = forwarded
 
     # ------------------------------------------------------------------
     # Wiring (done once at network construction)
@@ -183,7 +197,7 @@ class Router(Component):
     # ------------------------------------------------------------------
     def inject(self, packet: Packet) -> None:
         """Entry point for packets born at this tile (or arriving off-chip)."""
-        self.stats.inc("injected")
+        self.injected += 1
         self.obs.noc_inject(self, packet)
         self._inject_lane.send(packet)
 
@@ -193,7 +207,7 @@ class Router(Component):
         Packet-for-packet identical to ``for p in packets: inject(p)``,
         riding one batched calendar insert into the routing stage.
         """
-        self.stats.inc("injected", len(packets))
+        self.injected += len(packets)
         obs = self.obs
         if obs.enabled:
             for packet in packets:
@@ -208,7 +222,7 @@ class Router(Component):
         """
         sim = self.sim
         now = sim.now
-        self.stats.inc("received")
+        self.received += 1
         packet.hops += 1
         self.obs.noc_hop(self, packet, port.enters_from,
                          now - self.hop_latency)
@@ -231,14 +245,14 @@ class Router(Component):
                 raise ProtocolError(
                     f"{self.name}: no local handler for {packet.channel} "
                     f"({packet})")
-            self.stats.inc("ejected")
+            self.ejected += 1
             self.obs.noc_eject(self, packet)
             handler(packet)
         elif port is _OFFCHIP:
             if self._offchip_handler is None:
                 raise ProtocolError(
                     f"{self.name}: packet {packet} needs off-chip port")
-            self.stats.inc("offchip")
+            self.offchip += 1
             self.obs.noc_offchip(self, packet)
             self._offchip_handler(packet)
         elif port is None:
@@ -246,7 +260,6 @@ class Router(Component):
         elif port.credits or self._collect(port):
             port.credits -= 1
             port.link.send(packet, packet.flits)
-            self.stats.inc("forwarded")
         else:
             self._wait(port, packet)
 
@@ -291,7 +304,6 @@ class Router(Component):
         if port.waiting:
             packet = port.waiting.popleft()
             port.link.send(packet, packet.flits)
-            self.stats.inc("forwarded")
         else:
             port.credits += 1
             if port.credits + len(port.due) > port.max_credits:

@@ -92,11 +92,6 @@ class _TracedChannel:
                              self._sim.now)
         return self._channel.send_many(payloads)
 
-    def send_after_many(self, delay, payloads):
-        self._tracer.instant("kernel", self._comp, "send_after_many",
-                             self._sim.now)
-        return self._channel.send_after_many(delay, payloads)
-
 
 class Observer(NullObserver):
     """Live observer: metrics registry + tracer + sampling probes.
@@ -189,17 +184,19 @@ class Observer(NullObserver):
 
     def register_link(self, link):
         path = metric_path(link.name)
+        # A link keeps no StatGroup; this view reads its counts live.
+        self.registry.bind_group(path, link.stats)
         if self._select is not None \
                 and not self._select(f"{path}.utilization"):
             return
         # Lifetime average occupancy for the metrics dump...
-        stats, cpu = link.stats, link.cycles_per_unit
+        cpu = link.cycles_per_unit
 
         def lifetime_utilization() -> float:
             now = link.sim.now
             if not now:
                 return 0.0
-            return min(1.0, stats.get("units") * cpu / now)
+            return min(1.0, link.units * cpu / now)
 
         self.registry.gauge(f"{path}.utilization", lifetime_utilization)
         # ...and a windowed series for the heatmap/time-series charts,

@@ -72,7 +72,7 @@ def link_utilization_probe(link: Link) -> Source:
 
     def sample() -> float:
         now = link.sim.now
-        units = link.stats.get("units")
+        units = link.units
         window = now - state["at"]
         busy = (units - state["units"]) * link.cycles_per_unit
         state["units"] = units

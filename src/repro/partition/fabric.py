@@ -47,11 +47,11 @@ InboxEntry = Tuple[int, int, int, int, tuple]
 class _BoundaryCapture:
     """Stands in for a boundary link's delivery channel.
 
-    Mimics the ``ConstLatencyChannel`` surface the :class:`Link` send
-    paths use (``send_after`` / ``send_after_many``), but instead of
-    scheduling ``fabric._deliver`` locally it records the message and
-    its arrival cycle into the fabric's outbox.  Sender-side link
-    behaviour (serialization, occupancy, stats, obs) is untouched.
+    Mimics the ``ConstLatencyChannel`` method :meth:`Link.send` uses
+    (``send_after``), but instead of scheduling ``fabric._deliver``
+    locally it records the message and its arrival cycle into the
+    fabric's outbox.  Sender-side link behaviour (serialization,
+    occupancy, stats, obs) is untouched.
     """
 
     __slots__ = ("_fabric", "_dst_partition", "delay", "sink")
@@ -63,21 +63,8 @@ class _BoundaryCapture:
         self.delay = link.latency
         self.sink = fabric._deliver
 
-    def send(self, message):
-        self._fabric._capture(self._dst_partition, self.delay, message)
-
     def send_after(self, delay, message):
         self._fabric._capture(self._dst_partition, delay, message)
-
-    def send_many(self, messages):
-        capture = self._fabric._capture
-        for message in messages:
-            capture(self._dst_partition, self.delay, message)
-
-    def send_after_many(self, delay, messages):
-        capture = self._fabric._capture
-        for message in messages:
-            capture(self._dst_partition, delay, message)
 
 
 class PartitionFabric(PcieFabric):

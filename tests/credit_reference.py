@@ -17,7 +17,7 @@ from repro.noc.router import Router
 def _arrive_eagerly(self, port, packet):
     """``Router._arrive`` with the credit always sent as an event."""
     now = self.sim.now
-    self.stats.inc("received")
+    self.received += 1
     packet.hops += 1
     self.obs.noc_hop(self, packet, port.enters_from, now - self.hop_latency)
     port.router._credit_event(port, 1)

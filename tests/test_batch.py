@@ -4,8 +4,7 @@ The load-bearing properties of this layer:
 
 * ``send_many(ps)`` is event-for-event identical to ``for p in ps:
   send(p)`` — asserted on typed channels and on the generic
-  ``schedule()`` reference path, for channels, links, AXI ports, and NoC
-  injection;
+  ``schedule()`` reference path, for channels, links and NoC injection;
 * a Fig. 7 latency point archives byte-identical metrics
   (``json.dumps`` equality) whether its channels are typed or routed
   through ``schedule()``.
@@ -16,7 +15,6 @@ import json
 import pytest
 
 from repro import Prototype, parse_config
-from repro.axi import AxiPort, AxiRead, AxiReadResp, AxiWrite, AxiWriteResp
 from repro.engine import EventHandle, Link, Simulator
 from repro.errors import SimulationError
 from repro.noc import MsgClass, NocChannel, NodeNetwork, Packet, TileAddr
@@ -184,53 +182,6 @@ class TestLinkBatch:
         assert link.send_many([]) == sim.now
         assert link.busy_until == 0
         assert sim.pending == 0
-
-
-class _EchoSlave:
-    def __init__(self):
-        self.writes = []
-
-    def axi_write(self, txn, reply):
-        self.writes.append(txn.addr)
-        reply(AxiWriteResp(axi_id=txn.axi_id))
-
-    def axi_read(self, txn, reply):
-        reply(AxiReadResp(axi_id=txn.axi_id, data=bytes(txn.length)))
-
-
-def _axi_train(batched):
-    sim = Simulator()
-    port = AxiPort(sim, "p", _EchoSlave())
-    done = []
-    writes = [AxiWrite(addr=4096 * i, data=b"x" * size)
-              for i, size in enumerate((64, 64, 128, 64))]
-    reads = [AxiRead(addr=4096 * i, length=64) for i in range(3)]
-    on_write = lambda resp: done.append((sim.now, "w", resp.uid))
-    on_read = lambda resp: done.append((sim.now, "r", resp.uid))
-    if batched:
-        port.write_many(writes, on_write)
-        port.read_many(reads, on_read)
-    else:
-        for txn in writes:
-            port.write(txn, on_write)
-        for txn in reads:
-            port.read(txn, on_read)
-    sim.run()
-    # uids are globally allocated, so compare completion *order* and times.
-    order = [(t, kind) for t, kind, _ in done]
-    return order, sim.now, port.stats.get("writes"), port.stats.get("reads")
-
-
-class TestAxiPortBatch:
-    def test_train_matches_looped_transactions(self):
-        assert _axi_train(True) == _axi_train(False)
-
-    def test_duplicate_uid_rejected_in_train(self):
-        sim = Simulator()
-        port = AxiPort(sim, "p", _EchoSlave())
-        txn = AxiWrite(addr=0, data=b"x" * 64)
-        with pytest.raises(Exception, match="duplicate"):
-            port.write_many([txn, txn], lambda resp: None)
 
 
 def _inject_burst(batched, n_tiles=6):
