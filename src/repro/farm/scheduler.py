@@ -341,7 +341,7 @@ class _Monitor:
                 self._fail(state, True, "WorkerCrash",
                            f"worker exited with code {code} "
                            f"without reporting a result")
-            elif timeout is not None and now - last_seen > timeout:
+            elif now - last_seen > timeout:
                 self._fail(state, True, "HeartbeatTimeout",
                            f"no heartbeat for more than {timeout}s; "
                            f"worker terminated", kill=True)
@@ -354,8 +354,12 @@ class _Monitor:
         if not force and now - self._report_written < 0.5:
             return
         from .report import write_farm_manifest
-        write_farm_manifest(self.report_dir, self.spec, self.states,
-                            self.counters, final=force)
+        try:
+            write_farm_manifest(self.report_dir, self.spec, self.states,
+                                self.counters, final=force)
+        except OSError as error:
+            raise FarmError(f"farm: cannot write the report to "
+                            f"{self.report_dir} ({error})") from None
         self._report_written = now
 
 
@@ -365,17 +369,18 @@ def run_farm(spec: FarmSpec, jobs: Sequence[JobSpec],
 
     Every job ends ``done``, ``failed``, or ``quarantined`` — a farm
     run never raises for job failures (inspect
-    :meth:`FarmResult.failed_states`), only for a mis-specified fleet.
-    The hosts' workers live for this call only: they are stopped before
-    it returns or raises.
+    :meth:`FarmResult.failed_states`), only for a mis-specified fleet
+    or a ``report_dir`` it cannot write (:class:`FarmError`).  The
+    hosts' workers live for this call only: they are stopped before it
+    returns or raises.
     """
     jobs = list(jobs)
     if not jobs:
         raise FarmError("farm: no jobs submitted")
     monitor = _Monitor(spec, jobs, report_dir)
     started = time.time()
-    monitor._stream_report(force=True)
     try:
+        monitor._stream_report(force=True)
         while monitor.counters.queued or monitor.running:
             monitor._place(time.time())
             monitor._drain_events()

@@ -95,6 +95,12 @@ class JobSpec:
                 "instrumentation": self.instrumentation}
 
 
+#: Heartbeat intervals a worker may stay silent before it is terminated,
+#: when ``heartbeat_timeout`` is left unset (10 s at the default 0.2 s).
+#: Heartbeats come from a thread, so a long simulation still beats.
+DEFAULT_TIMEOUT_BEATS = 50
+
+
 @dataclass(frozen=True)
 class FarmSpec:
     """The pool and its policies.
@@ -105,8 +111,10 @@ class FarmSpec:
     job that fails twice with the *same* error signature, which is
     quarantined immediately (re-running a deterministic failure buys
     nothing).  Heartbeats: workers beat every ``heartbeat_interval``
-    seconds; with ``heartbeat_timeout`` set, a silent-but-alive worker
-    is terminated and retried as a transient failure.
+    seconds; a silent-but-alive worker (hung, or stopped with SIGSTOP)
+    is terminated after ``heartbeat_timeout`` seconds and retried as a
+    transient failure.  ``heartbeat_timeout=None`` means
+    :data:`DEFAULT_TIMEOUT_BEATS` intervals.
     """
 
     hosts: Sequence[HostSpec] = field(
@@ -129,6 +137,10 @@ class FarmSpec:
         names = [host.name for host in self.hosts]
         if len(set(names)) != len(names):
             raise FarmError(f"farm: duplicate host names in {names}")
+        if self.heartbeat_timeout is None:
+            object.__setattr__(
+                self, "heartbeat_timeout",
+                DEFAULT_TIMEOUT_BEATS * self.heartbeat_interval)
 
     @property
     def total_slots(self) -> int:

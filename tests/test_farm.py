@@ -8,6 +8,9 @@ survives injected transient failures, crashes, and hangs via retry.
 import json
 import multiprocessing
 import os
+import shutil
+import signal
+import time
 
 import pytest
 
@@ -17,7 +20,7 @@ from repro.farm import (FarmSpec, HostSpec, JobSpec, LocalHost,
                         apply_fault_injection, farm_sweep, finish_suite,
                         load_farm_manifest, load_spec_file, local_farm,
                         plan_sweep, run_farm)
-from repro.parallel import fig8_spec, run_sweep
+from repro.parallel import SweepSpec, fig8_spec, run_sweep
 from repro.store import ResultStore
 
 #: Fast policy for toy fleets: no backoff waiting in tests.
@@ -40,6 +43,26 @@ def flaky_value_job(payload):
 def pid_job(payload):
     """The pid of the worker process that ran the job."""
     return os.getpid()
+
+
+def stop_once_point(config, point, seed, obs_spec):
+    """Sweep point fn: a point carrying a ``marker`` path stops its own
+    worker with SIGSTOP on the first attempt that finds no marker."""
+    marker = point.get("marker")
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return point["x"] * 2
+
+
+def sabotage_report_job(payload):
+    """Replace the fleet's report directory by a file, then stay busy
+    past the scheduler's next report write."""
+    shutil.rmtree(payload["report"])
+    with open(payload["report"], "w"):
+        pass
+    time.sleep(1.0)
+    return payload["x"]
 
 
 def _small_fig8(**kwargs):
@@ -72,6 +95,11 @@ class TestSpecs:
     def test_farm_rejects_duplicate_hosts(self):
         with pytest.raises(FarmError):
             FarmSpec(hosts=(HostSpec("a"), HostSpec("a")))
+
+    def test_heartbeat_timeout_defaults_to_fifty_beats(self):
+        assert FarmSpec().heartbeat_timeout == 10.0
+        assert local_farm(heartbeat_interval=0.05).heartbeat_timeout == 2.5
+        assert local_farm(heartbeat_timeout=3.0).heartbeat_timeout == 3.0
 
     def test_fault_injection_rewrites_named_jobs(self):
         jobs = [JobSpec("a", ok_job, {"x": 1}),
@@ -203,6 +231,20 @@ class TestScheduler:
 # ----------------------------------------------------------------------
 
 class TestHosts:
+    def test_stopped_worker_misses_the_default_deadline(self, tmp_path):
+        points = [{"x": x} for x in range(4)]
+        points[1] = {"x": 1, "marker": str(tmp_path / "stopped")}
+        spec = SweepSpec(family="stop-once", config=parse_config("1x2x2"),
+                         points=points, point_fn=stop_once_point)
+        started = time.monotonic()
+        got = farm_sweep(spec, local_farm(slots=2, heartbeat_interval=0.05,
+                                          **FAST))
+        assert time.monotonic() - started < 30
+        assert os.path.exists(tmp_path / "stopped")
+        assert multiprocessing.active_children() == []
+        # The marker now exists, so the serial run does not stop itself.
+        assert got.values == run_sweep(spec, jobs=1).values == [0, 2, 4, 6]
+
     def test_workers_serve_many_attempts(self):
         result = run_farm(local_farm(slots=2, **FAST),
                           [JobSpec(f"pid/{i}", pid_job, i)
@@ -317,6 +359,26 @@ class TestReports:
     def test_status_of_non_report_dir_fails(self, tmp_path):
         with pytest.raises(FarmError):
             load_farm_manifest(str(tmp_path))
+
+    def test_unusable_report_dir_is_a_farm_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        report = str(blocker / "rep")
+        with pytest.raises(FarmError, match="cannot write the report to "
+                           + report):
+            run_farm(local_farm(**FAST), [JobSpec("ok", ok_job, {"x": 1})],
+                     report_dir=report)
+        assert multiprocessing.active_children() == []
+
+    def test_report_dir_lost_mid_run_stops_the_workers(self, tmp_path):
+        report = str(tmp_path / "report")
+        with pytest.raises(FarmError, match="cannot write the report"):
+            run_farm(local_farm(slots=2, **FAST),
+                     [JobSpec("sabotage", sabotage_report_job,
+                              {"report": report, "x": 1}),
+                      JobSpec("ok", ok_job, {"x": 2})],
+                     report_dir=report)
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
