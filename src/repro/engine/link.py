@@ -136,11 +136,10 @@ class Link:
             return
         queueing = Histogram()
         queued = self._queued
-        if queued is None:
-            queueing.add(0, self.messages)
-        else:
-            if queued.count < self.messages:
-                queueing.add(0, self.messages - queued.count)
+        idle = self.messages - (queued.count if queued is not None else 0)
+        if idle:
+            queueing.add(0, idle)
+        if queued is not None:
             queueing.merge(queued)
         histograms["queueing"] = queueing
 

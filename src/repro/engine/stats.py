@@ -146,10 +146,7 @@ class StatGroup:
         return self.counters.get(key, 0)
 
     def observe(self, key: str, value: int) -> None:
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram()
-        hist.add(value)
+        self.histogram(key).add(value)
 
     def histogram(self, key: str) -> Histogram:
         """The histogram under ``key``, created empty if need be; it is

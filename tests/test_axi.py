@@ -87,6 +87,13 @@ class TestPort:
         sim.run()
         assert sorted(got) == [0, 1, 2, 3, 4]
 
+    def test_duplicate_uid_rejected(self):
+        port = AxiPort(Simulator(), "p", EchoSlave())
+        txn = AxiWrite(addr=0, data=b"x" * 64)
+        port.write(txn, lambda resp: None)
+        with pytest.raises(ProtocolError, match="duplicate write uid"):
+            port.write(txn, lambda resp: None)
+
     def test_latency_applied_both_ways(self):
         sim = Simulator()
         port = AxiPort(sim, "p", EchoSlave(), latency=5, cycles_per_beat=0.0)
