@@ -37,7 +37,6 @@ class AxiPort(Component):
     """Point-to-point AXI master port bound to one slave."""
 
     counted = ("writes", "reads")
-    writes = reads = 0
 
     def __init__(self, sim: Simulator, name: str, slave: AxiSlave,
                  latency: int = 2, cycles_per_beat: float = 1.0):

@@ -64,8 +64,6 @@ class Bpc(Component):
 
     counted = ("misses", "load_hits", "amo_hits", "store_hits", "upgrades",
                "invalidations", "downgrades")
-    misses = load_hits = amo_hits = store_hits = upgrades = 0
-    invalidations = downgrades = 0
 
     def __init__(self, sim: Simulator, name: str, tile: TileAddr,
                  homing: Homing, send_msg: MsgSender,

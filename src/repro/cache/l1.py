@@ -29,7 +29,6 @@ class L1Cache(Component):
     """Write-through L1D in front of one BPC."""
 
     counted = ("load_hits", "load_misses", "amos", "stores")
-    load_hits = load_misses = amos = stores = 0
 
     def __init__(self, sim: Simulator, name: str, bpc: Bpc,
                  size_bytes: int = 8 * 1024, ways: int = 4,

@@ -71,7 +71,6 @@ class LlcSlice(Component):
     """One slice of the distributed last-level cache, plus directory."""
 
     counted = ("gets", "getm", "putm", "array_hits", "array_misses")
-    gets = getm = putm = array_hits = array_misses = 0
 
     def __init__(self, sim: Simulator, name: str, tile: TileAddr,
                  send_msg: MsgSender, send_mem: MemSender,

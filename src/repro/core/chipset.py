@@ -28,7 +28,6 @@ class Chipset(Component):
     """One node's chipset."""
 
     counted = ("mem_requests",)
-    mem_requests = 0
 
     def __init__(self, sim: Simulator, name: str, node_id: int, node,
                  memory: MainMemory, params):

@@ -20,19 +20,24 @@ class Component:
     interesting happenings through ``self.stats``.
 
     A count taken once per message or access is a plain int attribute
-    instead, named in the class's :attr:`counted` tuple and defaulting
-    to a class-level 0.  The first ``self.key += n`` creates the
-    instance attribute, which is exactly when ``stats.inc`` would have
-    created the counter, so reads of ``self.stats`` list the same
-    counters with the same values.
+    instead (``self.key += 1``), named in the class's :attr:`counted`
+    tuple.  Reads of ``self.stats`` list it once it is nonzero, which
+    is when ``stats.inc`` would have created it; a cold path may still
+    ``stats.inc`` the same name, and the two counts add up.  The
+    attributes are set to 0 here, before the subclass's own, so every
+    instance keeps them in CPython's shared-key attribute layout: an
+    attribute first set after many instances exist can make each
+    instance that sets it fall back to a dict of its own.
     """
 
-    #: Int attributes exported as counters once they are first counted.
+    #: Int attributes exported as counters while they are nonzero.
     counted: Tuple[str, ...] = ()
 
     def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
+        for key in self.counted:
+            setattr(self, key, 0)
         self.stats = StatGroup(name, self)
         # Bind the simulator's schedule directly: component hot paths call
         # self.schedule per message, and the instance attribute skips the
@@ -47,11 +52,11 @@ class Component:
         sim.obs.bind_stats(name, self.stats)
 
     def export_counters(self, counters: Dict[str, int]) -> None:
-        """Add the counters kept as attributes to a ``self.stats`` read."""
-        values = vars(self)
+        """Add the nonzero attribute counts to a ``self.stats`` read."""
         for key in self.counted:
-            if key in values:
-                counters[key] = values[key]
+            value = getattr(self, key)
+            if value:
+                counters[key] = counters.get(key, 0) + value
 
     def export_histograms(self, histograms: Dict[str, Histogram]) -> None:
         """Add histograms derived at export time (none by default)."""

@@ -41,10 +41,6 @@ class Link:
     :meth:`export_histograms`.
     """
 
-    #: Messages sent and units (flits, beats) they carried.
-    messages = 0
-    units = 0
-
     def __init__(self, sim: Simulator, name: str, sink: Sink,
                  latency: int = 1, cycles_per_unit: float = 1.0,
                  category: str = "link", delivery_delay: int = 0):
@@ -65,6 +61,9 @@ class Link:
         self.category = category
         self.delivery_delay = delivery_delay
         self._free_at = 0
+        #: Messages sent and units (flits, beats) they carried.
+        self.messages = 0
+        self.units = 0
         # Queueing delays other than 0, from the first one on.
         self._queued: Optional[Histogram] = None
         sim.obs.register_link(self)

@@ -48,7 +48,6 @@ class InterNodeBridge(Component):
     """Bridges one node's NoC onto the AXI/PCIe fabric."""
 
     counted = ("sent_packets", "axi_writes", "write_acks", "recv_packets")
-    sent_packets = axi_writes = write_acks = recv_packets = 0
 
     def __init__(self, sim: Simulator, name: str, node_id: int,
                  fabric: PcieFabric, network: NodeNetwork,

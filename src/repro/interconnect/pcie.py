@@ -54,7 +54,6 @@ class PcieFabric(Component):
     """Routes AXI bursts between node bridges across FPGAs."""
 
     counted = ("writes", "reads")
-    writes = reads = 0
 
     def __init__(self, sim: Simulator, name: str,
                  placement: Dict[int, int],

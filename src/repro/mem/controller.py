@@ -64,7 +64,6 @@ class NocAxiMemoryController(Component):
     """Transduces NoC memory messages into AXI4 bursts and back."""
 
     counted = ("reads", "writes")
-    reads = writes = 0
 
     def __init__(self, sim: Simulator, name: str, axi_port: AxiPort,
                  respond: Responder, ingress_latency: int = 4,

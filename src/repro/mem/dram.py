@@ -24,8 +24,7 @@ class Dram(Component):
     line address).
     """
 
-    counted = ("writes", "bytes_written", "reads", "bytes_read")
-    writes = bytes_written = reads = bytes_read = 0
+    counted = ("writes", "reads")
 
     def __init__(self, sim: Simulator, name: str, memory: MainMemory,
                  latency: int = 60, cycles_per_beat: float = 1.0,
@@ -36,8 +35,17 @@ class Dram(Component):
         self.cycles_per_beat = cycles_per_beat
         self.banks = banks
         self._bank_free_at = [0] * banks
+        self.bytes_written = self.bytes_read = 0
         sim.obs.register_gauge(f"{name}.bank_backlog", self._bank_backlog,
                                category="mem")
+
+    def export_counters(self, counters) -> None:
+        """``bytes_*`` from the first access of their kind on, 0 too."""
+        super().export_counters(counters)
+        if self.writes:
+            counters["bytes_written"] = self.bytes_written
+        if self.reads:
+            counters["bytes_read"] = self.bytes_read
 
     def _bank_backlog(self) -> int:
         """Cycles of already-committed work across all banks (gauge)."""

@@ -21,7 +21,6 @@ class NodeNetwork(Component):
     """All three NoCs of one node, at packet granularity."""
 
     counted = ("injected", "edge_injected")
-    injected = edge_injected = 0
 
     def __init__(self, sim: Simulator, name: str, node_id: int, n_tiles: int,
                  hop_latency: int = 2, credits: int = 4, link_latency: int = 1,
@@ -84,7 +83,7 @@ class NodeNetwork(Component):
                 raise ProtocolError(
                     f"{self.name}: inject from wrong node ({packet})")
             packet.created_at = now
-        self.injected += len(packets)
+        self.stats.inc("injected", len(packets))
         self.routers[tile].inject_many(packets)
 
     def inject_from_edge(self, packet: Packet) -> None:

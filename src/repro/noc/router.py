@@ -115,7 +115,6 @@ class Router(Component):
     """
 
     counted = ("injected", "received", "ejected", "offchip")
-    injected = received = ejected = offchip = 0
 
     def __init__(self, sim: Simulator, name: str, node_id: int, tile: int,
                  mesh: Mesh, hop_latency: int = 2, credits: int = 4,
@@ -207,7 +206,7 @@ class Router(Component):
         Packet-for-packet identical to ``for p in packets: inject(p)``,
         riding one batched calendar insert into the routing stage.
         """
-        self.injected += len(packets)
+        self.stats.inc("injected", len(packets))
         obs = self.obs
         if obs.enabled:
             for packet in packets:
