@@ -42,7 +42,6 @@ class TestPinnedStats:
         assert _digest(metrics) == FIG7_ROW_METRICS
 
 
-
 class TestLinkCounts:
     def test_no_counters_before_the_first_send(self):
         link = Link(Simulator(), "l", lambda m: None)
