@@ -4,8 +4,8 @@ This is the library's main entry point::
 
     from repro import Prototype, parse_config
 
-    proto = Prototype(parse_config("4x1x12"))
-    latency = proto.measure_pair_latency(0, 13)
+    with Prototype(parse_config("4x1x12")) as proto:
+        latency = proto.measure_pair_latency(0, 13)
 
 The prototype wires up A FPGAs x B nodes x C tiles, the homing policy, the
 inter-node PCIe fabric, and exposes blocking-style helpers for driving
@@ -40,7 +40,12 @@ def build_homing(config: PrototypeConfig):
 
 
 class Prototype:
-    """A fully built SMAPPIC system."""
+    """A fully built SMAPPIC system.
+
+    :meth:`close` (or leaving a ``with`` block) frees the model by
+    reference counting; a prototype nobody closes waits for the cyclic
+    garbage collector instead.
+    """
 
     def __new__(cls, config: Optional[PrototypeConfig] = None, **kwargs):
         # `partitions=` > 1 swaps in the sharded implementation (one
@@ -233,6 +238,23 @@ class Prototype:
                 groups.extend([tile.bpc.stats, tile.llc.stats,
                                tile.l1.stats])
         return merge_stat_groups(groups)
+
+    # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Break the model's reference cycles (:meth:`Simulator.close`).
+
+        Export metrics and read stats first: no component works
+        afterwards.  A second call does nothing.
+        """
+        self.sim.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def build(label: str, obs=None, **kwargs) -> Prototype:

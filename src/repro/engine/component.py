@@ -50,6 +50,7 @@ class Component:
         # registration code.
         self.obs = sim.obs
         sim.obs.bind_stats(name, self.stats)
+        sim._built.append(self)
 
     def export_counters(self, counters: Dict[str, int]) -> None:
         """Add the nonzero attribute counts to a ``self.stats`` read."""

@@ -67,6 +67,7 @@ class Link:
         # Queueing delays other than 0, from the first one on.
         self._queued: Optional[Histogram] = None
         sim.obs.register_link(self)
+        sim._built.append(self)
         # Deliveries ride the typed fast path: the sink is fixed at
         # construction, only the arrival delay varies (queueing +
         # serialization), so every send is a single-payload send_after.

@@ -59,8 +59,10 @@ def _measure_machine(config, obs_spec):
         from ..obs import Observer, as_plane
         obs = Observer(dataclasses.replace(as_plane(obs_spec),
                                            tracing=False))
-    machine = machine_from_prototype(Prototype(config, obs=obs))
-    return machine, obs.export_metrics() if obs is not None else None
+    with Prototype(config, obs=obs) as proto:
+        machine = machine_from_prototype(proto)
+        metrics = obs.export_metrics() if obs is not None else None
+    return machine, metrics
 
 
 def model_point(config, point, _seed, obs_spec):

@@ -52,16 +52,18 @@ def measure_rows_point(config, point, _seed, obs_spec):
         from ..obs import Observer, as_plane
         obs = Observer(dataclasses.replace(as_plane(obs_spec),
                                            tracing=False))
-    proto = Prototype(config, obs=obs)
     size = config.total_tiles
-    # Every probe gets its own line (index sender * size + receiver),
-    # whichever shard it lands in.
-    rows = [[proto.measure_pair_latency(sender, receiver,
-                                        sender * size + receiver)
-             for receiver in range(size)]
-            for sender in point["senders"]]
-    return {"rows": rows,
-            "metrics": obs.export_metrics() if obs is not None else None}
+    # Export inside the block: closing empties every component the
+    # observer reads.
+    with Prototype(config, obs=obs) as proto:
+        # Every probe gets its own line (index sender * size + receiver),
+        # whichever shard it lands in.
+        rows = [[proto.measure_pair_latency(sender, receiver,
+                                            sender * size + receiver)
+                 for receiver in range(size)]
+                for sender in point["senders"]]
+        metrics = obs.export_metrics() if obs is not None else None
+    return {"rows": rows, "metrics": metrics}
 
 
 def merge_rows(values: List[dict]) -> Dict[str, object]:

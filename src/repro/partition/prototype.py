@@ -175,12 +175,6 @@ class PartitionedPrototype(Prototype):
             pass
         engine.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     def __del__(self):
         try:
             self.close()

@@ -73,8 +73,9 @@ def quiescent(routers):
                for router in routers for port in router._ports)
 
 
-def build_network(n_tiles=12, node_id=0, **kwargs):
-    sim = Simulator()
+def build_network(n_tiles=12, node_id=0, sim=None, **kwargs):
+    if sim is None:
+        sim = Simulator()
     net = NodeNetwork(sim, f"n{node_id}", node_id, n_tiles, **kwargs)
     received = []
 
@@ -227,14 +228,9 @@ class TestSameCycleOrder:
                 in received] == [(14, "arrival"), (15, "inject")]
 
 
-def _contended_run(credits, seed, reference, monkeypatch, hop_latency=2):
-    """Seeded hotspot traffic on one 12-tile node; everything a lazy
-    credit could disturb: deliveries in order, router and link stats,
-    the stop clock of every ``run_until`` quantum and the final clock."""
-    if reference:
-        return_credits_as_events(monkeypatch)
-    sim, net, received = build_network(credits=credits,
-                                       hop_latency=hop_latency)
+def schedule_hotspot_traffic(sim, net, seed):
+    """400 seeded packets on one 12-tile node: half of them go to one
+    hot tile, injected over the first 300 cycles."""
     rng = random.Random(seed)
     hot = rng.randrange(12)
     for index in range(400):
@@ -246,6 +242,17 @@ def _contended_run(credits, seed, reference, monkeypatch, hop_latency=2):
                              channel=rng.choice(list(NocChannel)),
                              payload=index, flits=rng.choice((0, 1, 4, 8)))
         sim.schedule(rng.randrange(300), net.inject, packet, src)
+
+
+def _contended_run(credits, seed, reference, monkeypatch, hop_latency=2):
+    """Seeded hotspot traffic on one 12-tile node; everything a lazy
+    credit could disturb: deliveries in order, router and link stats,
+    the stop clock of every ``run_until`` quantum and the final clock."""
+    if reference:
+        return_credits_as_events(monkeypatch)
+    sim, net, received = build_network(credits=credits,
+                                       hop_latency=hop_latency)
+    schedule_hotspot_traffic(sim, net, seed)
     clocks = []
     for bound in range(23, 1500, 23):
         sim.run_until(bound)

@@ -271,11 +271,9 @@ class TestPartitionedSurface:
 
     def test_constructor_tail_is_keyword_only(self):
         config = parse_config("4x1x2")
-        proto = Prototype(config, partitions=2)
-        try:
+        with Prototype(config, partitions=2) as proto:
             assert type(proto) is PartitionedPrototype
-        finally:
-            proto.close()
+        assert proto._engine._closed
         assert type(Prototype(config, partitions=1)) is Prototype
         with pytest.raises(TypeError):
             Prototype(config, None)

@@ -1,13 +1,20 @@
 """Full-system tests: the prototype builder and end-to-end behavior."""
 
+import gc
 import statistics
+from collections import Counter
 
 import pytest
 
 from repro import ConfigError, Prototype, build, parse_config
 from repro.cache import load, store
+from repro.engine import ConstLatencyChannel, Link, Simulator
 from repro.errors import ResourceError
+from repro.noc.router import Router, _OutputPort
+from repro.obs import Observer
 from repro.parallel import latency_matrix_spec, run_sweep
+from repro.parallel.osmodel import _measure_machine
+from repro.parallel.probes import measure_rows_point
 
 
 class TestConfig:
@@ -169,3 +176,57 @@ class TestStats:
         report = proto.stats_report()
         assert report.get("misses", 0) > 0
         assert report.get("gets", 0) > 0
+
+
+#: Model objects that sit on the reference cycles :meth:`Prototype.close`
+#: breaks.
+CYCLIC_MODEL = (Simulator, ConstLatencyChannel, Link, _OutputPort, Router,
+                Observer)
+
+
+class TestLifetime:
+    def test_with_block_yields_the_prototype_and_closes_it(self):
+        config = parse_config("1x1x2")
+        expected = build("1x1x2").measure_pair_latency(0, 1)
+        prototype = Prototype(config)
+        with prototype as proto:
+            assert proto is prototype
+            assert proto.measure_pair_latency(0, 1) == expected
+            sim, tile = proto.sim, proto.tile(0, 1)
+        assert vars(sim) == {} and vars(tile) == {}
+        proto.close()
+        assert vars(sim) == {}
+
+    def test_closed_points_leave_no_cyclic_model(self):
+        """Every Fig. 7 shard and Fig. 8/9 machine prototype is freed by
+        reference counting when its point returns."""
+        config = parse_config("2x1x2")
+        point = {"senders": [0, 1], "probes_per_pair": 1}
+        runs = {
+            "rows": lambda: measure_rows_point(config, point, 0, None),
+            "rows, obs {}": lambda: measure_rows_point(config, point, 0, {}),
+            "machine": lambda: _measure_machine(config, None),
+        }
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        try:
+            runs["rows, obs {}"]()      # warm-up: lazy imports and caches
+            left = {}
+            for name, run in runs.items():
+                gc.collect()
+                gc.set_debug(debug | gc.DEBUG_SAVEALL)
+                run()
+                gc.collect()
+                gc.set_debug(debug)
+                left[name] = dict(Counter(
+                    type(obj).__name__ for obj in gc.garbage
+                    if isinstance(obj, CYCLIC_MODEL)))
+                # Free what DEBUG_SAVEALL kept.
+                del gc.garbage[:]
+            assert left == {name: {} for name in runs}
+        finally:
+            gc.set_debug(debug)
+            del gc.garbage[:]
+            gc.collect()
+            if enabled:
+                gc.enable()
