@@ -898,7 +898,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     farm_run = farm_sub.add_parser(
         "run", help="run the fleet a spec file declares (suites expand "
-                    "to one job per sweep point; failures retry with "
+                    "to one job per sweep task; failures retry with "
                     "backoff)",
         parents=[output_flags("write the run table to PATH instead of "
                               "stdout")])

@@ -11,8 +11,9 @@ package is that layer for the simulation, shaped after FireSim's
   for one :func:`run_farm` call — and the retry/backoff/heartbeat
   policy;
 * :class:`JobSpec` fleets come from sweeps (:func:`farm_sweep` expands
-  a :class:`~repro.parallel.SweepSpec` one job per point) or ad-hoc
-  builders (partitioned runs weighing N slots, cloud load points);
+  a :class:`~repro.parallel.SweepSpec` one job per task: a Fig. 7
+  shard, or a whole Fig. 8/9 sweep) or ad-hoc builders (partitioned
+  runs weighing N slots, cloud load points);
 * :func:`run_farm` schedules jobs onto free slots, monitors worker
   heartbeats, retries transient failures with capped exponential
   backoff, quarantines deterministic ones (same error twice), memoizes
@@ -25,14 +26,15 @@ package is that layer for the simulation, shaped after FireSim's
 
 This is the one launcher for ``--jobs``/``REPRO_JOBS`` work:
 :func:`~repro.parallel.run_sweep` and :func:`~repro.parallel.run_tasks`
-at ``jobs > 1`` run on a one-host :func:`local_farm` of ``jobs`` slots.
-The determinism contract survives the layer: a farm suite runs the same
-per-point tasks as the serial sweep and folds them in point order, so
-*serial == farm*, byte for byte, at any host/slot count.
+at ``jobs > 1`` run on a one-host :func:`local_farm` of ``jobs`` slots
+when there is more than one task.  The determinism contract survives the
+layer: a farm suite runs the same tasks as the serial sweep and folds
+their points in point order, so *serial == farm*, byte for byte, at any
+host/slot count.
 """
 
 from .hosts import Host, JobHandle, LocalHost
-from .report import (collect_report, job_metrics, load_farm_manifest,
+from .report import (collect_report, job_metric_shards, load_farm_manifest,
                      write_farm_manifest)
 from .scheduler import (FarmCounters, FarmResult, JobState, run_farm)
 from .spec import (FarmSpec, FileSpec, HostSpec, JobSpec,
@@ -60,7 +62,7 @@ __all__ = [
     "collect_report",
     "farm_sweep",
     "finish_suite",
-    "job_metrics",
+    "job_metric_shards",
     "load_farm_manifest",
     "load_spec_file",
     "local_farm",

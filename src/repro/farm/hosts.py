@@ -3,10 +3,12 @@
 :class:`LocalHost` keeps up to ``slots`` persistent worker processes for
 the length of one :func:`~repro.farm.run_farm` call, each serving
 attempts one after another over its own duplex pipe
-(:mod:`repro.farm.worker`), so work every point of a sweep repeats
-(:func:`~repro.parallel.sweep.sweep_cached`) is done once per worker.  A
-worker whose attempt crashed, was killed, or hit pipe EOF is discarded,
-and the next launch starts a fresh one in its place.
+(:mod:`repro.farm.worker`), so a fleet pays one process start per slot,
+not per job.  Nothing a job computes outlives it on the worker: work the
+points of one sweep task share
+(:func:`~repro.parallel.sweep.sweep_cached`) lives for that task only.
+A worker whose attempt crashed, was killed, or hit pipe EOF is
+discarded, and the next launch starts a fresh one in its place.
 
 The seam is narrow: a :class:`Host` launches an attempt and returns a
 :class:`JobHandle` carrying the worker's event pipe; the scheduler polls

@@ -89,21 +89,23 @@ def load_farm_manifest(report_dir: str) -> Dict[str, object]:
     return data
 
 
-def job_metrics(result) -> Dict[str, object]:
-    """The metrics dict riding in a job result, if any.
+def job_metric_shards(result) -> List[Dict[str, object]]:
+    """The metrics dicts riding in a job result, one per sweep point.
 
-    Sweep-point jobs return ``(value, hit, evictions, writes)`` tuples
-    whose value may carry a ``"metrics"`` dict (the per-point observer
-    snapshot); ad-hoc jobs return dicts directly.
+    Sweep jobs return one ``(value, hit, evictions, writes)`` tuple per
+    point, whose value may carry a ``"metrics"`` dict (the per-point
+    observer snapshot); ad-hoc jobs return one dict directly.
     """
-    candidate = result
-    if isinstance(candidate, (list, tuple)) and candidate:
-        candidate = candidate[0]
-    if isinstance(candidate, dict):
-        metrics = candidate.get("metrics")
-        if isinstance(metrics, dict):
-            return metrics
-    return {}
+    if isinstance(result, dict):
+        candidates = [result]
+    elif isinstance(result, list):
+        candidates = [point[0] for point in result
+                      if isinstance(point, tuple) and point]
+    else:
+        candidates = []
+    return [candidate["metrics"] for candidate in candidates
+            if isinstance(candidate, dict)
+            and isinstance(candidate.get("metrics"), dict)]
 
 
 def _fleet_plane_hash(planes) -> Optional[str]:
@@ -122,9 +124,10 @@ def collect_report(report_dir: str, result, *,
                    command: Optional[List[str]] = None) -> None:
     """Collect a finished run into its report directory.
 
-    Writes the final ``farm.json``, one RunArchive per completed job,
-    the merged farm-level RunArchive (job metric shards folded in job
-    order via :func:`~repro.obs.archive.merge_metric_shards`, then the
+    Writes the final ``farm.json``, one RunArchive per completed job
+    (its points' metric shards merged), the merged farm-level RunArchive
+    (every point's shard folded in job order via
+    :func:`~repro.obs.archive.merge_metric_shards`, then the
     ``obs.farm.*`` and ``obs.store.*`` counters layered on top), and
     the per-suite merged values.  Every archive records its jobs'
     instrumentation-plane hash, so ``repro diff`` refuses to compare
@@ -137,12 +140,12 @@ def collect_report(report_dir: str, result, *,
     for state in result.states:
         if state.state != "done":
             continue
-        metrics = job_metrics(state.result)
-        shards.append(metrics)
+        job_shards = job_metric_shards(state.result)
+        shards.extend(job_shards)
         planes.add(state.job.instrumentation)
         RunArchive.write(
             os.path.join(report_dir, "jobs", _job_dirname(state.job_id)),
-            metrics,
+            merge_metric_shards(job_shards),
             wall_seconds=(state.finished_at - state.started_at
                           if state.started_at is not None
                           and state.finished_at is not None else None),

@@ -18,9 +18,10 @@ that ``repro farm run <spec.json|yaml>`` consumes::
 
 Each ``hosts`` entry is a local host of up to ``slots`` persistent
 worker processes; a host entry with any other key is rejected.
-``suites`` expand to one job per sweep point through the builders in
-:mod:`repro.farm.suites` — the same plan :func:`repro.parallel.run_sweep`
-runs at ``jobs > 1`` on a one-host farm, so a farm suite and a plain
+``suites`` expand to one job per sweep task through the builders in
+:mod:`repro.farm.suites` — one per Fig. 7 shard, one for a whole Fig. 8
+or Fig. 9 sweep (``fig8/0`` above) — the same tasks
+:func:`repro.parallel.run_sweep` runs, so a farm suite and a plain
 sweep of the same spec are byte-identical.  ``jobs`` are ad-hoc single
 jobs (partitioned latency scans that weigh N slots, cloud-pipeline load
 points).  ``fault_injection`` exists for tests and CI: it makes named
@@ -65,10 +66,11 @@ class JobSpec:
     ``fn`` is a module-level (picklable) callable ``fn(payload) ->
     JSON-able result``; ``slots`` is the job's weight against a host's
     capacity (an N-partition job consumes N slots).  ``family`` and
-    ``index`` identify sweep membership so suite results merge in point
-    order regardless of completion order.  ``inject_fail`` /
-    ``inject_crash`` are the fault-injection knobs: the job raises a
-    transient error / dies silently on its first N attempts.
+    ``index`` (the task's place in its sweep) identify sweep membership
+    so suite results merge in point order regardless of completion
+    order.  ``inject_fail`` / ``inject_crash`` are the fault-injection
+    knobs: the job raises a transient error / dies silently on its first
+    N attempts.
     """
 
     job_id: str

@@ -2,17 +2,20 @@
 
 The byte-identity contract lives here.  A suite is a
 :class:`~repro.parallel.sweep.SweepSpec` expanded into one
-:class:`~repro.farm.spec.JobSpec` per point via
-:func:`~repro.parallel.sweep.sweep_tasks` — the *same* task tuples,
-derived seeds, and store-key payloads ``run_sweep`` would build — and
-every job runs :func:`~repro.parallel.sweep.sweep_point_task`, the
-*same* worker callable ``run_sweep`` would run.  The fold back into a
+:class:`~repro.farm.spec.JobSpec` per task via
+:func:`~repro.parallel.sweep.sweep_tasks` and
+:func:`~repro.parallel.sweep.sweep_groups` — the *same* point tasks,
+derived seeds, store-key payloads and task grouping ``run_sweep`` would
+build: one job per Fig. 7 shard, one job for a whole Fig. 8 or Fig. 9
+sweep — and every job runs
+:func:`~repro.parallel.sweep.sweep_group_task`, the *same* callable
+``run_sweep`` would run.  The fold back into a
 :class:`~repro.parallel.sweep.SweepResult` goes through the shared
 :func:`~repro.parallel.sweep.collect_sweep` in point order.  Nothing is
 left to agree by coincidence: serial == farm, byte for byte, at any
 host/slot count — asserted by tests/test_farm.py and the CI
 ``farm-smoke`` job.  ``run_sweep(spec, jobs=N)`` is :func:`farm_sweep`
-on a one-host farm of N slots.
+on a one-host farm of N slots when the sweep has more than one task.
 
 Ad-hoc job kinds cover the runs that are not sweep points: a
 partitioned latency scan (slot weight = partition count, since the job
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..errors import FarmError
 from ..parallel.sweep import (SweepResult, SweepSpec, collect_sweep,
-                              sweep_point_task, sweep_tasks)
+                              sweep_group_task, sweep_groups, sweep_tasks)
 from .scheduler import FarmResult, run_farm
 from .spec import FarmSpec, JobSpec
 
@@ -48,16 +51,16 @@ class SuitePlan:
 def plan_sweep(spec: SweepSpec, store_root: Optional[str] = None,
                suite_id: Optional[str] = None,
                slots: int = 1) -> SuitePlan:
-    """Expand a sweep into farm jobs (one per point, in point order)."""
+    """Expand a sweep into farm jobs (one per task, in point order)."""
     from ..obs.plane import plane_hash
 
     suite_id = suite_id or spec.family
     cfg_hash, tasks = sweep_tasks(spec, store_root=store_root)
     inst_hash = plane_hash(spec.obs_spec)
-    jobs = [JobSpec(job_id=f"{suite_id}/{index}", fn=sweep_point_task,
-                    payload=task, slots=slots, family=spec.family,
+    jobs = [JobSpec(job_id=f"{suite_id}/{index}", fn=sweep_group_task,
+                    payload=group, slots=slots, family=spec.family,
                     index=index, instrumentation=inst_hash)
-            for index, task in enumerate(tasks)]
+            for index, group in enumerate(sweep_groups(spec, tasks))]
     return SuitePlan(suite_id=suite_id, spec=spec, config_hash=cfg_hash,
                      jobs=jobs, store_root=store_root)
 
@@ -79,7 +82,8 @@ def finish_suite(plan: SuitePlan, result: FarmResult,
             for state in broken)
         raise FarmError(
             f"farm: suite {plan.suite_id!r} is incomplete — {details}")
-    ordered = [result.value_of(job.job_id) for job in plan.jobs]
+    ordered = [point for job in plan.jobs
+               for point in result.value_of(job.job_id)]
     return collect_sweep(plan.spec, plan.config_hash, ordered,
                          store=store)
 

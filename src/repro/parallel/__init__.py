@@ -14,9 +14,10 @@ a :class:`~repro.parallel.sweep.SweepSpec` names the config, the point
 list, the point function, and the merge, and optionally memoizes every
 point in a :class:`~repro.store.ResultStore` (warm reruns skip
 simulation entirely).  ``run_tasks`` maps a function over a task list
-for the non-sweep grids.  At ``jobs > 1`` both run on the persistent
-local workers of :mod:`repro.farm` (imported on first use), the one
-process launcher, which retries a crashed point.
+for the non-sweep grids.  At ``jobs > 1`` both run their tasks on the
+persistent local workers of :mod:`repro.farm` (imported on first use),
+the one process launcher, which retries a crashed task; a sweep of one
+task (Fig. 8 or Fig. 9) stays in-process.
 :mod:`repro.parallel.probes` builds the Fig. 7 latency specs and
 :mod:`repro.parallel.osmodel` the Fig. 8/9 OS-model specs.
 """

@@ -4,13 +4,14 @@ The Fig. 8 thread-scaling and Fig. 9 thread-allocation studies each
 evaluate the phase-level NPB IS model at a handful of sweep points, but
 every evaluation first needs a :class:`~repro.osmodel.NumaMachine`
 *measured* from the cycle-level prototype — and that measurement (a
-prototype build plus latency probes) dominates the wall clock.  The
-sweep is sharded one point per task, but every point of one sweep needs
-the same machine, so :func:`model_point` measures it through
-:func:`~repro.parallel.sweep.sweep_cached`: once per sweep in a serial
-run, and once per worker process on a farm (``jobs=N``, ``repro farm
-run`` suites, serve fleets), whose workers serve one point after
-another for the length of one ``run_farm`` call.
+prototype build plus latency probes) dominates the wall clock; a point
+costs well under a millisecond after it.  So both specs set
+``one_task``: every point of a sweep runs in one task, and
+:func:`model_point` measures the machine through
+:func:`~repro.parallel.sweep.sweep_cached`, once per sweep, at the
+task's first store miss.  ``run_sweep`` runs that one task in-process at
+any ``jobs``; a ``repro farm run`` suite or a serve fleet runs it as one
+farm job.
 
 Both figures are now :class:`~repro.parallel.sweep.SweepSpec`\\ s
 (families ``"fig8"`` / ``"fig9"``) run through
@@ -20,12 +21,12 @@ series values without building a single prototype, which is exactly the
 FireSim-AGFI-reuse economics the paper's Table 5 argues for.
 
 Determinism contract (same as the whole package, extended to the
-cache): the prototype simulation is deterministic, so every worker
+cache): the prototype simulation is deterministic, so every run
 measures a bit-identical ``NumaMachine`` and every point carries the
-metrics export of one identical measurement; task composition and
-per-task seeds derive only from the inputs; the merge preserves task
-order; and cached values are JSON-canonical, so *serial == parallel ==
-cached* exactly, and both equal the series computed directly from one
+metrics export of one identical measurement, warm or cold; points and
+per-point seeds derive only from the inputs; the merge preserves point
+order; and cached values are JSON-canonical, so *serial == farm ==
+cached* exactly, and all equal the series computed directly from one
 measured machine — the tests assert all of them.
 
 Each point carries a seed derived via :func:`~repro.parallel.task_seed`.
@@ -127,6 +128,8 @@ def fig8_spec(config, thread_counts=(3, 6, 12, 24, 48), params=None,
               obs_spec: Optional[dict] = None) -> SweepSpec:
     """Fig. 8 (runtime vs thread count), one point per thread count."""
     ticks = [int(t) for t in thread_counts]
+    if not ticks:
+        raise ConfigError("fig8: no thread counts to sweep")
     bad = [t for t in ticks if not 1 <= t <= config.total_tiles]
     if bad:
         raise ConfigError(
@@ -142,7 +145,7 @@ def fig8_spec(config, thread_counts=(3, 6, 12, 24, 48), params=None,
     return SweepSpec(family="fig8", config=config, points=points,
                      point_fn=model_point, merge_fn=merge,
                      version=OSMODEL_POINT_VERSION, root_seed=root_seed,
-                     obs_spec=obs_spec)
+                     obs_spec=obs_spec, one_task=True)
 
 
 def fig9_spec(config, n_threads: int = 12, params=None,
@@ -166,4 +169,4 @@ def fig9_spec(config, n_threads: int = 12, params=None,
     return SweepSpec(family="fig9", config=config, points=points,
                      point_fn=model_point, merge_fn=merge,
                      version=OSMODEL_POINT_VERSION, root_seed=root_seed,
-                     obs_spec=obs_spec)
+                     obs_spec=obs_spec, one_task=True)

@@ -1,13 +1,16 @@
 """Background sweep jobs: cold submissions executed by the farm.
 
-A submitted sweep splits at the store: warm points are read back
-immediately, cold points become a fleet of the *same*
-:class:`~repro.farm.spec.JobSpec`\\ s a farm spec file would build —
-same task tuples, same worker callable, same store addresses — run by
-:func:`repro.farm.scheduler.run_farm` on a single background worker
-thread.  When the fleet lands, warm and cold results are folded back in
-point order through :func:`~repro.parallel.sweep.collect_sweep`, so a
-served sweep value is byte-identical to ``run_sweep`` of the same spec.
+A submitted sweep splits at the store, point by point: warm points are
+read back immediately, and each of the plan's
+:class:`~repro.farm.spec.JobSpec`\\ s that still holds a cold point runs
+with just its cold points — same point tasks, same worker callable, same
+store addresses as a farm spec file — on
+:func:`repro.farm.scheduler.run_farm` in a single background worker
+thread.  A Fig. 8/9 sweep is one job, so its cold points run as one job
+that measures the machine once.  When the fleet lands, warm and cold
+results are folded back in point order through
+:func:`~repro.parallel.sweep.collect_sweep`, so a served sweep value is
+byte-identical to ``run_sweep`` of the same spec.
 
 Each cold run streams its ``farm.json`` into a per-job spool directory;
 ``/v1/jobs/<id>`` mirrors that manifest live, exactly like
@@ -16,6 +19,7 @@ Each cold run streams its ``farm.json`` into a per-job spool directory;
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import queue
 import threading
@@ -26,7 +30,7 @@ from typing import Dict, List, Optional
 from ..errors import ReproError, ServeError
 from ..farm.report import load_farm_manifest
 from ..farm.scheduler import run_farm
-from ..farm.spec import FarmSpec
+from ..farm.spec import FarmSpec, JobSpec
 from ..farm.suites import SuitePlan
 from ..parallel.sweep import collect_sweep
 from ..store import ResultStore, entry_key
@@ -79,7 +83,7 @@ class _Pending:
     record: JobRecord
     plan: SuitePlan
     warm_values: Dict[int, object]
-    cold_indices: List[int]
+    cold_jobs: List[JobSpec]
 
 
 class JobManager:
@@ -117,34 +121,38 @@ class JobManager:
         layers it onto ``obs.serve.hits`` / ``obs.serve.misses``).
         """
         warm_values: Dict[int, object] = {}
-        cold_indices: List[int] = []
-        for index, spec_job in enumerate(plan.jobs):
-            payload = spec_job.payload[-1]
-            found, value = self.store.load(entry_key(payload))
-            if found:
-                warm_values[index] = value
-            else:
-                cold_indices.append(index)
+        cold_jobs: List[JobSpec] = []
+        points = 0
+        for spec_job in plan.jobs:
+            cold = []
+            for task in spec_job.payload:
+                found, value = self.store.load(entry_key(task[-1]))
+                if found:
+                    warm_values[points] = value
+                else:
+                    cold.append(task)
+                points += 1
+            if cold:
+                cold_jobs.append(dataclasses.replace(spec_job,
+                                                     payload=tuple(cold)))
         with self._lock:
             self._serial += 1
             job_id = f"serve-{self._serial}"
         record = JobRecord(
             job_id=job_id, suite_id=plan.suite_id,
             family=plan.spec.family, config_hash=plan.config_hash,
-            points=len(plan.jobs), warm=len(warm_values),
-            cold=len(cold_indices))
+            points=points, warm=len(warm_values),
+            cold=points - len(warm_values))
         with self._lock:
             self._records[job_id] = record
             self._order.append(job_id)
-        if not cold_indices:
-            results = [(warm_values[i], True, 0, 0)
-                       for i in range(len(plan.jobs))]
-            self._finish(record, plan, results)
+        if not cold_jobs:
+            self._finish(record, plan, warm_values, [])
             return self.get(job_id)
         record.report_dir = os.path.join(self.spool_dir, job_id)
         self._queue.put(_Pending(record=record, plan=plan,
                                  warm_values=warm_values,
-                                 cold_indices=cold_indices))
+                                 cold_jobs=cold_jobs))
         self._ensure_worker()
         return self.get(job_id)
 
@@ -196,9 +204,8 @@ class JobManager:
         with self._lock:
             record.state = RUNNING
             record.started_at = time.time()
-        cold_jobs = [plan.jobs[i] for i in pending.cold_indices]
         try:
-            result = run_farm(self.farm, cold_jobs,
+            result = run_farm(self.farm, pending.cold_jobs,
                               report_dir=record.report_dir)
             broken = [state for state in result.states
                       if state.state != "done"]
@@ -207,12 +214,9 @@ class JobManager:
                     f"{state.job_id} {state.state}" for state in broken)
                 raise ServeError(
                     f"serve: fleet incomplete — {details}")
-            cold_values = {index: result.value_of(plan.jobs[index].job_id)
-                           for index in pending.cold_indices}
-            results = [cold_values[i] if i in cold_values
-                       else (pending.warm_values[i], True, 0, 0)
-                       for i in range(len(plan.jobs))]
-            self._finish(record, plan, results)
+            cold = [point for job in pending.cold_jobs
+                    for point in result.value_of(job.job_id)]
+            self._finish(record, plan, pending.warm_values, cold)
         except ReproError as error:
             with self._lock:
                 record.state = FAILED
@@ -225,7 +229,12 @@ class JobManager:
                 record.finished_at = time.time()
 
     def _finish(self, record: JobRecord, plan: SuitePlan,
-                results: List) -> None:
+                warm_values: Dict[int, object], cold: List) -> None:
+        """Fold warm values and cold point results, in point order."""
+        cold_results = iter(cold)
+        results = [(warm_values[index], True, 0, 0)
+                   if index in warm_values else next(cold_results)
+                   for index in range(record.points)]
         sweep = collect_sweep(plan.spec, plan.config_hash, results)
         with self._lock:
             record.value = sweep.value

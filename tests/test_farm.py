@@ -20,7 +20,8 @@ from repro.farm import (FarmSpec, HostSpec, JobSpec, LocalHost,
                         apply_fault_injection, farm_sweep, finish_suite,
                         load_farm_manifest, load_spec_file, local_farm,
                         plan_sweep, run_farm)
-from repro.parallel import SweepSpec, fig8_spec, run_sweep
+from repro.parallel import (SweepSpec, fig8_spec, fig9_spec,
+                            latency_matrix_spec, run_sweep)
 from repro.store import ResultStore
 
 #: Fast policy for toy fleets: no backoff waiting in tests.
@@ -68,6 +69,11 @@ def sabotage_report_job(payload):
 def _small_fig8(**kwargs):
     return fig8_spec(parse_config("1x2x2"), thread_counts=(2, 4),
                      **kwargs)
+
+
+def _small_fig7(**kwargs):
+    """Two 4-row shards, so a suite of two jobs."""
+    return latency_matrix_spec(parse_config("2x1x4"), **kwargs)
 
 
 def _dumps(value):
@@ -292,17 +298,18 @@ class TestHosts:
 
 class TestSuites:
     def test_farm_sweep_matches_run_sweep_at_any_topology(self):
-        base = run_sweep(_small_fig8(), jobs=1)
-        for hosts, slots in ((1, 1), (2, 2)):
-            got = farm_sweep(_small_fig8(),
-                             local_farm(hosts=hosts, slots=slots, **FAST))
-            assert _dumps(got.value) == _dumps(base.value)
-            assert got.config_hash == base.config_hash
-            assert got.points == base.points
+        for spec in (_small_fig8(), _small_fig7()):
+            base = run_sweep(spec, jobs=1)
+            for hosts, slots in ((1, 1), (2, 2)):
+                got = farm_sweep(spec, local_farm(hosts=hosts, slots=slots,
+                                                  **FAST))
+                assert _dumps(got.value) == _dumps(base.value)
+                assert got.config_hash == base.config_hash
+                assert got.points == base.points
 
     def test_farm_sweep_with_injected_failure_still_identical(self):
-        base = run_sweep(_small_fig8(), jobs=1)
-        plan = plan_sweep(_small_fig8())
+        base = run_sweep(_small_fig7(), jobs=1)
+        plan = plan_sweep(_small_fig7())
         jobs = apply_fault_injection(plan.jobs,
                                      {plan.jobs[0].job_id: {"fail": 1}})
         result = run_farm(local_farm(hosts=2, slots=1, **FAST), jobs)
@@ -322,6 +329,16 @@ class TestSuites:
         assert _dumps(warm.value) == _dumps(cold.value)
         assert warm_store.export_metrics()["obs.store.hit"] == 2
 
+    def test_fig8_and_fig9_suites_are_one_job(self):
+        config = parse_config("2x1x2")
+        for spec in (fig8_spec(config, thread_counts=(1, 2, 3, 4)),
+                     fig9_spec(config, n_threads=2)):
+            plan = plan_sweep(spec)
+            assert [job.job_id for job in plan.jobs] == [
+                f"{spec.family}/0"]
+            assert len(plan.jobs[0].payload) == len(spec.points)
+        assert len(plan_sweep(_small_fig7()).jobs) == 2
+
     def test_finish_suite_raises_on_holes(self):
         plan = plan_sweep(_small_fig8())
         jobs = [JobSpec(job.job_id, bad_job, job.payload)
@@ -340,7 +357,7 @@ class TestReports:
         from repro.obs.archive import RunArchive
 
         report = str(tmp_path / "report")
-        farm_sweep(_small_fig8(), local_farm(hosts=2, **FAST),
+        farm_sweep(_small_fig7(), local_farm(hosts=2, **FAST),
                    report_dir=report)
         manifest = load_farm_manifest(report)
         assert manifest["final"] is True
@@ -350,11 +367,34 @@ class TestReports:
         with open(os.path.join(report, "merged", "metrics.json")) as f:
             merged = json.load(f)
         assert merged["obs.farm.done"] == 2
-        with open(os.path.join(report, "suites", "fig8.json")) as f:
+        with open(os.path.join(report, "suites", "fig7.json")) as f:
             suite = json.load(f)
         assert suite["points"] == 2
         jobs_dir = os.path.join(report, "jobs")
-        assert sorted(os.listdir(jobs_dir)) == ["fig8-0", "fig8-1"]
+        assert sorted(os.listdir(jobs_dir)) == ["fig7-0", "fig7-1"]
+
+    def test_one_job_suite_merges_one_metrics_shard_per_point(
+            self, tmp_path):
+        from repro.obs.archive import merge_metric_shards
+
+        report = str(tmp_path / "report")
+        spec = _small_fig8(obs_spec={})
+        got = farm_sweep(spec, local_farm(slots=2, **FAST),
+                         report_dir=report)
+        assert load_farm_manifest(report)["counters"]["obs.farm.done"] == 1
+        with open(os.path.join(report, "merged", "metrics.json")) as f:
+            merged = json.load(f)
+        with open(os.path.join(report, "suites", "fig8.json")) as f:
+            suite = json.load(f)
+        assert suite["points"] == 2
+        assert _dumps(suite["value"]) == _dumps(
+            run_sweep(spec, jobs=1).value)
+        shards = [value["metrics"] for value in got.values]
+        expected = json.loads(json.dumps(merge_metric_shards(shards)))
+        assert {name: value for name, value in merged.items()
+                if not name.startswith("obs.farm.")} == expected
+        assert sorted(os.listdir(os.path.join(report, "jobs"))) == [
+            "fig8-0"]
 
     def test_status_of_non_report_dir_fails(self, tmp_path):
         with pytest.raises(FarmError):
@@ -412,12 +452,11 @@ class TestSpecFiles:
     def test_suite_spec_expands_to_jobs(self, tmp_path):
         path = _write_spec(tmp_path, {
             "hosts": [{"name": "a", "slots": 2}],
-            "suites": [{"suite": "fig8", "config": "1x2x2",
-                        "thread_counts": [2, 4]}],
-            "fault_injection": {"fig8/0": {"fail": 1}}})
+            "suites": [{"suite": "fig7", "config": "2x1x4"}],
+            "fault_injection": {"fig7/0": {"fail": 1}}})
         filespec = load_spec_file(path)
-        assert [job.job_id for job in filespec.jobs] == ["fig8/0",
-                                                         "fig8/1"]
+        assert [job.job_id for job in filespec.jobs] == ["fig7/0",
+                                                         "fig7/1"]
         assert filespec.jobs[0].inject_fail == 1
         assert filespec.farm.total_slots == 2
 
@@ -450,21 +489,20 @@ class TestFarmCLI:
             "hosts": [{"name": "a", "slots": 2}],
             "backoff_base": 0.0,
             "report": "report",
-            "suites": [{"suite": "fig8", "config": "1x2x2",
-                        "thread_counts": [2, 4]}],
-            "fault_injection": {"fig8/1": {"fail": 1}}})
+            "suites": [{"suite": "fig7", "config": "2x1x4"}],
+            "fault_injection": {"fig7/1": {"fail": 1}}})
         from repro.cli import main
         assert main(["farm", "run", path]) == 0
         out = capsys.readouterr().out
         assert "2 done" in out
         assert "1 retried" in out
-        assert "suite fig8: 2 points merged" in out
+        assert "suite fig7: 2 points merged" in out
 
         assert main(["farm", "status", "report"]) == 0
         out = capsys.readouterr().out
         assert "final" in out
         assert "2 done" in out
-        assert "fig8/1" in out
+        assert "fig7/1" in out
 
         assert main(["farm", "status", "report",
                      "--format", "json"]) == 0

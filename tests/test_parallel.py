@@ -42,6 +42,11 @@ def _cache_then_fail(config, point, seed, obs_spec):
     return point
 
 
+def _first_cached(config, point, seed, obs_spec):
+    """Sweep point fn: the first point its task cached under one key."""
+    return sweep_mod.sweep_cached(("first",), lambda: point)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Counts ``Prototype`` constructions in this process."""
@@ -220,6 +225,57 @@ class TestShardedOsModel:
 class TestSweepCache:
     """The machine is measured once per sweep, never across sweeps."""
 
+    def test_fig8_and_fig9_run_in_process_at_any_jobs(self, builds,
+                                                       monkeypatch):
+        from repro.farm import LocalHost
+
+        def no_workers(*args):
+            raise AssertionError("a one-task sweep launched a worker")
+
+        config = parse_config("2x1x2")
+        specs = (fig8_spec(config, thread_counts=(1, 2, 3, 4)),
+                 fig9_spec(config, n_threads=2))
+        serial = [run_sweep(spec, jobs=1).value for spec in specs]
+        monkeypatch.setattr(LocalHost, "launch", no_workers)
+        del builds[:]
+        for spec, value in zip(specs, serial):
+            assert run_sweep(spec, jobs=2).value == value
+        assert len(builds) == 2     # one Prototype per sweep
+        assert sweep_mod._SWEEP_CACHE == {}
+
+    def test_cache_lives_one_task_in_every_mode(self):
+        from repro.farm import farm_sweep, local_farm
+
+        config = parse_config("1x2x2")
+        per_point = SweepSpec(family="memo", config=config,
+                              points=[0, 1, 2], point_fn=_first_cached)
+        one_task = SweepSpec(family="memo", config=config,
+                             points=[0, 1, 2], point_fn=_first_cached,
+                             one_task=True)
+        assert run_sweep(per_point, jobs=1).values == [0, 1, 2]
+        # One persistent worker serves all three jobs in turn.
+        assert farm_sweep(per_point, local_farm(slots=1)).values \
+            == [0, 1, 2]
+        assert run_sweep(one_task, jobs=2).values == [0, 0, 0]
+        assert farm_sweep(one_task, local_farm(slots=2)).values \
+            == [0, 0, 0]
+
+    def test_warm_points_are_not_measured(self, builds, tmp_path):
+        spec = fig9_spec(parse_config("2x1x2"), n_threads=2)
+        serial = run_sweep(spec, jobs=1)
+        del builds[:]
+        root = str(tmp_path / "store")
+        _, tasks = sweep_mod.sweep_tasks(spec, root)
+        sweep_mod.sweep_group_task(tasks[1:])       # warm the last point
+        assert len(builds) == 1
+        mixed = run_sweep(spec, jobs=2, store=ResultStore(root))
+        assert (mixed.hits, mixed.misses) == (1, 1)
+        assert len(builds) == 2     # measured once, at the first miss
+        warm = run_sweep(spec, jobs=2, store=ResultStore(root))
+        assert (warm.hits, warm.misses) == (2, 0)
+        assert len(builds) == 2
+        assert mixed.value == warm.value == serial.value
+
     def test_serial_sweep_builds_one_prototype(self, builds):
         spec = fig8_spec(parse_config("2x1x2"), thread_counts=(1, 2, 4))
         first = run_sweep(spec, jobs=1)
@@ -230,11 +286,13 @@ class TestSweepCache:
         assert first.value == second.value
 
     def test_failing_point_leaves_the_cache_empty(self):
-        spec = SweepSpec(family="boom", config=parse_config("1x2x2"),
-                         points=[0, 1], point_fn=_cache_then_fail)
-        with pytest.raises(ValueError, match="point 1 failed"):
-            run_sweep(spec, jobs=1)
-        assert sweep_mod._SWEEP_CACHE == {}
+        for one_task in (False, True):
+            spec = SweepSpec(family="boom", config=parse_config("1x2x2"),
+                             points=[0, 1], point_fn=_cache_then_fail,
+                             one_task=one_task)
+            with pytest.raises(ValueError, match="point 1 failed"):
+                run_sweep(spec, jobs=1)
+            assert sweep_mod._SWEEP_CACHE == {}
 
     def test_metrics_identical_across_executors(self):
         from repro.farm import farm_sweep, local_farm
@@ -261,6 +319,12 @@ class TestSweepCache:
 
 class TestSpecValidation:
     """Thread counts that cannot fit fail when the spec is built."""
+
+    def test_fig8_needs_thread_counts(self):
+        config = parse_config("2x1x2")
+        for jobs in (1, 2):
+            with pytest.raises(ConfigError, match="fig8: no thread"):
+                run_sweep(fig8_spec(config, thread_counts=()), jobs=jobs)
 
     def test_fig8_counts_must_fit_the_prototype(self):
         config = parse_config("2x1x2")

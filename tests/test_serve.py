@@ -382,6 +382,48 @@ class TestService:
             conn.close()
         assert _stat(client, "obs.serve.jobs") == jobs_before
 
+    def test_submit_without_thread_counts_is_conflict(self, served):
+        client = served["client"]
+        jobs_before = _stat(client, "obs.serve.jobs")
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          served["service"].port,
+                                          timeout=10)
+        try:
+            body = SweepSubmit(suite="fig8", config=CONFIG,
+                               thread_counts=[]).to_json()
+            conn.request("POST", "/v1/submit", body=body.encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 409
+            reply = decode(response.read())
+            assert isinstance(reply, ErrorReply)
+            assert "no thread counts" in reply.error
+        finally:
+            conn.close()
+        assert _stat(client, "obs.serve.jobs") == jobs_before
+
+    def test_submit_partly_warm_runs_its_cold_points_as_one_job(
+            self, served):
+        from repro.parallel.sweep import sweep_group_task
+
+        client = served["client"]
+        # Four nodes, so four fig9 points; root_seed 3 keys them apart
+        # from every other test's points.
+        config = parse_config("4x1x2")
+        spec = fig9_spec(config, n_threads=2, root_seed=3, obs_spec={})
+        _, tasks = sweep_tasks(spec, served["store"].root)
+        sweep_group_task(tasks[1:2])
+        reply = client.submit("fig9", config="4x1x2", threads=2,
+                              root_seed=3)
+        assert (reply.points, reply.warm, reply.cold) == (4, 1, 3)
+        final = client.wait_job(reply.job_id, timeout=120)
+        assert final.job["state"] == "done"
+        assert json.dumps(final.job["value"], sort_keys=True) \
+            == json.dumps(run_sweep(spec, jobs=1).value, sort_keys=True)
+        assert [job["job_id"] for job in final.farm["jobs"]] == ["fig9/0"]
+        assert final.farm["counters"]["obs.farm.done"] == 1
+        assert (final.job["hits"], final.job["misses"]) == (1, 3)
+
     def test_unknown_job_404(self, served):
         with pytest.raises(ServeError):
             served["client"].job("serve-9999")
