@@ -1,15 +1,24 @@
 """Set-associative cache array with true-LRU replacement.
 
-Shared by the BPC (private cache) and the LLC slices.  The array stores an
-opaque payload per line (the controllers keep coherence state and data in
-it) and never initiates traffic itself.
+Shared by the L1, the BPC (private cache) and the LLC slices.  The array
+stores an opaque payload per line (the controllers keep coherence state
+and data in it) and never initiates traffic itself.
+
+A set's dict is made on its first :meth:`CacheArray.insert`, so building
+a 4x1x12 prototype (15,360 sets, 320 per tile) allocates none of them.
+Reads of a set that has never held a line see one shared, read-only
+empty mapping and allocate nothing either.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from ..errors import ConfigError
+
+#: What :meth:`CacheArray._set_of` returns for a set holding no line.
+_NO_LINES: Mapping[int, "CacheEntry"] = MappingProxyType({})
 
 
 class CacheEntry:
@@ -39,15 +48,17 @@ class CacheArray:
         self.line_bytes = line_bytes
         self.ways = ways
         self.n_sets = size_bytes // (ways * line_bytes)
-        self._sets: List[Dict[int, CacheEntry]] = [
-            {} for _ in range(self.n_sets)]
+        # None until the set's first insert.
+        self._sets: List[Optional[Dict[int, CacheEntry]]] = \
+            [None] * self.n_sets
         self._clock = 0
         self.hits = 0
         self.misses = 0
 
-    def _set_of(self, line_addr: int) -> Dict[int, CacheEntry]:
+    def _set_of(self, line_addr: int) -> Mapping[int, CacheEntry]:
+        """The set of ``line_addr`` for reading; allocates nothing."""
         index = (line_addr // self.line_bytes) % self.n_sets
-        return self._sets[index]
+        return self._sets[index] or _NO_LINES
 
     def _tick(self) -> int:
         self._clock += 1
@@ -90,8 +101,11 @@ class CacheArray:
 
     def insert(self, line_addr: int, payload: object) -> CacheEntry:
         """Insert a line.  The caller must have evicted any victim first."""
-        target_set = self._set_of(line_addr)
-        if line_addr not in target_set and len(target_set) >= self.ways:
+        index = (line_addr // self.line_bytes) % self.n_sets
+        target_set = self._sets[index]
+        if target_set is None:
+            target_set = self._sets[index] = {}
+        elif line_addr not in target_set and len(target_set) >= self.ways:
             raise ConfigError(
                 f"set full inserting {line_addr:#x}; evict a victim first")
         entry = CacheEntry(line_addr, payload, self._tick())
@@ -99,12 +113,14 @@ class CacheArray:
         return entry
 
     def remove(self, line_addr: int) -> Optional[CacheEntry]:
-        return self._set_of(line_addr).pop(line_addr, None)
+        target_set = self._sets[(line_addr // self.line_bytes) % self.n_sets]
+        return None if target_set is None else target_set.pop(line_addr, None)
 
     def entries(self) -> Iterator[CacheEntry]:
         for target_set in self._sets:
-            yield from target_set.values()
+            if target_set:
+                yield from target_set.values()
 
     @property
     def resident(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s)

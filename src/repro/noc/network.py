@@ -38,10 +38,10 @@ class NodeNetwork(Component):
                             link_latency=link_latency,
                             cycles_per_flit=cycles_per_flit)
             self.routers.append(router)
-        for tile in range(n_tiles):
-            for direction, neighbor in self.mesh.neighbors(tile):
-                self.routers[tile].connect_neighbor(
-                    direction, self.routers[neighbor])
+        for router, ports in zip(self.routers, self.mesh.ports):
+            for direction, neighbor, dests in ports:
+                router.connect_neighbor(direction, self.routers[neighbor],
+                                        dests)
         self._chipset_sink: Optional[EndpointHandler] = None
         self._bridge_sink: Optional[EndpointHandler] = None
         self.routers[0].connect_offchip(self._offchip_demux)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 from ..engine import Component, Link, Simulator
 from ..errors import ProtocolError, SimulationError
@@ -69,7 +69,17 @@ _OFFCHIP = "offchip"    # tile 0's off-chip port (chipset / bridge)
 #: priorities start here and rise with (node, tile, direction, channel).
 _CREDIT_FIRST = -(1 << 62)
 
-_DIRECTIONS = list(Direction)
+_CHANNELS = tuple(NocChannel)
+
+#: Per mesh direction: the link-name suffix of each channel's port (in
+#: ``_CHANNELS`` order), the direction a packet crossing the port enters
+#: its neighbour from, and the direction's field in a credit priority.
+_PORT_WIRING = {
+    direction: (tuple(f".{direction.value}.{channel.name}"
+                      for channel in _CHANNELS),
+                OPPOSITE[direction],
+                list(Direction).index(direction) << 2)
+    for direction in OPPOSITE}
 
 EndpointHandler = Callable[[Packet], None]
 
@@ -88,22 +98,18 @@ class _OutputPort:
                  "credits", "max_credits", "due", "waiting", "order")
 
     def __init__(self, router: "Router", direction: Direction,
-                 channel: NocChannel, credits: int):
+                 channel: NocChannel, credits: int, enters_from: Direction,
+                 order: int):
         self.router = router
         self.direction = direction
         self.channel = channel
-        self.enters_from = OPPOSITE[direction]
+        self.enters_from = enters_from
         self.link: Link = None
         self.credits = credits
         self.max_credits = credits
         self.due: List[int] = []
         self.waiting: deque = deque()
-        # Credit-event priority, unique per port of a prototype (node ids
-        # are unique), so a cycle's landings always run in one order.
-        self.order = (_CREDIT_FIRST + (router.node_id << 21)
-                      + (router.tile << 5)
-                      + (_DIRECTIONS.index(direction) << 2)
-                      + channel._value_)
+        self.order = order
 
 
 class Router(Component):
@@ -128,7 +134,6 @@ class Router(Component):
         self.link_latency = link_latency
         self.cycles_per_flit = cycles_per_flit
         self._ports: List[_OutputPort] = []
-        self._steps = mesh.step_table[tile]
         # _routes[channel._value_][dest tile] is the routing decision as a
         # bound target.  The extra slot row[CHIPSET] (the last one) is the
         # way off the node, for this node's chipset and for every other
@@ -138,7 +143,7 @@ class Router(Component):
         row[tile] = _EJECT
         if tile == 0:
             row[CHIPSET] = _OFFCHIP
-        self._routes = [None] + [list(row) for _ in NocChannel]
+        self._routes = [None] + [list(row) for _ in _CHANNELS]
         self._local_handlers = [None] * len(self._routes)   # by _value_
         self._offchip_handler: EndpointHandler = None
         self._inject_lane = sim.channel(hop_latency, self._route)
@@ -158,23 +163,35 @@ class Router(Component):
     # ------------------------------------------------------------------
     # Wiring (done once at network construction)
     # ------------------------------------------------------------------
-    def connect_neighbor(self, direction: Direction, other: "Router") -> None:
-        """Create the three per-channel output ports toward ``other``."""
-        steps = self._steps
-        for channel in NocChannel:
-            port = _OutputPort(self, direction, channel, self.credit_count)
+    def connect_neighbor(self, direction: Direction, other: "Router",
+                         dests: Sequence[int]) -> None:
+        """Create the three per-channel output ports toward ``other``.
+
+        ``dests`` are the tiles routed from here through ``direction``
+        (:attr:`Mesh.ports`).  Each port takes their slots in its
+        channel's route row, and the way off the node too when tile 0
+        is among them.
+        """
+        suffixes, enters_from, direction_bits = _PORT_WIRING[direction]
+        if 0 in dests:
+            dests = (*dests, CHIPSET)
+        # Credit-event priority, unique per port of a prototype (node ids
+        # are unique), so a cycle's landings always run in one order.
+        order = (_CREDIT_FIRST + (self.node_id << 21) + (self.tile << 5)
+                 + direction_bits)
+        arrive = other._arrive
+        for channel, suffix in zip(_CHANNELS, suffixes):
+            port = _OutputPort(self, direction, channel, self.credit_count,
+                               enters_from, order + channel._value_)
             port.link = Link(
-                self.sim, f"{self.name}.{direction.value}.{channel.name}",
-                partial(other._arrive, port), latency=self.link_latency,
+                self.sim, self.name + suffix, partial(arrive, port),
+                latency=self.link_latency,
                 cycles_per_unit=self.cycles_per_flit, category="noc",
                 delivery_delay=other.hop_latency)
             self._ports.append(port)
             row = self._routes[channel._value_]
-            for dest, step in enumerate(steps):
-                if step is direction:
-                    row[dest] = port
-            if self.tile != 0 and steps[0] is direction:
-                row[CHIPSET] = port
+            for dest in dests:
+                row[dest] = port
 
     def connect_local(self, channel: NocChannel,
                       handler: EndpointHandler) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, List, Tuple
 
 from ..errors import ConfigError
@@ -44,6 +44,11 @@ class Mesh:
     ``(x, y) = (t % width, t // width)``.  The grid may be ragged in the last
     row (e.g. 12 tiles as 4x3 is exact; 10 tiles as 4x3 leaves two holes),
     matching how OpenPiton lays out non-square tile counts.
+
+    :meth:`for_tiles` returns one mesh per tile count for the life of
+    the process, so its tables (:attr:`step_table`, :attr:`ports`) are
+    computed once and shared, read-only, by every prototype built with
+    that count.
     """
 
     n_tiles: int
@@ -56,8 +61,10 @@ class Mesh:
             raise ConfigError(f"mesh width must be >=1, got {self.width}")
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def for_tiles(n_tiles: int) -> "Mesh":
-        """Choose a near-square width for ``n_tiles`` (wider than tall)."""
+        """The mesh of ``n_tiles`` with a near-square width (wider than
+        tall); the same object on every call with the same count."""
         if n_tiles < 1:
             raise ConfigError(f"mesh needs >=1 tile, got {n_tiles}")
         width = math.ceil(math.sqrt(n_tiles))
@@ -122,14 +129,29 @@ class Mesh:
         return Direction.LOCAL
 
     @cached_property
-    def step_table(self) -> List[List[Direction]]:
-        """``step_table[here][dest]`` = :meth:`route_step` for every pair.
+    def step_table(self) -> Tuple[Tuple[Direction, ...], ...]:
+        """``step_table[here][dest]`` = :meth:`route_step` for every pair."""
+        return tuple(tuple(self.route_step(here, dest)
+                           for dest in range(self.n_tiles))
+                     for here in range(self.n_tiles))
 
-        Routers index this table on the per-packet path instead of redoing
-        the coordinate arithmetic per hop.
+    @cached_property
+    def ports(self) -> Tuple[Tuple[Tuple[Direction, int, Tuple[int, ...]],
+                                   ...], ...]:
+        """``ports[tile]``: one ``(direction, neighbor, dests)`` per
+        :meth:`neighbors` pair of ``tile``, in that order.
+
+        ``dests`` lists, ascending, every tile whose :attr:`step_table`
+        step from ``tile`` is ``direction``: the destinations the
+        router's output port toward ``neighbor`` serves.  Routers are
+        wired from this table, so a build scans no step row.
         """
-        return [[self.route_step(here, dest) for dest in range(self.n_tiles)]
-                for here in range(self.n_tiles)]
+        return tuple(
+            tuple((direction, neighbor,
+                   tuple(dest for dest, step in enumerate(steps)
+                         if step is direction))
+                  for direction, neighbor in self.neighbors(tile))
+            for tile, steps in enumerate(self.step_table))
 
     def hop_count(self, a: int, b: int) -> int:
         """Manhattan distance between tiles ``a`` and ``b``."""

@@ -74,12 +74,12 @@ def model_point(config, point, _seed, obs_spec):
     ``{"machine": machine dict, "values": [numa_on_s, numa_off_s],
     "metrics": dict | None}``.
     """
-    from ..obs.archive import config_hash
     from ..osmodel import Taskset
     from ..workloads.intsort import IntSortModel, IntSortParams
 
-    key = ("osmodel.machine", config_hash(config),
-           json.dumps(obs_spec, sort_keys=True))
+    # The memo lives one task, which holds one config, so the frozen
+    # config keys it as it is: nothing is serialized or hashed per point.
+    key = ("osmodel.machine", config, json.dumps(obs_spec, sort_keys=True))
     machine, metrics = sweep_cached(
         key, lambda: _measure_machine(config, obs_spec))
     params = IntSortParams(**point["params"])

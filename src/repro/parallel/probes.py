@@ -31,8 +31,10 @@ from .runner import fixed_shards
 from .sweep import SweepSpec
 
 #: Sender rows measured per worker task.  Amortizes the prototype build
-#: (~1/3 of a row's probe time) while leaving enough shards to load
-#: several workers on the paper's 48-tile configuration.
+#: (about a quarter of a row's probe time on 4x1x12: 5.3-5.7 ms against
+#: 20-22 ms, medians of 96 builds and rows on a 2-vCPU VM) while leaving
+#: enough shards to load several workers on the paper's 48-tile
+#: configuration.
 ROWS_PER_SHARD = 4
 
 #: Cache generation of :func:`measure_rows_point`; bump when the probe

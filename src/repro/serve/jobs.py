@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..errors import ReproError, ServeError
+from ..errors import ReproError, ServeError, StoreError
 from ..farm.report import load_farm_manifest
 from ..farm.scheduler import run_farm
 from ..farm.spec import FarmSpec, JobSpec
@@ -116,9 +116,12 @@ class JobManager:
         snapshot of the new record.
 
         Returns with ``state=done`` immediately when every point is
-        warm — an all-warm submit never touches the farm.  The probe's
-        per-point hit/miss split is recorded on the job (the service
-        layers it onto ``obs.serve.hits`` / ``obs.serve.misses``).
+        warm — an all-warm submit never touches the farm.  When those
+        stored values do not fold (a foreign or stale entry), the record
+        ends ``failed`` and :class:`~repro.errors.StoreError` names the
+        job and the error.  The probe's per-point hit/miss split is
+        recorded on the job (the service layers it onto
+        ``obs.serve.hits`` / ``obs.serve.misses``).
         """
         warm_values: Dict[int, object] = {}
         cold_jobs: List[JobSpec] = []
@@ -147,7 +150,13 @@ class JobManager:
             self._records[job_id] = record
             self._order.append(job_id)
         if not cold_jobs:
-            self._finish(record, plan, warm_values, [])
+            try:
+                self._finish(record, plan, warm_values, [])
+            except Exception as error:
+                self._fail(record, error)
+                raise StoreError(
+                    f"serve: {job_id} failed: its stored values do not "
+                    f"fold ({record.error})") from error
             return self.get(job_id)
         record.report_dir = os.path.join(self.spool_dir, job_id)
         self._queue.put(_Pending(record=record, plan=plan,
@@ -217,16 +226,18 @@ class JobManager:
             cold = [point for job in pending.cold_jobs
                     for point in result.value_of(job.job_id)]
             self._finish(record, plan, pending.warm_values, cold)
-        except ReproError as error:
-            with self._lock:
-                record.state = FAILED
-                record.error = str(error)
-                record.finished_at = time.time()
-        except Exception as error:   # a broken fleet must not kill the
-            with self._lock:         # worker thread for later submits
-                record.state = FAILED
-                record.error = f"{type(error).__name__}: {error}"
-                record.finished_at = time.time()
+        except Exception as error:
+            # A broken fleet must not kill the worker thread for later
+            # submits.
+            self._fail(record, error)
+
+    def _fail(self, record: JobRecord, error: Exception) -> None:
+        """End ``record`` as ``failed``, naming ``error``."""
+        with self._lock:
+            record.state = FAILED
+            record.error = (str(error) if isinstance(error, ReproError)
+                            else f"{type(error).__name__}: {error}")
+            record.finished_at = time.time()
 
     def _finish(self, record: JobRecord, plan: SuitePlan,
                 warm_values: Dict[int, object], cold: List) -> None:

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import load, store
-from repro.cache.array import CacheArray
+from repro.cache.array import CacheArray, CacheEntry
+from repro.errors import ConfigError
 
 from coherence_harness import CoherenceHarness
 
@@ -94,5 +95,107 @@ def test_cache_array_capacity_and_lru(line_indices):
             array.insert(line, None)
         resident_order[line] = tick
         for set_dict in array._sets:
-            assert len(set_dict) <= 4
+            # A set is allocated on its first insert; None holds no line.
+            assert len(set_dict or ()) <= 4
     assert array.resident == len(resident_order)
+
+
+class _EagerArray:
+    """Reference for :class:`CacheArray` with every set's dict made up
+    front."""
+
+    def __init__(self, size_bytes, ways, line_bytes):
+        self.line_bytes = line_bytes
+        self.ways = ways
+        self.sets = [{} for _ in range(size_bytes // (ways * line_bytes))]
+        self.clock = self.hits = self.misses = 0
+
+    def _set_of(self, line):
+        return self.sets[(line // self.line_bytes) % len(self.sets)]
+
+    def lookup(self, line, touch=True):
+        entry = self._set_of(line).get(line)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        if touch:
+            self.clock += 1
+            entry._stamp = self.clock
+        return entry
+
+    def contains(self, line):
+        return line in self._set_of(line)
+
+    def victim_for(self, line, prefer=None):
+        target_set = self._set_of(line)
+        if line in target_set or len(target_set) < self.ways:
+            return None
+        candidates = sorted(target_set.values(), key=lambda e: e._stamp)
+        preferred = [e for e in candidates if prefer and prefer(e)]
+        return (preferred or candidates)[0]
+
+    def insert(self, line, payload):
+        target_set = self._set_of(line)
+        if line not in target_set and len(target_set) >= self.ways:
+            raise ConfigError("set full")
+        self.clock += 1
+        entry = target_set[line] = CacheEntry(line, payload, self.clock)
+        return entry
+
+    def remove(self, line):
+        return self._set_of(line).pop(line, None)
+
+    def entries(self):
+        for target_set in self.sets:
+            yield from target_set.values()
+
+    @property
+    def resident(self):
+        return sum(len(s) for s in self.sets)
+
+
+def _apply(array, op, line, payload):
+    """Run one operation; returns what it answered."""
+    try:
+        if op == "lookup":
+            entry = array.lookup(line)
+        elif op == "peek":
+            entry = array.lookup(line, touch=False)
+        elif op == "contains":
+            return array.contains(line)
+        elif op == "victim":
+            entry = array.victim_for(line)
+        elif op == "victim_prefer":
+            entry = array.victim_for(line, prefer=lambda e: e.payload % 3 == 0)
+        elif op == "insert":
+            entry = array.insert(line, payload)
+        else:
+            entry = array.remove(line)
+    except ConfigError:
+        return "full"
+    return None if entry is None else (entry.line_addr, entry.payload)
+
+
+ARRAY_OPS = ("insert", "lookup", "peek", "contains", "victim",
+             "victim_prefer", "remove")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(ARRAY_OPS),
+                          st.integers(min_value=0, max_value=23)),
+                min_size=1, max_size=120))
+def test_lazy_cache_array_matches_eager_reference(ops):
+    """Sets made on first insert answer exactly like sets made up front:
+    the same hits, misses, victims, ``entries()`` order and residency."""
+    array = CacheArray(size_bytes=4 * 2 * 64, ways=2, line_bytes=64)
+    reference = _EagerArray(size_bytes=4 * 2 * 64, ways=2, line_bytes=64)
+    for step, (op, index) in enumerate(ops):
+        line = index * 64
+        assert _apply(array, op, line, step) \
+            == _apply(reference, op, line, step), (step, op, line)
+        assert (array.hits, array.misses) \
+            == (reference.hits, reference.misses)
+        assert [(e.line_addr, e._stamp) for e in array.entries()] \
+            == [(e.line_addr, e._stamp) for e in reference.entries()]
+        assert array.resident == reference.resident

@@ -9,6 +9,7 @@ from repro.engine import Simulator
 from repro.errors import ConfigError, ProtocolError
 from repro.noc import (CHIPSET, Direction, Mesh, MsgClass, NocChannel,
                        NodeNetwork, Packet, TileAddr, data_flits)
+from repro.noc.topology import OPPOSITE
 
 
 def make_packet(src, dst, channel=NocChannel.REQ, payload=None, flits=0):
@@ -52,6 +53,10 @@ class TestMesh:
         mesh = Mesh.for_tiles(12)
         assert mesh.hop_count(0, 11) == 5
         assert mesh.hop_count(0, 0) == 0
+
+    def test_for_tiles_is_one_mesh_per_count(self):
+        assert Mesh.for_tiles(12) is Mesh.for_tiles(12)
+        assert Mesh.for_tiles(10) is not Mesh.for_tiles(12)
 
     def test_invalid_tile_rejected(self):
         with pytest.raises(ConfigError):
@@ -331,6 +336,64 @@ class TestLazyCredits:
                    for router in node.network.routers]
         assert len(routers) == 48
         assert quiescent(routers)
+
+
+#: First credit-event priority (``repro.noc.router``); a port's priority
+#: adds its (node, tile, direction, channel) fields to it.
+CREDIT_FIRST = -(1 << 62)
+
+
+class TestWiring:
+    """Routers wired from :attr:`Mesh.ports` match a full scan."""
+
+    @staticmethod
+    def _scanned(router, mesh):
+        """Route rows and credit priorities of ``router``'s ports, built
+        by scanning every destination for each port: a port takes each
+        tile whose step from the router is its direction, and, off tile
+        0, the way off the node when the step toward tile 0 is."""
+        tile = router.tile
+        steps = [mesh.route_step(tile, dest) for dest in range(mesh.n_tiles)]
+        rows = {}
+        for channel in NocChannel:
+            row = rows[channel] = [None] * (mesh.n_tiles + 1)
+            row[tile] = "eject"
+            if tile == 0:
+                row[CHIPSET] = "offchip"
+        orders = []
+        for port in router._ports:
+            row = rows[port.channel]
+            for dest, step in enumerate(steps):
+                if step is port.direction:
+                    row[dest] = port
+            if tile != 0 and steps[0] is port.direction:
+                row[CHIPSET] = port
+            orders.append(CREDIT_FIRST + (router.node_id << 21) + (tile << 5)
+                          + (list(Direction).index(port.direction) << 2)
+                          + port.channel.value)
+        return [rows[channel] for channel in NocChannel], orders
+
+    def test_route_rows_and_credit_order_match_a_full_scan(self):
+        for n_tiles in range(1, 21):   # ragged meshes (3, 5, 8, 10...) too
+            net = NodeNetwork(Simulator(), "n3/noc", 3, n_tiles)
+            mesh = net.mesh
+            for router in net.routers:
+                neighbors = list(mesh.neighbors(router.tile))
+                assert [(port.direction, port.channel)
+                        for port in router._ports] == [
+                    (direction, channel) for direction, _ in neighbors
+                    for channel in NocChannel]
+                rows, orders = self._scanned(router, mesh)
+                assert router._routes[1:] == rows, (n_tiles, router.tile)
+                assert [port.order for port in router._ports] == orders
+                for port in router._ports:
+                    neighbor = net.routers[dict(neighbors)[port.direction]]
+                    assert port.link.name == (
+                        f"{router.name}.{port.direction.value}."
+                        f"{port.channel.name}")
+                    assert port.link.sink.func == neighbor._arrive
+                    assert port.link.sink.args == (port,)
+                    assert port.enters_from is OPPOSITE[port.direction]
 
 
 class TestRaggedRouting:

@@ -168,6 +168,17 @@ class TestFig7Machinery:
         assert matrix[3][2] < matrix[3][0]
 
 
+class TestConstruction:
+    def test_fresh_prototype_allocates_no_cache_set(self):
+        """A build makes no set dict; a set is made on its first fill."""
+        with Prototype(parse_config("4x1x12")) as proto:
+            arrays = [cache.array for tile in proto.all_tiles()
+                      for cache in (tile.l1, tile.bpc, tile.llc)]
+            assert len(arrays) == 3 * 48
+            assert all(cache_set is None for array in arrays
+                       for cache_set in array._sets)
+
+
 class TestStats:
     def test_stats_report_aggregates(self):
         proto = build("1x1x2")

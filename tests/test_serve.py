@@ -402,6 +402,39 @@ class TestService:
             conn.close()
         assert _stat(client, "obs.serve.jobs") == jobs_before
 
+    def test_submit_whose_warm_fold_fails_ends_failed(self, served):
+        """Stored values that do not fold end the record ``failed``,
+        naming the error, and answer a typed 409 instead of a 500."""
+        client = served["client"]
+        # root_seed 5 keys these points apart from every other test's.
+        spec = fig9_spec(served["config"], n_threads=2, root_seed=5,
+                         obs_spec={})
+        _, tasks = sweep_tasks(spec, served["store"].root)
+        for task in tasks:
+            served["store"].put(entry_key(task[-1]), {"foreign": True})
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          served["service"].port,
+                                          timeout=10)
+        try:
+            body = SweepSubmit(suite="fig9", config=CONFIG, threads=2,
+                               root_seed=5).to_json()
+            conn.request("POST", "/v1/submit", body=body.encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            assert response.status == 409
+            reply = decode(response.read())
+        finally:
+            conn.close()
+        assert isinstance(reply, ErrorReply)
+        assert "KeyError: 'machine'" in reply.error
+        job_id = reply.error.split()[1]
+        job = client.job(job_id).job
+        assert (job["state"], job["error"]) == ("failed",
+                                                "KeyError: 'machine'")
+        assert job["finished_at_unix"] is not None
+        assert [j["job_id"] for j in client.jobs().jobs
+                if j["state"] == "queued"] == []
+
     def test_submit_partly_warm_runs_its_cold_points_as_one_job(
             self, served):
         from repro.parallel.sweep import sweep_group_task
