@@ -52,8 +52,6 @@ class CacheArray:
         self._sets: List[Optional[Dict[int, CacheEntry]]] = \
             [None] * self.n_sets
         self._clock = 0
-        self.hits = 0
-        self.misses = 0
 
     def _set_of(self, line_addr: int) -> Mapping[int, CacheEntry]:
         """The set of ``line_addr`` for reading; allocates nothing."""
@@ -67,11 +65,7 @@ class CacheArray:
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheEntry]:
         """Return the entry for ``line_addr`` or None; updates LRU on hit."""
         entry = self._set_of(line_addr).get(line_addr)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if touch:
+        if entry is not None and touch:
             entry._stamp = self._tick()
         return entry
 

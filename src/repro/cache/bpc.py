@@ -240,8 +240,8 @@ class Bpc(Component):
         if waiters is None:
             raise ProtocolError(f"{self.name}: WbAck for line {line:#x} "
                                 "not being written back")
-        if waiters:
-            self._replay_lane.send_many(waiters)
+        for op in waiters:
+            self._replay_lane.send(op)
 
     def _invalidate(self, line: int) -> None:
         if line in self._evicting:
@@ -281,12 +281,11 @@ class Bpc(Component):
     def _drain_backlog(self) -> None:
         # The replay is asynchronous (zero-delay lane), so `_mshrs` cannot
         # change while this drains: one free MSHR releases the *entire*
-        # backlog, every op re-arbitrating at `_lookup` — which is exactly
-        # what the historical one-at-a-time loop did.  Batch the release.
+        # backlog, every op re-arbitrating at `_lookup`.
         if self._backlog and len(self._mshrs) < self.max_mshrs:
-            burst = list(self._backlog)
+            for op in self._backlog:
+                self._replay_lane.send(op)
             self._backlog.clear()
-            self._replay_lane.send_many(burst)
 
     # ------------------------------------------------------------------
     # Introspection (tests, invariant checks)

@@ -30,8 +30,6 @@ from .msgs import (LINE_BYTES, CoherenceMsg, DataM, DataS, Downgrade,
                    DowngradeData, GetM, GetS, Inv, InvAck, PutM, WbAck)
 
 MsgSender = Callable[[CoherenceMsg, TileAddr], None]
-#: Batch sender: a sequence of (msg, dst) pairs injected in one burst.
-MsgsSender = Callable[[list], None]
 #: Sends a memory request to the chipset of a given node.
 MemSender = Callable[[object, int], None]
 
@@ -74,7 +72,6 @@ class LlcSlice(Component):
 
     def __init__(self, sim: Simulator, name: str, tile: TileAddr,
                  send_msg: MsgSender, send_mem: MemSender,
-                 send_msgs: Optional[MsgsSender] = None,
                  memory_node: Optional[Callable[[int], int]] = None,
                  size_bytes: int = 64 * 1024, ways: int = 4,
                  access_latency: int = 20):
@@ -82,13 +79,6 @@ class LlcSlice(Component):
         self.tile = tile
         self.send_msg = send_msg
         self.send_mem = send_mem
-        if send_msgs is None:
-            # Fallback batch sender for wirings that only provide the
-            # per-message hook (tests, standalone slices).
-            def send_msgs(pairs, _send=send_msg):
-                for msg, dst in pairs:
-                    _send(msg, dst)
-        self.send_msgs = send_msgs
         # Which node's DRAM backs a line; defaults to this slice's node.
         self.memory_node = memory_node or (lambda line: tile.node)
         self.array = CacheArray(size_bytes, ways, LINE_BYTES)
@@ -99,7 +89,7 @@ class LlcSlice(Component):
         self._mem_writes: Dict[int, Callable[[], None]] = {}
         # Pipeline fast lanes: the slice access latency, the zero-delay
         # redispatch of a request queued behind a completed transaction,
-        # and the zero-delay completion hooks (batched per transaction).
+        # and the zero-delay completion hooks.
         self._dispatch_lane = sim.channel(access_latency, self._dispatch)
         self._redispatch_lane = sim.channel(0, self._dispatch)
         self._hook_lane = sim.channel(0, self._run_hook)
@@ -242,8 +232,8 @@ class LlcSlice(Component):
                 return
             txn.acks_needed = len(targets)
             txn.continuation = grant
-            self.send_msgs([(Inv(txn.line, self.tile), sharer)
-                            for sharer in sorted(targets)])
+            for sharer in sorted(targets):
+                self.send_msg(Inv(txn.line, self.tile), sharer)
             return
         # dir M elsewhere: invalidate the owner, take its data.
         owner = payload.owner
@@ -394,8 +384,8 @@ class LlcSlice(Component):
         elif payload.dir_state == "S" and payload.sharers:
             txn.acks_needed = len(payload.sharers)
             txn.continuation = writeback_and_finish
-            self.send_msgs([(Inv(line, self.tile), sharer)
-                            for sharer in sorted(payload.sharers)])
+            for sharer in sorted(payload.sharers):
+                self.send_msg(Inv(line, self.tile), sharer)
         else:
             writeback_and_finish()
 
@@ -416,8 +406,8 @@ class LlcSlice(Component):
             if not queue:
                 del self._queued[txn.line]
             self._redispatch_lane.send(msg)
-        if txn.on_complete:
-            self._hook_lane.send_many(txn.on_complete)
+        for hook in txn.on_complete:
+            self._hook_lane.send(hook)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -57,7 +57,6 @@ class Tile(Component):
                           size_bytes=params.l1d_bytes, ways=params.l1d_ways)
         self.llc = LlcSlice(sim, f"{name}/llc", addr, self.send_coherence,
                             self.send_mem,
-                            send_msgs=self.send_coherence_many,
                             memory_node=self._memory_node_of,
                             size_bytes=params.llc_slice_bytes,
                             ways=params.llc_ways)
@@ -94,16 +93,6 @@ class Tile(Component):
                         msg_class=MsgClass.COHERENCE, payload=msg,
                         payload_flits=msg.payload_flits())
         self.node.network.inject(packet, self.addr.tile)
-
-    def send_coherence_many(self, pairs) -> None:
-        """Batch variant of :meth:`send_coherence` for same-cycle fan-out
-        (LLC Inv bursts): ``pairs`` is a sequence of ``(msg, dst)``."""
-        src = self.addr
-        packets = [Packet(src=src, dst=dst, channel=msg.channel,
-                          msg_class=MsgClass.COHERENCE, payload=msg,
-                          payload_flits=msg.payload_flits())
-                   for msg, dst in pairs]
-        self.node.network.inject_many(packets, src.tile)
 
     def send_mem(self, request, node_id: int) -> None:
         flits = 1 + (data_flits(len(request.data))

@@ -4,14 +4,13 @@ from .component import Component
 from .link import InstantLink, Link
 from .observer import NO_OBS, NullObserver
 from .rng import derive_seed, derived_rng
-from .simulator import ConstLatencyChannel, Event, EventHandle, Simulator
+from .simulator import ConstLatencyChannel, Event, Simulator
 from .stats import Histogram, StatGroup, merge_stat_groups
 
 __all__ = [
     "Component",
     "ConstLatencyChannel",
     "Event",
-    "EventHandle",
     "Histogram",
     "InstantLink",
     "Link",

@@ -39,9 +39,8 @@ class Component:
         for key in self.counted:
             setattr(self, key, 0)
         self.stats = StatGroup(name, self)
-        # Bind the simulator's schedule directly: component hot paths call
-        # self.schedule per message, and the instance attribute skips the
-        # passthrough frame below.
+        # Component code schedules through self.schedule: the simulator's
+        # own bound method, with no passthrough frame.
         self.schedule = sim.schedule
         # Observability: hooks go through self.obs unconditionally; the
         # default NO_OBS makes every one a no-op.  Binding the stat group
@@ -66,10 +65,6 @@ class Component:
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self.sim.now
-
-    def schedule(self, delay, callback, *args, priority=0):
-        """Convenience passthrough to :meth:`Simulator.schedule`."""
-        return self.sim.schedule(delay, callback, *args, priority=priority)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

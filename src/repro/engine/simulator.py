@@ -53,27 +53,25 @@ through ``schedule()``, which the determinism tests assert.
 Batch lanes
 -----------
 
-Burst producers (a router's inject lane for a same-cycle injection
-burst, the BPC replay lane, the LLC completion-hook lane) emit many
-same-cycle sends back to back.  :meth:`~ConstLatencyChannel.send_many`
-appends the whole burst into one ``(time, bucket)`` lane: the event
-pool is sliced once for the burst instead of popped per payload, and the
-calendar sees a single ``extend`` (plus at most one heap push) instead
-of one insert per event.  The bucket receives the payloads in exactly
-iteration order, so ``send_many(ps)`` is event-for-event identical to
-``for p in ps: send(p)``, which the property tests assert.
-:meth:`~ConstLatencyChannel.send_after_many` is that loop over
-:meth:`~ConstLatencyChannel.send_after`; no model code sends trains with
-a per-call delay.
+The model sends one message per call.  The kernel storms
+(``benchmarks/bench_kernel.py``, :mod:`repro.partition.storm`) still
+send bursts: :meth:`~ConstLatencyChannel.send_many` appends a whole
+burst into one ``(time, bucket)`` lane, slicing the event pool once
+instead of popping it per payload, with a single ``extend`` (plus at
+most one heap push) instead of one insert per event.  The bucket
+receives the payloads in exactly iteration order, so ``send_many(ps)``
+is event-for-event identical to ``for p in ps: send(p)``, which the
+property tests assert.  :meth:`~ConstLatencyChannel.send_after_many` is
+that loop over :meth:`~ConstLatencyChannel.send_after`.
 
 Drain loop
 ----------
 
-One loop serves :meth:`Simulator.run`, :meth:`~Simulator.run_until` and
-:meth:`~Simulator.step`.  It takes the earliest distinct time, iterates
-that bucket's list (callbacks may append to it mid-drain), collects
-cancelled events, dispatches the rest, and recycles the whole bucket
-into the free list at once.  Its observable rules:
+One loop serves :meth:`Simulator.run` and :meth:`~Simulator.run_until`.
+It takes the earliest distinct time, iterates that bucket's list
+(callbacks may append to it mid-drain), collects cancelled events,
+dispatches the rest, and recycles the whole bucket into the free list at
+once.  Its observable rules:
 
 * an unbounded ``run()`` sets ``now`` on entering each bucket, so even an
   all-cancelled bucket moves the clock; a bounded drain (``until`` or
@@ -89,7 +87,7 @@ into the free list at once.  Its observable rules:
   ends with ``now`` at least at the floor, and ``run_until(bound)`` does
   too when the floor lies below ``bound``, so the clock stops exactly
   where the skipped event would have left it.  Bounded ``run()`` calls
-  and ``step()`` ignore it, and the skipped work never shows in
+  ignore it, and the skipped work never shows in
   :attr:`~Simulator.events_executed`, :attr:`~Simulator.pending` or
   :meth:`~Simulator.next_event_time`.
 
@@ -101,19 +99,6 @@ when a callback schedules a prioritized event into the bucket being
 drained.  Stability preserves insertion order inside
 each priority level, so the fast path stays unsorted and the sorted path
 matches the historical ``(priority, seq)`` order.
-
-Debug mode
-----------
-
-An :class:`Event` handle is only valid until the event fires or its
-cancellation is collected; afterwards the kernel recycles the object, and
-cancelling a stale handle would silently cancel whichever event now
-occupies the slot.  ``Simulator(debug=True)`` catches this: every pooled
-event carries a generation counter, schedule/send return an
-:class:`EventHandle` pinning the generation, and :meth:`Simulator.cancel`
-raises :class:`~repro.errors.SimulationError` on a stale handle instead
-of corrupting the pool.  Debug mode costs a few percent, so it is off by
-default.
 """
 
 from __future__ import annotations
@@ -121,7 +106,7 @@ from __future__ import annotations
 import sys
 from heapq import heappop, heappush
 from operator import length_hint
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from .observer import NO_OBS
@@ -147,27 +132,20 @@ class Event:
     :meth:`Simulator.cancel`.  A handle is valid until the event fires or
     its cancellation is collected; after that the kernel recycles the
     object for a future scheduling, so holding a handle past execution and
-    cancelling it later is unsupported (it would cancel whichever event
-    currently occupies the recycled slot) — ``Simulator(debug=True)``
-    turns exactly that mistake into a raised :class:`SimulationError`.
-
-    ``time`` is informational (kept accurate on the generic path, not
-    rewritten by the channel fast path); the calendar itself orders events
-    by bucket, never by this field.
+    cancelling it later is unsupported: it would cancel whichever event
+    currently occupies the recycled slot.  An event does not record its
+    time; the calendar orders events by bucket.
     """
 
-    __slots__ = ("time", "priority", "callback", "args", "payload",
-                 "cancelled", "generation")
+    __slots__ = ("priority", "callback", "args", "payload", "cancelled")
 
-    def __init__(self, time: int, priority: int,
+    def __init__(self, priority: int,
                  callback: Optional[Callable[..., None]], args: tuple):
-        self.time = time
         self.priority = priority
         self.callback = callback
         self.args = args
         self.payload = _GENERIC
         self.cancelled = False
-        self.generation = 0
 
     def __lt__(self, other: "Event") -> bool:
         # Only used by the *stable* sort of a bucket whose events share one
@@ -177,26 +155,8 @@ class Event:
         return self.priority < other.priority
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Event(t={self.time}, prio={self.priority}, "
+        return (f"Event(prio={self.priority}, "
                 f"cb={getattr(self.callback, '__qualname__', self.callback)})")
-
-
-class EventHandle:
-    """Generation-pinned handle returned by ``Simulator(debug=True)``.
-
-    Passing it to :meth:`Simulator.cancel` after the underlying event has
-    fired (and possibly been recycled) raises instead of corrupting the
-    event pool.
-    """
-
-    __slots__ = ("event", "generation")
-
-    def __init__(self, event: Event, generation: int):
-        self.event = event
-        self.generation = generation
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EventHandle(gen={self.generation}, event={self.event!r})"
 
 
 class ConstLatencyChannel:
@@ -214,8 +174,8 @@ class ConstLatencyChannel:
     timestamp fires callbacks in exactly the order the ``send()`` /
     ``schedule()`` calls were made.
 
-    Obtain instances via :meth:`Simulator.channel`, which substitutes the
-    handle-returning variant under ``debug=True``.
+    Obtain instances via :meth:`Simulator.channel`, which offers each one
+    to the observer.
     """
 
     __slots__ = ("_sim", "delay", "sink", "_time", "_bucket_append",
@@ -257,7 +217,7 @@ class ConstLatencyChannel:
             # rewrites it.
             event.payload = payload
         else:
-            event = Event(t, 0, self.sink, ())
+            event = Event(0, self.sink, ())
             event.payload = payload
         if t == self._time:
             self._bucket_append(event)
@@ -293,7 +253,7 @@ class ConstLatencyChannel:
             event.callback = self.sink
             event.payload = payload
         else:
-            event = Event(t, 0, self.sink, ())
+            event = Event(0, self.sink, ())
             event.payload = payload
         if delay and t == self._time:
             self._bucket_append(event)
@@ -311,7 +271,7 @@ class ConstLatencyChannel:
             self._bucket_extend = bucket.extend
         return event
 
-    def _events_for(self, t: int, payloads) -> list:
+    def _events_for(self, payloads) -> list:
         """Pool a burst: one slice off the free list for all payloads."""
         sink = self.sink
         free = self._free
@@ -332,7 +292,7 @@ class ConstLatencyChannel:
                 event.callback = sink
                 event.payload = payload
             for payload in payloads[k:]:
-                event = Event(t, 0, sink, ())
+                event = Event(0, sink, ())
                 event.payload = payload
                 events.append(event)
         return events
@@ -349,7 +309,7 @@ class ConstLatencyChannel:
         if not payloads:
             return []
         t = self._sim.now + self.delay
-        events = self._events_for(t, payloads)
+        events = self._events_for(payloads)
         if t == self._time:
             self._bucket_extend(events)
             return events
@@ -373,29 +333,6 @@ class ConstLatencyChannel:
         return [self.send_after(delay, payload) for payload in payloads]
 
 
-class _DebugChannel(ConstLatencyChannel):
-    """Channel variant for ``debug=True``: returns generation-pinned
-    :class:`EventHandle` objects instead of raw events."""
-
-    __slots__ = ()
-
-    def send(self, payload: Any) -> EventHandle:
-        event = ConstLatencyChannel.send(self, payload)
-        return EventHandle(event, event.generation)
-
-    def send_after(self, delay: int, payload: Any) -> EventHandle:
-        event = ConstLatencyChannel.send_after(self, delay, payload)
-        return EventHandle(event, event.generation)
-
-    def send_many(self, payloads) -> list:
-        events = ConstLatencyChannel.send_many(self, payloads)
-        return [EventHandle(event, event.generation) for event in events]
-
-
-#: Anything Simulator.cancel accepts.
-Cancelable = Union[Event, EventHandle]
-
-
 class Simulator:
     """Deterministic event-driven simulator with integer cycle time.
 
@@ -410,15 +347,10 @@ class Simulator:
     Components keep a reference to the simulator and schedule their own
     future work.  ``run`` drains the queue (optionally up to a time bound or
     event-count bound, to keep runaway models from spinning forever).
-
-    ``debug=True`` returns generation-pinned handles from ``schedule`` and
-    channel sends, and :meth:`cancel` raises on a handle whose event
-    already fired (see module docstring).
     """
 
-    def __init__(self, *, debug: bool = False, obs=None) -> None:
+    def __init__(self, *, obs=None) -> None:
         self.now: int = 0
-        self._debug = debug
         # Observability hooks (repro.obs.Observer); the null object keeps
         # every component-side call site unconditional and the disabled
         # path free of branches.  Channel wrapping happens at construction
@@ -442,7 +374,7 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, callback: Callable[..., None],
-                 *args: Any, priority: int = 0) -> Cancelable:
+                 *args: Any, priority: int = 0) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
         ``delay`` must be non-negative.  ``priority`` breaks ties at equal
@@ -457,13 +389,12 @@ class Simulator:
         free = self._free
         if free:
             event = free.pop()
-            event.time = time
             event.priority = priority
             event.callback = callback
             event.args = args
             event.payload = _GENERIC
         else:
-            event = Event(time, priority, callback, args)
+            event = Event(priority, callback, args)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [event]
@@ -472,12 +403,10 @@ class Simulator:
             bucket.append(event)
         if priority:
             self._unsorted.add(time)
-        if self._debug:
-            return EventHandle(event, event.generation)
         return event
 
     def schedule_at(self, time: int, callback: Callable[..., None],
-                    *args: Any, priority: int = 0) -> Cancelable:
+                    *args: Any, priority: int = 0) -> Event:
         """Schedule ``callback`` at an absolute cycle count ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -487,36 +416,18 @@ class Simulator:
     def channel(self, delay: int, sink: Callable[[Any], None]):
         """A :class:`ConstLatencyChannel` delivering ``sink(payload)``
         after the fixed ``delay`` (see class docstring for when to use).
-
-        Under ``debug=True`` its sends return :class:`EventHandle`
-        objects.
         """
-        if self._debug:
-            channel = _DebugChannel(self, delay, sink)
-        else:
-            channel = ConstLatencyChannel(self, delay, sink)
-        return self.obs.wrap_channel(self, channel)
+        return self.obs.wrap_channel(self,
+                                     ConstLatencyChannel(self, delay, sink))
 
-    def cancel(self, event: Cancelable) -> None:
-        """Cancel a previously scheduled event.
+    def cancel(self, event: Event) -> None:
+        """Cancel a previously scheduled event that has not fired yet.
 
         Removal is lazy (the event is dropped when its bucket drains), but
         the accounting is immediate, and the calendar is compacted outright
-        when cancelled events outnumber live ones.
-
-        Under ``debug=True`` this accepts the :class:`EventHandle` objects
-        the debug simulator hands out and raises :class:`SimulationError`
-        when the handle's event already fired or was collected (on a
-        non-debug simulator such a stale cancel silently corrupts the
-        event pool — that is exactly what debug mode exists to catch).
+        when cancelled events outnumber live ones.  Cancelling it again
+        before it is collected does nothing.
         """
-        if type(event) is EventHandle:
-            handle = event
-            event = handle.event
-            if handle.generation != event.generation:
-                raise SimulationError(
-                    "cancel() on a stale handle: the event fired or was "
-                    f"collected, and its slot was recycled ({handle!r})")
         if event.cancelled:
             return
         event.cancelled = True
@@ -533,7 +444,6 @@ class Simulator:
         -executed (recycled) events stay in that list until it completes.
         """
         free = self._free
-        debug = self._debug
         draining = self._draining
         removed = 0
         for time, bucket in self._buckets.items():
@@ -547,8 +457,6 @@ class Simulator:
                         event.cancelled = False
                         if event.priority:
                             event.priority = 0
-                        if debug:
-                            event.generation += 1
                         free.append(event)
                 bucket[:] = live
         self._ncancelled -= removed
@@ -627,7 +535,6 @@ class Simulator:
         times = self._times
         free_extend = self._free.extend
         unsorted_times = self._unsorted
-        debug = self._debug
         generic = _GENERIC
         try:
             while times and executed < limit:
@@ -656,15 +563,11 @@ class Simulator:
                             event.cancelled = False
                             if event.priority:
                                 event.priority = 0
-                            if debug:
-                                event.generation += 1
                             continue
                         callback = event.callback
                         payload = event.payload
                         if event.priority:
                             event.priority = 0
-                        if debug:
-                            event.generation += 1
                         if payload is generic:
                             callback(*event.args)
                         else:
@@ -717,10 +620,6 @@ class Simulator:
         """
         times = self._times
         return times[0] if times else None
-
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none left."""
-        return self.run(max_events=1) == 1
 
     def _queued_events(self) -> int:
         """Events sitting in buckets, cancelled or not (consumed events of

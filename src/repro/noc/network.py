@@ -74,18 +74,6 @@ class NodeNetwork(Component):
         self.injected += 1
         self.routers[tile].inject(packet)
 
-    def inject_many(self, packets, tile: int) -> None:
-        """Send a same-cycle burst of packets from ``tile`` of this node."""
-        node_id = self.node_id
-        now = self.now
-        for packet in packets:
-            if packet.src.node != node_id:
-                raise ProtocolError(
-                    f"{self.name}: inject from wrong node ({packet})")
-            packet.created_at = now
-        self.stats.inc("injected", len(packets))
-        self.routers[tile].inject_many(packets)
-
     def inject_from_edge(self, packet: Packet) -> None:
         """A packet entering the node from the chipset or the bridge."""
         self.edge_injected += 1

@@ -217,19 +217,6 @@ class Router(Component):
         self.obs.noc_inject(self, packet)
         self._inject_lane.send(packet)
 
-    def inject_many(self, packets) -> None:
-        """Batch entry point for a same-cycle burst of packets born here.
-
-        Packet-for-packet identical to ``for p in packets: inject(p)``,
-        riding one batched calendar insert into the routing stage.
-        """
-        self.stats.inc("injected", len(packets))
-        obs = self.obs
-        if obs.enabled:
-            for packet in packets:
-                obs.noc_inject(self, packet)
-        self._inject_lane.send_many(packets)
-
     def _arrive(self, port: _OutputPort, packet: Packet) -> None:
         """Routing stage for a packet that crossed the upstream ``port``.
 

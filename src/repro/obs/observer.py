@@ -20,6 +20,7 @@ architectural results stay bit-identical to an unobserved run.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from ..engine.observer import NullObserver
 from .plane import GatedTracer, InstrumentationPlane, as_plane
@@ -57,6 +58,16 @@ def metric_path(component_name: str) -> str:
     return ".".join(segments)
 
 
+def _sink_name(sink) -> str:
+    """A channel sink's track name: its qualified name, or that of the
+    function a ``functools.partial`` binds (a NoC link's sink is
+    ``partial(Router._arrive, port)``).  A repr would hold object
+    addresses, so two same-seed runs would name their tracks apart."""
+    while isinstance(sink, partial):
+        sink = sink.func
+    return getattr(sink, "__qualname__", type(sink).__qualname__)
+
+
 class _TracedChannel:
     """Kernel-category shim around a ConstLatencyChannel.
 
@@ -72,8 +83,7 @@ class _TracedChannel:
         self._tracer = tracer
         self._sim = sim
         sink = channel.sink
-        self._comp = "kernel/" + getattr(sink, "__qualname__",
-                                         repr(sink))
+        self._comp = "kernel/" + _sink_name(sink)
         self.delay = channel.delay
         self.sink = sink
 

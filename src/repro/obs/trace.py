@@ -32,7 +32,7 @@ from __future__ import annotations
 import gzip
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import ReproError
 
@@ -118,39 +118,9 @@ class Tracer:
             out.extend(ring)
         return out
 
-    def _pid_of(self, component: str) -> str:
-        # Node-level grouping: "n0/t3/bpc" -> process "n0".
-        return component.split("/", 1)[0]
-
     def to_chrome(self) -> dict:
         """The Chrome ``trace_event`` JSON object (Perfetto-loadable)."""
-        pids: Dict[str, int] = {}
-        events: List[dict] = []
-        meta: List[dict] = []
-        for tid, component in enumerate(sorted(self._rings), start=1):
-            process = self._pid_of(component)
-            pid = pids.setdefault(process, len(pids) + 1)
-            meta.append({"name": "thread_name", "ph": "M", "pid": pid,
-                         "tid": tid, "args": {"name": component}})
-            for ts, dur, ph, category, name, args in self._rings[component]:
-                event = {"name": name, "cat": category, "ph": ph,
-                         "ts": ts, "pid": pid, "tid": tid}
-                if ph == _PH_COMPLETE:
-                    event["dur"] = dur
-                if ph == _PH_INSTANT:
-                    event["s"] = "t"
-                if args is not None:
-                    event["args"] = args
-                events.append(event)
-        for process, pid in pids.items():
-            meta.append({"name": "process_name", "ph": "M", "pid": pid,
-                         "tid": 0, "args": {"name": process}})
-        return {
-            "traceEvents": meta + events,
-            "displayTimeUnit": "ms",
-            "otherData": {"clock": "prototype-cycles",
-                          "dropped_events": self.dropped},
-        }
+        return _chrome_object(self._rings, self.dropped)
 
     def write(self, path) -> None:
         with open(path, "w") as handle:
@@ -182,23 +152,21 @@ class StreamingTracer:
          "comp": "n0/t0/bpc", "name": "load", "args": {"addr": "0x0"}}
 
     ``dur`` is omitted for instants/counters and ``args`` when empty.
-    A path ending in ``.gz`` (or ``compress=True``) gzips the stream.
+    A path ending in ``.gz`` gzips the stream.
     :func:`chrome_from_jsonl` turns the file into the same Chrome
     ``trace_event`` object :meth:`Tracer.to_chrome` builds.
     """
 
     def __init__(self, path, categories: Optional[Sequence[str]] = None,
-                 chunk_events: int = 4096,
-                 compress: Optional[bool] = None) -> None:
+                 chunk_events: int = 4096) -> None:
         if chunk_events < 1:
             raise ReproError(
                 f"trace: chunk_events must be >= 1, got {chunk_events}")
         self._categories = None if categories is None else set(categories)
         self.path = str(path)
-        if compress is None:
-            compress = self.path.endswith(".gz")
         self._handle = (gzip.open(self.path, "wt", encoding="utf-8")
-                        if compress else open(self.path, "w"))
+                        if self.path.endswith(".gz")
+                        else open(self.path, "w"))
         self._chunk = chunk_events
         self._buffer: List[str] = []
         self._written = 0
@@ -274,6 +242,45 @@ class StreamingTracer:
         self.close()
 
 
+def _chrome_object(components: Mapping[str, Iterable[tuple]],
+                   dropped: int) -> dict:
+    """The Chrome ``trace_event`` object for per-component records.
+
+    ``components`` maps each component to its records, in emission
+    order, as ``(ts, dur, ph, category, name, args)`` tuples (``args``
+    None for none).  Each component is one thread, numbered in name
+    order; each node-level prefix (``n0/t3/bpc`` -> ``n0``) is one
+    process.
+    """
+    pids: Dict[str, int] = {}
+    events: List[dict] = []
+    meta: List[dict] = []
+    for tid, component in enumerate(sorted(components), start=1):
+        process = component.split("/", 1)[0]
+        pid = pids.setdefault(process, len(pids) + 1)
+        meta.append({"name": "thread_name", "ph": "M", "pid": pid,
+                     "tid": tid, "args": {"name": component}})
+        for ts, dur, ph, category, name, args in components[component]:
+            event = {"name": name, "cat": category, "ph": ph,
+                     "ts": ts, "pid": pid, "tid": tid}
+            if ph == _PH_COMPLETE:
+                event["dur"] = dur
+            if ph == _PH_INSTANT:
+                event["s"] = "t"
+            if args is not None:
+                event["args"] = args
+            events.append(event)
+    for process, pid in pids.items():
+        meta.append({"name": "process_name", "ph": "M", "pid": pid,
+                     "tid": 0, "args": {"name": process}})
+    return {
+        "traceEvents": meta + events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock": "prototype-cycles",
+                      "dropped_events": dropped},
+    }
+
+
 def iter_jsonl_events(path) -> Iterable[dict]:
     """Yield the raw event dicts of a (possibly gzipped) JSONL trace."""
     opener = gzip.open if str(path).endswith(".gz") else open
@@ -313,7 +320,7 @@ def chrome_from_jsonl(path) -> dict:
         paths = [path]
     else:
         paths = list(path)
-    components: Dict[str, List[dict]] = {}
+    components: Dict[str, List[tuple]] = {}
     shards_of: Dict[str, int] = {}
     for shard_index, shard_path in enumerate(paths):
         for event in iter_jsonl_events(shard_path):
@@ -323,37 +330,14 @@ def chrome_from_jsonl(path) -> dict:
                 shards_of[component] = shard_index
             elif shards_of[component] >= 0:
                 shards_of[component] = -1   # seen from several shards
-            bucket.append(event)
+            bucket.append((event["ts"], event.get("dur", 0),
+                           event.get("ph", _PH_INSTANT),
+                           event.get("cat", ""), event["name"],
+                           event.get("args")))
     for component, bucket in components.items():
         if shards_of[component] < 0:
-            bucket.sort(key=lambda event: event["ts"])
-    pids: Dict[str, int] = {}
-    events: List[dict] = []
-    meta: List[dict] = []
-    for tid, component in enumerate(sorted(components), start=1):
-        process = component.split("/", 1)[0]
-        pid = pids.setdefault(process, len(pids) + 1)
-        meta.append({"name": "thread_name", "ph": "M", "pid": pid,
-                     "tid": tid, "args": {"name": component}})
-        for record in components[component]:
-            event = {"name": record["name"], "cat": record.get("cat", ""),
-                     "ph": record.get("ph", _PH_INSTANT),
-                     "ts": record["ts"], "pid": pid, "tid": tid}
-            if event["ph"] == _PH_COMPLETE:
-                event["dur"] = record.get("dur", 0)
-            if event["ph"] == _PH_INSTANT:
-                event["s"] = "t"
-            if "args" in record:
-                event["args"] = record["args"]
-            events.append(event)
-    for process, pid in pids.items():
-        meta.append({"name": "process_name", "ph": "M", "pid": pid,
-                     "tid": 0, "args": {"name": process}})
-    return {
-        "traceEvents": meta + events,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "prototype-cycles", "dropped_events": 0},
-    }
+            bucket.sort(key=lambda record: record[0])
+    return _chrome_object(components, 0)
 
 
 def probe_series_from_jsonl(path) -> Dict[str, list]:

@@ -4,7 +4,7 @@ The load-bearing properties of this layer:
 
 * ``send_many(ps)`` is event-for-event identical to ``for p in ps:
   send(p)`` — asserted on typed channels and on the generic
-  ``schedule()`` reference path, for channels, links and NoC injection;
+  ``schedule()`` reference path, for channels and links;
 * a Fig. 7 latency point archives byte-identical metrics
   (``json.dumps`` equality) whether its channels are typed or routed
   through ``schedule()``.
@@ -15,9 +15,8 @@ import json
 import pytest
 
 from repro import Prototype, parse_config
-from repro.engine import EventHandle, Link, Simulator
+from repro.engine import Link, Simulator
 from repro.errors import SimulationError
-from repro.noc import MsgClass, NocChannel, NodeNetwork, Packet, TileAddr
 from repro.obs import Observer
 from schedule_reference import route_channels_through_schedule, \
     schedule_channel
@@ -117,33 +116,6 @@ class TestSendManyEquivalence:
         sim.run()
 
 
-class TestDebugBatch:
-    def test_send_many_returns_handles(self):
-        sim = Simulator(debug=True)
-        lane = sim.channel(2, lambda p: None)
-        handles = lane.send_many(["a", "b"])
-        assert all(isinstance(h, EventHandle) for h in handles)
-        handles_after = lane.send_after_many(4, ["c"])
-        assert all(isinstance(h, EventHandle) for h in handles_after)
-
-    def test_cancel_batched_before_fire_works(self):
-        sim = Simulator(debug=True)
-        got = []
-        lane = sim.channel(2, got.append)
-        handles = lane.send_many(["a", "doomed", "c"])
-        sim.cancel(handles[1])
-        sim.run()
-        assert got == ["a", "c"]
-
-    def test_cancel_batched_after_fire_raises(self):
-        sim = Simulator(debug=True)
-        lane = sim.channel(2, lambda p: None)
-        handles = lane.send_many(["a", "b"])
-        sim.run()
-        with pytest.raises(SimulationError, match="stale handle"):
-            sim.cancel(handles[0])
-
-
 def _link_train(batched, latency=2, cycles_per_unit=1.0, units_each=3):
     sim = Simulator()
     deliveries = []
@@ -182,42 +154,6 @@ class TestLinkBatch:
         assert link.send_many([]) == sim.now
         assert link.busy_until == 0
         assert sim.pending == 0
-
-
-def _inject_burst(batched, n_tiles=6):
-    sim = Simulator()
-    net = NodeNetwork(sim, "n0", 0, n_tiles)
-    received = []
-    for tile in range(n_tiles):
-        for channel in NocChannel:
-            net.register_endpoint(
-                tile, channel,
-                lambda p, _t=tile: received.append((sim.now, _t, p.payload)))
-    packets = [Packet(src=TileAddr(0, 0), dst=TileAddr(0, dst),
-                      channel=NocChannel.REQ, msg_class=MsgClass.PING,
-                      payload=f"m{i}", payload_flits=1)
-               for i, dst in enumerate((1, 5, 3, 5, 2))]
-    if batched:
-        net.inject_many(packets, 0)
-    else:
-        for packet in packets:
-            net.inject(packet, 0)
-    sim.run()
-    return received, sim.now, net.router_stats()
-
-
-class TestInjectMany:
-    def test_burst_matches_looped_injects(self):
-        assert _inject_burst(True) == _inject_burst(False)
-
-    def test_wrong_node_rejected_in_burst(self):
-        sim = Simulator()
-        net = NodeNetwork(sim, "n0", 0, 2)
-        bad = Packet(src=TileAddr(1, 0), dst=TileAddr(0, 1),
-                     channel=NocChannel.REQ, msg_class=MsgClass.PING,
-                     payload=None, payload_flits=0)
-        with pytest.raises(Exception, match="wrong node"):
-            net.inject_many([bad], 0)
 
 
 class TestFig7PathDeterminism:

@@ -121,9 +121,6 @@ class TestFastPathDeterminism:
         # path must not change the interleaving at all.
         assert _mixed_path_run() == _mixed_path_run(schedule_channel)
 
-    def test_debug_mode_matches_golden(self):
-        assert _scripted_run(Simulator(debug=True)) == GOLDEN_TRACE
-
     def test_mixed_path_trace_repeatable(self):
         assert _mixed_path_run() == _mixed_path_run()
 

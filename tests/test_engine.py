@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.engine import (ConstLatencyChannel, EventHandle, Histogram, Link,
-                          Simulator, StatGroup, derive_seed, derived_rng)
+from repro.engine import (ConstLatencyChannel, Histogram, Link, Simulator,
+                          StatGroup, derive_seed, derived_rng)
 from repro.errors import SimulationError
 from schedule_reference import schedule_channel
 
@@ -67,6 +67,19 @@ class TestSimulator:
         assert fired == []
         assert sim.pending == 0
 
+    def test_double_cancel_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(2, fired.append, "doomed")
+        sim.schedule(2, fired.append, "live")
+        sim.cancel(event)
+        sim.cancel(event)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == ["live"]
+        assert sim.pending == 0
+        assert sim.events_executed == 1
+
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
         seen = []
@@ -87,12 +100,6 @@ class TestSimulator:
             sim.schedule(1, lambda: None)
         assert sim.run(max_events=4) == 4
         assert sim.pending == 6
-
-    def test_step(self):
-        sim = Simulator()
-        sim.schedule(3, lambda: None)
-        assert sim.step() is True
-        assert sim.step() is False
 
 
 class TestDrainLoop:
@@ -177,7 +184,7 @@ class TestDrainLoop:
         lane.send_after_many(9, list(range(4)))
         checkpoints = [sim.run(max_events=3), sim.now,
                        sim.run(until=5), sim.now]
-        while sim.step():
+        while sim.run(max_events=1):
             checkpoints.append(sim.now)
         assert trace == [(3, p) for p in range(8)] + [(9, p)
                                                        for p in range(4)]
@@ -197,7 +204,7 @@ class TestDrainLoop:
         # Work settled without an event at cycle 12 (the floor an event
         # at 6 raises) moves the clock like an event at 12 would have:
         # a full drain reaches it, run_until only when it lies below the
-        # bound, bounded runs and step() never.
+        # bound, bounded runs never.
         sim = Simulator()
 
         def settle():
@@ -441,92 +448,3 @@ class TestConstLatencyChannel:
         lane = sim.channel(1, lambda p: None)
         with pytest.raises(SimulationError):
             lane.send_after(-1, "x")
-
-
-class TestDebugMode:
-    def test_schedule_returns_handle(self):
-        sim = Simulator(debug=True)
-        handle = sim.schedule(1, lambda: None)
-        assert isinstance(handle, EventHandle)
-
-    def test_cancel_before_fire_works(self):
-        sim = Simulator(debug=True)
-        got = []
-        sim.cancel(sim.schedule(2, got.append, "doomed"))
-        sim.schedule(2, got.append, "live")
-        sim.run()
-        assert got == ["live"]
-
-    def test_double_cancel_before_fire_ok(self):
-        sim = Simulator(debug=True)
-        handle = sim.schedule(2, lambda: None)
-        sim.cancel(handle)
-        sim.cancel(handle)
-        sim.run()
-        assert sim.pending == 0
-
-    def test_cancel_after_fire_raises(self):
-        sim = Simulator(debug=True)
-        handle = sim.schedule(1, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError, match="stale handle"):
-            sim.cancel(handle)
-
-    def test_cancel_after_fire_raises_on_channel_handle(self):
-        sim = Simulator(debug=True)
-        lane = sim.channel(2, lambda p: None)
-        handle = lane.send("x")
-        assert isinstance(handle, EventHandle)
-        sim.run()
-        with pytest.raises(SimulationError, match="stale handle"):
-            sim.cancel(handle)
-
-    def test_cancel_after_compaction_collect_raises(self):
-        # A cancelled event collected by compaction is just as recycled
-        # as a fired one; a second cancel through an old handle must
-        # fail loudly, not corrupt the pool.
-        sim = Simulator(debug=True)
-        victims = [sim.schedule(5, lambda: None) for _ in range(200)]
-        sim.schedule(1, lambda: None)
-        for victim in victims:
-            sim.cancel(victim)
-        sim.run()
-        with pytest.raises(SimulationError, match="stale handle"):
-            sim.cancel(victims[0])
-
-    def test_send_many_returns_handles(self):
-        sim = Simulator(debug=True)
-        lane = sim.channel(2, lambda p: None)
-        handles = lane.send_many(["a", "b", "c"])
-        assert len(handles) == 3
-        assert all(isinstance(h, EventHandle) for h in handles)
-
-    def test_cancel_batched_before_fire_works(self):
-        sim = Simulator(debug=True)
-        got = []
-        lane = sim.channel(2, got.append)
-        handles = lane.send_after_many(3, ["a", "doomed", "c"])
-        sim.cancel(handles[1])
-        sim.run()
-        assert got == ["a", "c"]
-
-    def test_cancel_after_fire_raises_on_batched_handle(self):
-        sim = Simulator(debug=True)
-        lane = sim.channel(2, lambda p: None)
-        handles = lane.send_many(["a", "b"])
-        sim.run()
-        for handle in handles:
-            with pytest.raises(SimulationError, match="stale handle"):
-                sim.cancel(handle)
-
-    def test_debug_mode_does_not_change_results(self):
-        def drive(sim):
-            got = []
-            lane = sim.channel(1, got.append)
-            lane.send("a")
-            sim.schedule(1, got.append, "b")
-            sim.schedule(3, got.append, "c", priority=-1)
-            sim.run()
-            return got, sim.now, sim.events_executed
-
-        assert drive(Simulator(debug=True)) == drive(Simulator())

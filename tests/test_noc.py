@@ -172,8 +172,9 @@ class TestNodeNetwork:
     def test_inject_from_wrong_node_rejected(self):
         sim, net, _ = build_network()
         pkt = make_packet(TileAddr(9, 0), TileAddr(0, 1))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="wrong node"):
             net.inject(pkt, 0)
+        assert net.stats.counters == {}
 
     def test_single_tile_node_chipset_path(self):
         sim = Simulator()

@@ -402,6 +402,24 @@ class TestObsDeterminism:
         # And the observer actually observed the run.
         assert obs.tracer.event_count() > 0
 
+    def test_traced_names_hold_no_object_address(self):
+        # A NoC link delivers to partial(Router._arrive, port), whose repr
+        # holds addresses: its kernel track, and the dropped-events
+        # metric a full ring adds for it, must read the same every run.
+        obs = Observer({"sample_interval": 10_000,
+                        "trace": {"ring_capacity": 1}})
+        proto = Prototype(parse_config("2x1x2"), obs=obs)
+        proto.measure_pair_latency(0, 3)
+        tracks = [event["args"]["name"]
+                  for event in obs.tracer.to_chrome()["traceEvents"]
+                  if event["name"] == "thread_name"]
+        assert "kernel/Router._arrive" in tracks
+        dropped = [name for name in obs.export_metrics()
+                   if name.startswith("obs.trace.dropped.")]
+        assert "obs.trace.dropped.kernel.Router._arrive" in dropped
+        for name in tracks + dropped:
+            assert "0x" not in name and " at " not in name, name
+
     def test_kernel_channel_tracing_is_bit_identical(self):
         config = parse_config("1x1x2")
         base = Prototype(config).measure_pair_latency(0, 1)

@@ -4,9 +4,8 @@ The contract under test is absolute: a prototype sharded across worker
 processes (``Prototype(config, partitions=N)``) must produce the exact
 latencies, cycle counts, merged metrics, and merged streaming traces of
 the monolithic run, at any partition count, with typed channels or the
-generic ``schedule()`` path, on the production or the debug simulator.
-Plus the window derivation, the partition-count validation, and a dead
-worker ending in a typed error.
+generic ``schedule()`` path.  Plus the window derivation, the
+partition-count validation, and a dead worker ending in a typed error.
 """
 
 import dataclasses
@@ -47,25 +46,16 @@ def _drive(proto):
     return [proto.measure_pair_latency(src, dst) for src, dst in PAIRS]
 
 
-#: Simulator flavour per ``kernel`` test id, as its ``debug`` flag:
-#: "accel" is the production simulator (recycled raw events), "python"
-#: the debug one (generation-pinned handles, checked cancels).
-KERNEL_DEBUG = {"accel": False, "python": True}
+#: The ``kernel`` test id: "accel" names the one simulator there is.
+KERNELS = ["accel"]
 
 
-def _use_simulators(monkeypatch, kernel, typed):
-    """Build every simulator from here on, forked partition workers
-    included, in the ``kernel`` flavour; unless ``typed``, route every
-    channel send through the generic ``schedule()`` path."""
-    if KERNEL_DEBUG[kernel]:
-        init = Simulator.__init__
-
-        def debug_init(self, *, debug=True, obs=None):
-            init(self, debug=debug, obs=obs)
-        monkeypatch.setattr(Simulator, "__init__", debug_init)
+def _use_channels(monkeypatch, typed):
+    """Unless ``typed``, route every channel send of every simulator
+    built from here on, forked partition workers included, through the
+    generic ``schedule()`` path."""
     if not typed:
         route_channels_through_schedule(monkeypatch)
-    assert Simulator()._debug is KERNEL_DEBUG[kernel]
 
 
 def _mono_run(label, trace_path=None):
@@ -169,10 +159,10 @@ class TestWindow:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("typed", [True, False])
-    @pytest.mark.parametrize("kernel", ["python", "accel"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_metrics_identical_across_modes(self, monkeypatch, typed,
                                             kernel):
-        _use_simulators(monkeypatch, kernel, typed)
+        _use_channels(monkeypatch, typed)
         mono = _mono_run("4x1x2")
         part = _part_run("4x1x2", 2)
         assert part["latencies"] == mono["latencies"]
@@ -312,10 +302,10 @@ class TestPartitionedSurface:
 class TestStorm:
     SHAPE = dict(chains=8, hops=6, batch_width=4, tokens=8)
 
-    @pytest.mark.parametrize("typed,kernel",
-                             [(True, "python"), (False, "accel")])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("typed", [True, False])
     def test_digests_match_monolithic(self, monkeypatch, typed, kernel):
-        _use_simulators(monkeypatch, kernel, typed)
+        _use_channels(monkeypatch, typed)
         mono = run_monolithic_storm(shards=4, **self.SHAPE)
         part = run_partitioned_storm(shards=4, **self.SHAPE)
         assert part["digests"] == mono["digests"]

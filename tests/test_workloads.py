@@ -161,6 +161,20 @@ class TestMapleKernels:
         for kernel in speedups:
             assert speedups[kernel]["2thread"] > 1.3
 
+    def test_raw_speedups_are_pinned(self, speedups):
+        """The rendered Fig. 11 rounds to two decimals; these are the
+        raw ratios, so a reordering that moves a cycle count shows."""
+        assert speedups == {
+            "spmv": {"1thread": 1.0, "maple": 2.3683944948341766,
+                     "2thread": 1.9550864842912037},
+            "spmm": {"1thread": 1.0, "maple": 1.3764810158638279,
+                     "2thread": 1.9774439997921105},
+            "sdhp": {"1thread": 1.0, "maple": 1.9579952226141097,
+                     "2thread": 1.7146320097868935},
+            "bfs": {"1thread": 1.0, "maple": 2.28069685225906,
+                    "2thread": 1.9875389078281491},
+        }
+
     def test_checksums_agree_across_modes(self):
         from repro.workloads import MapleKernelBench
         bench = MapleKernelBench()
@@ -180,6 +194,12 @@ class TestHelloWorld:
         result = run_helloworld(build("1x1x2"))
         milliseconds = result.cycles / 100_000
         assert 1.0 <= milliseconds <= 10.0
+
+    def test_cycles_and_events_are_pinned(self):
+        proto = build("1x1x2")
+        result = run_helloworld(proto)
+        assert (result.cycles, proto.sim.events_executed) \
+            == (289_144, 35_013)
 
 
 class TestSpecCatalog:
