@@ -16,7 +16,8 @@ import pytest
 
 from repro import Prototype, parse_config
 from repro.engine import Link, Simulator
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
+from repro.noc import MsgClass, NocChannel, NodeNetwork, Packet, TileAddr
 from repro.obs import Observer
 from schedule_reference import route_channels_through_schedule, \
     schedule_channel
@@ -154,6 +155,29 @@ class TestLinkBatch:
         assert link.send_many([]) == sim.now
         assert link.busy_until == 0
         assert sim.pending == 0
+
+
+class TestInjectMany:
+    """A burst of NoC injections is a loop over ``NodeNetwork.inject``."""
+
+    def test_wrong_node_rejected_in_burst(self):
+        sim = Simulator()
+        net = NodeNetwork(sim, "n0", 0, 2)
+        received = []
+        for tile in range(2):
+            for channel in NocChannel:
+                net.register_endpoint(
+                    tile, channel, lambda p: received.append(p.payload))
+        burst = [Packet(src=TileAddr(node, 0), dst=TileAddr(0, 1),
+                        channel=NocChannel.REQ, msg_class=MsgClass.PING,
+                        payload=name, payload_flits=0)
+                 for node, name in ((0, "a"), (1, "bad"), (0, "c"))]
+        with pytest.raises(ProtocolError, match="wrong node"):
+            for packet in burst:
+                net.inject(packet, 0)
+        sim.run()
+        assert received == ["a"]
+        assert net.stats.counters == {"injected": 1}
 
 
 class TestFig7PathDeterminism:
