@@ -7,7 +7,9 @@ store seeded in-process, then asserts the serving plane's contracts:
   ``run_sweep`` computed (the PointQuery *is* the store key payload);
 * each of the 12 paper-size (4x1x12) Fig. 7 shards, ~100 KB values of
   the ``{"rows", "metrics"}`` shape the serve-mixed benchmark queries,
-  answers byte-identical to its raw store entry;
+  answers byte-identical to its raw store entry, and its raw
+  ``/v1/query`` body is the bytes ``PointReply.to_json()`` gives for
+  that entry;
 * a cold fig9 submit spawns a farm job, the fleet completes, the merged
   value is byte-identical to a serial ``run_sweep`` of the same spec,
   and the same submit immediately re-answers all-warm (`obs.serve.
@@ -18,6 +20,7 @@ store seeded in-process, then asserts the serving plane's contracts:
   and its latency summary is printed for the job log.
 """
 
+import http.client
 import json
 import os
 import sys
@@ -32,7 +35,7 @@ from repro.parallel import (fig8_spec, fig9_spec,
                             latency_matrix_spec, run_sweep)   # noqa: E402
 from repro.parallel.sweep import sweep_tasks                  # noqa: E402
 from repro.serve import (PointQuery, ResultService, ServeClient,
-                         ServiceThread, client_backend)       # noqa: E402
+                         ServiceThread, api, client_backend)  # noqa: E402
 from repro.store import ResultStore                           # noqa: E402
 
 CONFIG = "2x1x2"
@@ -82,17 +85,30 @@ def main():
             sys.exit("served value differs from the raw store entry")
         print(f"warm query: byte-identical ({reply.key[:12]})")
 
-        # 1b. Paper-size Fig. 7 shards: each reply equals its entry.
+        # 1b. Paper-size Fig. 7 shards: each reply equals its entry, as
+        # a parsed value and as the bytes on the wire.
         largest = 0
+        wire = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=60)
         for task in shard_tasks:
-            reply = client.query_point(PointQuery(**task[-1]))
-            stored = canon(store.load(reply.key)[1])
-            if not reply.found or canon(reply.value) != stored:
+            query = PointQuery(**task[-1])
+            reply = client.query_point(query)
+            value = store.load(reply.key)[1]
+            if not reply.found or canon(reply.value) != canon(value):
                 sys.exit(f"{PAPER_CONFIG} shard {reply.key[:12]} differs "
                          f"from its store entry")
-            largest = max(largest, len(stored))
+            wire.request("POST", "/v1/query", body=query.to_json().encode())
+            response = wire.getresponse()
+            body = response.read()
+            expected = api.PointReply(found=True, key=reply.key,
+                                      value=value).to_json().encode()
+            if response.status != 200 or body != expected:
+                sys.exit(f"{PAPER_CONFIG} shard {reply.key[:12]}: wire "
+                         f"bytes differ from PointReply.to_json()")
+            largest = max(largest, len(body))
+        wire.close()
         print(f"{len(shard_tasks)} {PAPER_CONFIG} Fig. 7 shards: "
-              f"byte-identical (largest {largest} bytes)")
+              f"byte-identical on the wire (largest {largest} bytes)")
 
         # 2. Cold submit: farm fleet -> done -> warm on resubmit.
         before = client.stats()

@@ -20,6 +20,9 @@ A :class:`PointQuery` is deliberately the store's key payload — the
 same ``(family, version, config_hash, point, seed, obs)`` tuple
 :func:`repro.parallel.sweep.sweep_tasks` builds — so a served hit is,
 by construction, byte-identical to what ``run_sweep`` would compute.
+A found :class:`PointReply` is written around the stored value's text
+by :func:`point_hit_json`, so the service never parses or re-encodes a
+warm value.
 """
 
 from __future__ import annotations
@@ -30,15 +33,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ServeError
-from ..store import canonical_value
+from ..store import canonical_json, canonical_value
 
 #: Bumped when any message's meaning changes; decode refuses mismatches.
 SERVE_API_VERSION = 1
-
-
-def canonical_json(value) -> str:
-    """Sorted-keys JSON: equal values serialize to equal bytes."""
-    return json.dumps(value, sort_keys=True, default=str)
 
 
 @dataclass(frozen=True)
@@ -141,6 +139,22 @@ class PointReply(Message):
     found: bool
     key: str
     value: object = None
+
+
+def point_hit_json(key: str, value_text: str) -> str:
+    """``PointReply(found=True, key=key, value=json.loads(value_text))
+    .to_json()``, written without parsing or encoding the value.
+
+    ``value_text`` must be canonical JSON (a stored entry's value, see
+    :mod:`repro.store`): canonical JSON encodes a nested value exactly
+    as it would encode it alone, so the text drops into the reply as is.
+    ``value`` sorts last in the body and nothing after it in the
+    envelope is ``null``, so the last ``null`` of an empty hit is the
+    value's slot.
+    """
+    head, _, tail = PointReply(found=True, key=key).to_json().rpartition(
+        "null")
+    return head + value_text + tail
 
 
 def derived_seed(root_seed: int, family: str, index: int) -> int:
@@ -367,14 +381,18 @@ _KINDS = {cls.KIND: cls for cls in (
 def decode(data, expect: Optional[type] = None) -> Message:
     """Parse a wire envelope back into its typed message.
 
-    ``data`` is JSON text/bytes or an already-parsed envelope dict.
-    Refuses unknown kinds, malformed bodies, and any ``api_version``
-    other than :data:`SERVE_API_VERSION`.  ``expect`` additionally pins
-    the message type (:class:`ErrorReply` always passes through so
-    callers can surface server errors).
+    ``data`` is JSON text, UTF-8 JSON bytes or an already-parsed
+    envelope dict.  Refuses bytes that are not UTF-8, unknown kinds,
+    malformed bodies, and any ``api_version`` other than
+    :data:`SERVE_API_VERSION`.  ``expect`` additionally pins the message
+    type (:class:`ErrorReply` always passes through so callers can
+    surface server errors).
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8", errors="replace")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ServeError(f"serve: message is not UTF-8 ({error})")
     if isinstance(data, str):
         try:
             data = json.loads(data)

@@ -3,10 +3,10 @@
 SMAPPIC's pitch is prototypes *served from the cloud* (PAPER.md §1,
 Fig. 12): users submit configurations and get measurements back without
 owning hardware.  :class:`ResultService` is that serving plane for the
-reproduction — a warm point is one validated parse of its
-content-addressed :class:`~repro.store.ResultStore` entry plus one
-canonical JSON encode of the reply, cold submissions become farm
-fleets on a background worker, and the ``runs/`` archive tree is
+reproduction — a warm point is a header check and a SHA-256 of its
+content-addressed :class:`~repro.store.ResultStore` entry, whose stored
+value text is spliced into the reply unparsed; cold submissions become
+farm fleets on a background worker, and the ``runs/`` archive tree is
 queryable and diffable in place.
 
 The server is deliberately plain: ``asyncio.start_server`` with a
@@ -45,7 +45,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ReproError, ServeError
 from ..farm.spec import FarmSpec, local_farm
@@ -157,11 +157,13 @@ class ResultService:
                 pass
 
     async def _reply(self, writer: asyncio.StreamWriter, status: int,
-                     message: api.Message, keep: bool) -> None:
+                     message: Union[api.Message, str], keep: bool) -> None:
+        """Send ``message``, or a reply already encoded as JSON text."""
         self.registry.inc("obs.serve.requests")
         if status >= 400:
             self.registry.inc("obs.serve.errors")
-        payload = message.to_json().encode()
+        text = message if isinstance(message, str) else message.to_json()
+        payload = text.encode()
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(payload)}\r\n"
@@ -221,7 +223,7 @@ class ResultService:
     # Routing
     # ------------------------------------------------------------------
     def _dispatch(self, method: str, path: str,
-                  body: bytes) -> Tuple[int, api.Message]:
+                  body: bytes) -> Tuple[int, Union[api.Message, str]]:
         try:
             return 200, self._route(method, path, body)
         except _HttpError as error:
@@ -237,7 +239,8 @@ class ResultService:
             return 500, api.ErrorReply(
                 error=f"{type(error).__name__}: {error}")
 
-    def _route(self, method: str, path: str, body: bytes) -> api.Message:
+    def _route(self, method: str, path: str,
+               body: bytes) -> Union[api.Message, str]:
         route = {
             ("GET", "/v1/ping"): lambda: api.Pong(),
             ("GET", "/v1/stats"): self._handle_stats,
@@ -280,12 +283,17 @@ class ResultService:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_query(self, query: api.PointQuery) -> api.PointReply:
+    def _handle_query(self, query: api.PointQuery
+                      ) -> Union[api.PointReply, str]:
+        """A miss as a reply, a hit as its JSON text: the stored value
+        text, checked by the load, spliced in without a parse."""
         key = entry_key(query.key_payload())
-        found, value = self.store.load(key)
-        self.registry.inc("obs.serve.hits" if found
-                          else "obs.serve.misses")
-        return api.PointReply(found=found, key=key, value=value)
+        text = self.store.load_text(key)
+        if text is None:
+            self.registry.inc("obs.serve.misses")
+            return api.PointReply(found=False, key=key)
+        self.registry.inc("obs.serve.hits")
+        return api.point_hit_json(key, text)
 
     def _archive_dirs(self):
         if not os.path.isdir(self.runs_root):

@@ -28,16 +28,35 @@ under the old schema — no manual cache busting.  Point functions carry
 an explicit ``version`` for the same reason: bump it when the
 measurement code changes meaning.
 
+Entry layout
+------------
+
+An entry file is a one-line JSON header, a newline, the value's
+canonical JSON text (:func:`canonical_json`: sorted keys, ASCII) and a
+newline::
+
+    {"key": "...", "payload": {...}, "schema_version": 2,
+     "value_bytes": 101234, "value_sha256": "...", "written_at_unix": ...}
+    {"metrics": {...}, "rows": [...]}
+
+The value text is stored exactly as a reader needs it: :meth:`load_text`
+hands it out without parsing it, and the result service splices it into
+its reply as is.  :meth:`ResultStore.put` canonicalizes the value first
+(a JSON round trip), so the stored text is a fixed point of
+``canonical_json(json.loads(text))`` for every value it accepts.
+
 Durability contract
 -------------------
 
 * **Atomic writes** — entries are written to a temp file in the entry's
   directory and published with ``os.replace``; readers are lock-free and
   can never observe a half-written entry.
-* **Validated loads** — every load checks JSON integrity, the embedded
-  schema version, and that the entry matches its own key.  A corrupt or
-  stale entry is *evicted* (unlinked with a warning), never fatal: the
-  sweep point simply re-simulates.
+* **Validated loads** — every load checks the header's schema version,
+  that the entry matches its own key, the value's length and the SHA-256
+  of the value bytes.  That catches truncation and also a corrupted
+  value that is still valid JSON.  A corrupt or stale entry (an entry
+  of another schema included) is *evicted* (unlinked with a warning),
+  never fatal: the sweep point simply re-simulates.
 * **Last-writer-wins races** — two processes racing the same key each
   publish a complete entry; because sweep points are deterministic, both
   bodies are identical and either rename order is correct.
@@ -72,7 +91,7 @@ from .errors import StoreError
 
 #: Bumped when the on-disk entry file format changes; entries written
 #: under another schema are evicted on load.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Environment variable benchmarks check to opt into the store: the
 #: value is the store root (e.g. ``store``); unset means no memoization.
@@ -101,6 +120,11 @@ def entry_key(payload: Dict[str, object]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:40]
 
 
+def canonical_json(value) -> str:
+    """Sorted-keys JSON: equal values serialize to equal bytes."""
+    return json.dumps(value, sort_keys=True, default=str)
+
+
 def canonical_value(value):
     """A JSON round-trip of ``value``.
 
@@ -110,7 +134,33 @@ def canonical_value(value):
     tuples become lists *before* anyone compares, and floats survive
     exactly (JSON uses shortest round-trip repr).
     """
-    return json.loads(json.dumps(value, sort_keys=True, default=str))
+    return json.loads(canonical_json(value))
+
+
+def _entry_value(data: bytes, key: str) -> bytes:
+    """The value text of the entry file ``data`` published under ``key``.
+
+    Raises :class:`ValueError` naming the first check that fails:
+    header JSON, schema version, key, value length, value SHA-256.
+    """
+    head, _, rest = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError as error:
+        raise ValueError(f"unreadable header ({error})") from None
+    if (not isinstance(header, dict)
+            or header.get("schema_version") != STORE_SCHEMA_VERSION):
+        raise ValueError("schema mismatch or malformed entry")
+    if header.get("key") != key:
+        raise ValueError(f"entry is for key {header.get('key')!r}")
+    value, size = rest[:-1], header.get("value_bytes")
+    if not rest.endswith(b"\n") or len(value) != size:
+        raise ValueError(f"truncated or resized value: {len(rest)} bytes "
+                         f"follow the header, which says {size!r} and a "
+                         f"newline")
+    if hashlib.sha256(value).hexdigest() != header.get("value_sha256"):
+        raise ValueError("value SHA-256 mismatch")
+    return value
 
 
 def store_root_from_env() -> Optional[str]:
@@ -321,40 +371,42 @@ class ResultStore:
                             f"{key}.json")
 
     # -- reading -------------------------------------------------------
-    def load(self, key: str) -> Tuple[bool, object]:
-        """``(True, value)`` on a validated hit, else ``(False, None)``.
+    def load_text(self, key: str) -> Optional[str]:
+        """The value's canonical JSON text on a validated hit, else None.
 
-        A present-but-invalid entry (truncated JSON, wrong schema
-        version, key mismatch) is evicted with a warning and reported as
-        a miss — corruption re-simulates a point, it never crashes a
-        sweep.  An entry that *vanished* (a concurrent GC or ``clear``
-        raced this load) is a plain miss: no warning, no eviction —
-        losing a cache race is normal operation, not corruption.
+        Every load checks the entry (see :func:`_entry_value`).  A
+        present-but-invalid entry (truncated, another schema, another
+        key, a value whose length or digest disagrees with its header)
+        is evicted with a warning and reported as a miss — corruption
+        re-simulates a point, it never crashes a sweep.  An entry that
+        *vanished* (a concurrent GC or ``clear`` raced this load) is a
+        plain miss: no warning, no eviction — losing a cache race is
+        normal operation, not corruption.
         """
         path = self.path_for(key)
         try:
-            with open(path) as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            text = _entry_value(data, key).decode("utf-8")
         except FileNotFoundError:
             self.misses += 1
-            return False, None
+            return None
         except (OSError, ValueError) as error:
-            if not os.path.exists(path):
-                # The entry was GC'd out from under us mid-read.
-                self.misses += 1
-                return False, None
-            self._evict(path, f"unreadable entry ({error})")
+            # A file that is gone by now was GC'd out from under us.
+            if os.path.exists(path):
+                self._evict(path, str(error))
             self.misses += 1
-            return False, None
-        if (not isinstance(entry, dict)
-                or entry.get("schema_version") != STORE_SCHEMA_VERSION
-                or entry.get("key") != key
-                or "value" not in entry):
-            self._evict(path, "schema mismatch or malformed entry")
-            self.misses += 1
-            return False, None
+            return None
         self.hits += 1
-        return True, entry["value"]
+        return text
+
+    def load(self, key: str) -> Tuple[bool, object]:
+        """``(True, value)`` on a validated hit, else ``(False, None)``;
+        :meth:`load_text` with the text parsed, counted the same way."""
+        text = self.load_text(key)
+        if text is None:
+            return False, None
+        return True, json.loads(text)
 
     def _evict(self, path: str, reason: str) -> None:
         warnings.warn(f"repro.store: evicting {path}: {reason}",
@@ -370,25 +422,29 @@ class ResultStore:
             payload: Optional[Dict[str, object]] = None) -> str:
         """Atomically publish ``value`` under ``key``; returns the path.
 
-        ``payload`` (the key's preimage) is embedded for ``cache ls``
-        and debugging; it never participates in addressing.
+        The value is stored as the canonical JSON text of its JSON round
+        trip, so the text is canonical even for a dict with int keys
+        (stored with string keys).  ``payload`` (the key's preimage) is
+        embedded in the header for ``cache ls`` and debugging; it never
+        participates in addressing.
         """
         path = self.path_for(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        entry = {
+        value_bytes = canonical_json(canonical_value(value)).encode()
+        header = canonical_json({
             "schema_version": STORE_SCHEMA_VERSION,
             "key": key,
             "payload": payload,
             "written_at_unix": round(time.time(), 3),
-            "value": value,
-        }
+            "value_bytes": len(value_bytes),
+            "value_sha256": hashlib.sha256(value_bytes).hexdigest(),
+        })
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                    suffix=".json")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
-                handle.write("\n")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(b"%s\n%s\n" % (header.encode(), value_bytes))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -456,21 +512,23 @@ class ResultStore:
         return found
 
     def describe(self, entry: EntryInfo) -> Dict[str, object]:
-        """The embedded key payload of an entry (``cache ls``).
+        """The embedded key payload of an entry (``cache ls``), read
+        from its header line alone.
 
         An entry that vanished between the :meth:`entries` scan and
         this read reports ``{"missing": True}`` (a concurrent GC won
-        the race — nothing is wrong); a present-but-unparseable entry
+        the race — nothing is wrong); a present-but-unparseable header
         reports ``{"corrupt": True}``.
         """
         try:
-            with open(entry.path) as handle:
-                data = json.load(handle)
+            with open(entry.path, "rb") as handle:
+                header = json.loads(handle.readline())
         except (OSError, ValueError):
             if not os.path.exists(entry.path):
                 return {"missing": True}
             return {"corrupt": True}
-        payload = data.get("payload") if isinstance(data, dict) else None
+        payload = header.get("payload") if isinstance(header, dict) \
+            else None
         return payload if isinstance(payload, dict) else {}
 
     def stats(self) -> Dict[str, object]:

@@ -8,20 +8,25 @@ an instrumentation plane, one on a different plane), and boots a
 ``/v1/stats`` so tests stay order-independent.
 """
 
+import contextlib
 import http.client
 import json
 import socket
 import socketserver
+import struct
 import threading
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import parse_config
 from repro.errors import ServeError
 from repro.obs.archive import RunArchive
 from repro.parallel import (fig8_spec, fig9_spec, latency_matrix_spec,
                             run_sweep)
-from repro.parallel.sweep import sweep_tasks
+from repro.parallel.sweep import sweep_group_task, sweep_tasks
 from repro.serve import (SERVE_API_VERSION, DiffQuery, ErrorReply,
                          PointQuery, PointReply, Pong, ResultService,
                          ServeClient, ServiceThread, SweepSubmit, api,
@@ -34,6 +39,13 @@ from repro.store import ResultStore, entry_key
 
 CONFIG = "2x1x2"
 THREADS = (2, 4)
+
+#: Canonical JSON values: what a stored entry's value text parses to.
+CANONICAL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +163,16 @@ class TestApi:
             '{"api_version": 1, "body": {"ignore_instrumentation": false, '
             '"only_violations": false, "rules": [{"pattern": "x"}], '
             '"run_a": "a", "run_b": "b"}, "kind": "diff_query"}')
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.text(), value=CANONICAL_VALUES)
+    @example(key="k", value={"rows": [[1, 1e-300], [2 / 3, None]],
+                             "name": "fig7 \u00e9\u4e2d\U0001f600",
+                             "nested": {"a": {"null": []}}})
+    def test_point_hit_json_is_the_point_reply(self, key, value):
+        text = canonical_json(value)
+        assert api.point_hit_json(key, text) == PointReply(
+            found=True, key=key, value=json.loads(text)).to_json()
 
     def test_every_kind_round_trips(self):
         messages = [
@@ -480,12 +502,17 @@ class TestService:
             response = conn.getresponse()
             assert response.status == 405
             response.read()
-            conn.request("POST", "/v1/query", body=b"not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            body = decode(response.read())
-            assert isinstance(body, ErrorReply)
+            query = PointQuery(family="fig7", config_hash="c", point=1,
+                               seed=0).to_json().encode()
+            for bad, error in ((b"not json", "not JSON"),
+                               (query.replace(b"fig7", b"fig\xff7"),
+                                "not UTF-8")):
+                conn.request("POST", "/v1/query", body=bad,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 400
+                body = decode(response.read())
+                assert isinstance(body, ErrorReply) and error in body.error
         finally:
             conn.close()
 
@@ -524,6 +551,36 @@ class TestService:
         assert f"Content-Length: {len(body)}" in lines[1:]
         assert isinstance(decode(body), ErrorReply)
         assert served["client"].ping().service == "repro.serve"
+
+    def test_clients_hanging_up_mid_reply_leave_the_server_serving(
+            self, served):
+        """Each client sends a query for a ~100 KB 4x1x12 Fig. 7 shard,
+        reads nothing, and resets the connection; a normal client then
+        gets the right value within the bound."""
+        bound_s = 5.0
+        spec = latency_matrix_spec(parse_config("4x1x12"), obs_spec={})
+        task = sweep_tasks(spec, served["store"].root)[1][0]
+        sweep_group_task([task])
+        query = PointQuery(**task[-1])
+        body = query.to_json().encode()
+        request = (b"POST /v1/query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                   % len(body)) + body
+        for _ in range(8):
+            with socket.create_connection(
+                    ("127.0.0.1", served["service"].port),
+                    timeout=10) as sock:
+                sock.sendall(request)
+                sock.recv(1, socket.MSG_PEEK)   # the reply has begun
+                # Closing with a zero linger time resets the connection
+                # and drops the unread reply.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+        started = time.monotonic()
+        reply = served["client"].query_point(query)
+        assert time.monotonic() - started < bound_s
+        assert reply.found and len(reply.value["rows"]) == 4
+        assert canonical_json(reply.value) == canonical_json(
+            served["store"].load(reply.key)[1])
 
     def test_client_backend_drives_closed_loop(self, served):
         from repro.cloud import closed_loop
@@ -568,10 +625,10 @@ class TestServiceLifecycle:
             client.ping()
 
 
-@pytest.fixture
-def dropping_peer():
+@contextlib.contextmanager
+def scripted_peer(reply: bytes = b""):
     """A peer that reads each request in full, records its request line,
-    and hangs up without replying."""
+    sends ``reply`` and hangs up."""
     seen = []
 
     class Handler(socketserver.StreamRequestHandler):
@@ -587,6 +644,7 @@ def dropping_peer():
                     length = int(value)
             self.rfile.read(length)
             seen.append(" ".join(request_line.split()[:2]))
+            self.wfile.write(reply)
 
     server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -598,6 +656,23 @@ def dropping_peer():
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def dropping_peer():
+    """A peer that hangs up on every request without replying."""
+    with scripted_peer() as peer:
+        yield peer
+
+
+def test_client_refuses_a_reply_that_is_not_utf8():
+    body = b'{"api_version": 1, "body": {"service": "\xff"}, "kind": "pong"}'
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body)
+    with scripted_peer(reply) as (url, _seen):
+        with ServeClient(url, timeout=10) as client:
+            with pytest.raises(ServeError, match="UTF-8"):
+                client.ping()
 
 
 class TestClientRetry:

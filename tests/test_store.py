@@ -1,9 +1,13 @@
 """Tests for repro.store + run_sweep memoization: the warm-cache contract."""
 
+import http.client
 import json
 import os
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import parse_config
 from repro.errors import StoreError
@@ -11,8 +15,9 @@ from repro.parallel import (SweepSpec, fig8_spec, fig9_spec,
                             latency_matrix_spec, run_sweep, run_tasks)
 from repro.parallel.sweep import sweep_tasks
 from repro.store import (GCItem, ResultStore, STORE_SCHEMA_VERSION,
-                         canonical_value, entry_key, gc_runs, gc_select,
-                         parse_age, parse_bytes, store_from_env)
+                         canonical_json, canonical_value, entry_key,
+                         gc_runs, gc_select, parse_age, parse_bytes,
+                         store_from_env)
 
 
 def _toy_point(config, point, seed, obs_spec):
@@ -37,6 +42,75 @@ def _race_task(task):
         assert found
         seen.append(got)
     return seen
+
+
+def _split_entry(path):
+    with open(path, "rb") as handle:
+        head, _, rest = handle.read().partition(b"\n")
+    return json.loads(head), rest[:-1]
+
+
+def _write_entry(path, header, value_text):
+    with open(path, "wb") as handle:
+        handle.write(canonical_json(header).encode() + b"\n"
+                     + value_text + b"\n")
+
+
+def _truncated(path, key):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:-5])
+
+
+def _v1_format(path, key):
+    """The entry as schema 1 wrote it: one JSON object, value inside."""
+    header, value_text = _split_entry(path)
+    with open(path, "w") as handle:
+        json.dump({"schema_version": 1, "key": key,
+                   "payload": header["payload"],
+                   "written_at_unix": header["written_at_unix"],
+                   "value": json.loads(value_text)}, handle, sort_keys=True)
+        handle.write("\n")
+
+
+def _foreign_key(path, key):
+    header, value_text = _split_entry(path)
+    _write_entry(path, dict(header, key="f" * 40), value_text)
+
+
+def _wrong_value_bytes(path, key):
+    header, value_text = _split_entry(path)
+    _write_entry(path, dict(header, value_bytes=header["value_bytes"] + 1),
+                 value_text)
+
+
+def _changed_digit(path, key):
+    """One digit of the value changed; the value is still valid JSON."""
+    header, value_text = _split_entry(path)
+    text = value_text.decode()
+    index = next(i for i, char in enumerate(text) if char.isdigit())
+    changed = text[:index] + str(int(text[index]) % 9 + 1) + text[index + 1:]
+    assert json.loads(changed) != json.loads(text)
+    _write_entry(path, header, changed.encode())
+
+
+#: Damage done to a published entry; each must end in a clean miss.
+ENTRY_FAULTS = [
+    pytest.param(_truncated, id="truncated"),
+    pytest.param(_v1_format, id="v1-format"),
+    pytest.param(_foreign_key, id="foreign-key"),
+    pytest.param(_wrong_value_bytes, id="value-bytes"),
+    pytest.param(_changed_digit, id="changed-digit"),
+]
+
+#: JSON values as sweep points compute them, int-keyed dicts included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=20)
 
 
 class TestResultStore:
@@ -92,6 +166,20 @@ class TestResultStore:
         with pytest.warns(UserWarning):
             found, _ = store.load(key)
         assert not found
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON_VALUES)
+    @example(value={10: "a", 9: "b"})
+    @example(value=[1e-300, 2 / 3, "\u00e9\u4e2d\U0001f600", None])
+    def test_stored_text_is_a_canonical_fixed_point(self, tmp_path, value):
+        # The service splices stored text into its reply, so the text
+        # must be what a parse and re-encode of it would give.
+        store = ResultStore(tmp_path)
+        key = entry_key({"family": "fixed-point"})
+        store.put(key, value)
+        text = store.load_text(key)
+        assert canonical_json(json.loads(text)) == text
 
     def test_concurrent_writers_same_key(self, tmp_path):
         root = str(tmp_path / "store")
@@ -167,6 +255,62 @@ class TestResultStore:
             parse_bytes("big")
         with pytest.raises(StoreError):
             parse_age("-5s")
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+class TestEntryFaults:
+    """A damaged entry is a clean miss on every read path: a warning
+    and an eviction, never a crash and never a served wrong value."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path, fault):
+        """A toy sweep stored with its first point's entry damaged."""
+        spec = _toy_spec(parse_config("2x1x2"))
+        root = str(tmp_path / "store")
+        clean = run_sweep(spec, store=ResultStore(root))
+        payload = sweep_tasks(spec, root)[1][0][-1]
+        key = entry_key(payload)
+        fault(ResultStore(root).path_for(key), key)
+        return spec, root, payload, key, clean
+
+    def test_load_warns_evicts_and_misses(self, damaged):
+        _spec, root, _payload, key, _clean = damaged
+        store = ResultStore(root)
+        with pytest.warns(UserWarning, match="evicting"):
+            assert store.load(key) == (False, None)
+        assert (store.hits, store.misses, store.evictions) == (0, 1, 1)
+        assert not os.path.exists(store.path_for(key))
+
+    def test_query_answers_a_miss(self, damaged):
+        from repro.serve import (PointQuery, PointReply, ResultService,
+                                 ServeClient, ServiceThread, decode)
+        _spec, root, payload, key, _clean = damaged
+        service = ResultService(root, runs_root=os.path.join(root, "runs"))
+        with ServiceThread(service), ServeClient(service.url) as client:
+            evicted = client.stats()["obs.store.evict"]
+            conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                              timeout=10)
+            try:
+                with pytest.warns(UserWarning, match="evicting"):
+                    conn.request("POST", "/v1/query",
+                                 body=PointQuery(**payload).to_json())
+                    response = conn.getresponse()
+                    status, body = response.status, response.read()
+            finally:
+                conn.close()
+            assert status == 200
+            assert decode(body) == PointReply(found=False, key=key)
+            assert client.stats()["obs.store.evict"] == evicted + 1
+
+    def test_run_sweep_resimulates_and_republishes(self, damaged):
+        spec, root, _payload, key, clean = damaged
+        with pytest.warns(UserWarning, match="evicting"):
+            warm = run_sweep(spec, store=ResultStore(root))
+        assert (warm.hits, warm.misses, warm.evictions) == (2, 1, 1)
+        assert json.dumps(warm.value) == json.dumps(clean.value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ResultStore(root).load(key) == (True, clean.values[0])
 
 
 class TestGcRuns:
@@ -450,22 +594,19 @@ class TestConcurrentGCRaces:
     def test_load_entry_gcd_mid_read_is_plain_miss(self, tmp_path,
                                                    monkeypatch):
         # The file exists when open() succeeds but is GC'd before the
-        # read completes: json.load raises, the file is gone — a miss,
+        # read is checked: the check raises, the file is gone — a miss,
         # not an eviction warning.
         import repro.store as store_mod
         store = ResultStore(tmp_path)
         key = entry_key({"family": "toy", "x": 2})
         store.put(key, {"v": 2})
         path = store.path_for(key)
-        real_load = store_mod.json.load
 
-        def racing_load(handle):
-            if getattr(handle, "name", None) == path:
-                os.unlink(path)
-                raise ValueError("read raced a GC")
-            return real_load(handle)
+        def racing_check(data, key):
+            os.unlink(path)
+            raise ValueError("read raced a GC")
 
-        monkeypatch.setattr(store_mod.json, "load", racing_load)
+        monkeypatch.setattr(store_mod, "_entry_value", racing_check)
         import warnings as warnings_mod
         with warnings_mod.catch_warnings():
             warnings_mod.simplefilter("error")
