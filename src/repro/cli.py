@@ -15,7 +15,7 @@ simulation::
     python -m repro diff runs/a runs/b     # cross-run metric deltas / gate
     python -m repro obs validate spec.yaml # schema-check an instrument spec
     python -m repro cache stats            # result-store contents / GC
-    python -m repro farm run spec.json     # a fleet of runs over a host pool
+    python -m repro farm run spec.json     # a fleet of runs on a worker pool
     python -m repro farm status report/    # live fleet progress
     python -m repro serve                  # HTTP result service (store+farm)
     python -m repro query point fig8 ...   # ask a running service
@@ -443,7 +443,7 @@ def cmd_cache_clear(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# repro farm — fleets of runs over a host pool
+# repro farm — fleets of runs on a local worker pool
 # ----------------------------------------------------------------------
 
 def cmd_farm_run(args) -> int:
@@ -456,11 +456,10 @@ def cmd_farm_run(args) -> int:
         filespec, report_dir=report_dir, command=command_line())
     counters = result.counters
     rows = [[state.job_id, state.state, state.attempts, state.retries,
-             state.host or "",
              state.error["type"] if state.error else ""]
             for state in result.states]
     emit(args, render_table(
-        ["job", "state", "attempts", "retries", "host", "error"], rows,
+        ["job", "state", "attempts", "retries", "error"], rows,
         title=f"farm run: {counters.done} done, {counters.failed} "
               f"failed ({counters.quarantined} quarantined), "
               f"{counters.retried} retried, "
@@ -490,11 +489,10 @@ def cmd_farm_status(args) -> int:
         age = _age_text(max(0.0, time.time()
                             - manifest.get("written_at_unix", 0.0)))
         rows = [[job["job_id"], job["state"], job["attempts"],
-                 job["retries"], job.get("host") or "",
-                 (job.get("error") or {}).get("type", "")]
+                 job["retries"], (job.get("error") or {}).get("type", "")]
                 for job in manifest["jobs"]]
         return render_table(
-            ["job", "state", "attempts", "retries", "host", "error"], rows,
+            ["job", "state", "attempts", "retries", "error"], rows,
             title=f"farm {phase} (written {age} ago): "
                   f"{counters['obs.farm.queued']} queued, "
                   f"{counters['obs.farm.running']} running, "
@@ -520,10 +518,13 @@ def cmd_serve(args) -> int:
         from .farm import local_farm
         hosts, _, slots = args.farm.partition("x")
         try:
-            farm = local_farm(hosts=int(hosts), slots=int(slots or 1))
+            hosts, slots = int(hosts), int(slots or 1)
         except ValueError:
+            hosts = slots = 0
+        if hosts < 1 or slots < 1:
             raise ReproError(
                 f"--farm expects HOSTSxSLOTS (e.g. 2x2), got {args.farm!r}")
+        farm = local_farm(slots=hosts * slots)
     service = ResultService(args.store, runs_root=args.runs,
                             spool_dir=args.spool, host=args.host,
                             port=args.port, farm=farm)
@@ -893,7 +894,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_clear.set_defaults(func=cmd_cache_clear)
 
     farm = subparsers.add_parser(
-        "farm", help="run and inspect fleets of runs over a host pool")
+        "farm", help="run and inspect fleets of runs on a local worker "
+                     "pool")
     farm_sub = farm.add_subparsers(dest="farm_command", required=True)
 
     farm_run = farm_sub.add_parser(
@@ -935,8 +937,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="cold-submit farm report spool "
                             "(default: <store>/serve-jobs)")
     serve.add_argument("--farm", default=None, metavar="HOSTSxSLOTS",
-                       help="local farm shape for cold submits "
-                            "(default: 1x2)")
+                       help="cold submits run on HOSTS*SLOTS local "
+                            "worker slots (default: 1x2)")
     serve.set_defaults(func=cmd_serve)
 
     url_parent = argparse.ArgumentParser(add_help=False)

@@ -1,81 +1,30 @@
-"""Farm hosts: where job attempts actually run.
+"""The worker pool: where job attempts actually run.
 
-:class:`LocalHost` keeps up to ``slots`` persistent worker processes for
-the length of one :func:`~repro.farm.run_farm` call, each serving
-attempts one after another over its own duplex pipe
-(:mod:`repro.farm.worker`), so a fleet pays one process start per slot,
-not per job.  Nothing a job computes outlives it on the worker: work the
-points of one sweep task share
-(:func:`~repro.parallel.sweep.sweep_cached`) lives for that task only.
-A worker whose attempt crashed, was killed, or hit pipe EOF is
-discarded, and the next launch starts a fresh one in its place.
+:class:`LocalHost` keeps persistent local worker processes for the
+length of one :func:`~repro.farm.run_farm` call, each serving attempts
+one after another over its own duplex pipe (:mod:`repro.farm.worker`),
+so a fleet pays one process start per slot, not per job.  Nothing a
+job computes outlives it on the worker: work the points of one sweep
+task share (:func:`~repro.parallel.sweep.sweep_cached`) lives for that
+task only.  A worker whose attempt crashed, was killed, or hit pipe EOF
+is discarded, and the next launch starts a fresh one in its place.
 
-The seam is narrow: a :class:`Host` launches an attempt and returns a
-:class:`JobHandle` carrying the worker's event pipe; the scheduler polls
-handles for liveness, reads events, kills and reaps through the handle,
-and closes every host when the fleet settles.
+The scheduler launches an attempt through :meth:`LocalHost.launch`,
+which returns a :class:`_WorkerHandle` carrying the worker's event
+pipe; the scheduler polls handles for liveness, reads events, kills and
+reaps through the handle, and closes the pool when the fleet settles.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 from typing import List, Optional
 
 from ..errors import FarmError
-from .spec import HostSpec, JobSpec
+from .spec import JobSpec
 from .worker import worker_main
-
-
-class JobHandle:
-    """One running attempt, as the scheduler sees it.
-
-    ``events`` is the read end of the attempt's event pipe (an object
-    with ``poll``/``recv``/``fileno``); the scheduler clears
-    ``events_open`` when it reads EOF there.
-    """
-
-    def __init__(self, job: JobSpec, attempt: int, events) -> None:
-        self.job = job
-        self.attempt = attempt
-        self.events = events
-        self.events_open = True
-
-    def alive(self) -> bool:
-        raise NotImplementedError
-
-    def exit_code(self) -> Optional[int]:
-        raise NotImplementedError
-
-    def terminate(self) -> None:
-        raise NotImplementedError
-
-    def reap(self) -> None:
-        """Release the attempt's resources once it is over."""
-        raise NotImplementedError
-
-
-class Host:
-    """Deploy-manager protocol: launch attempts, bounded by slots."""
-
-    def __init__(self, spec: HostSpec) -> None:
-        self.spec = spec
-        self.busy_slots = 0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def free_slots(self) -> int:
-        return self.spec.slots - self.busy_slots
-
-    def launch(self, job: JobSpec, attempt: int,
-               heartbeat_interval: float) -> JobHandle:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Stop whatever the host keeps between attempts."""
 
 
 class _Worker:
@@ -106,16 +55,24 @@ class _Worker:
         self.process.close()
 
 
-class _WorkerHandle(JobHandle):
-    """One attempt on one of a :class:`LocalHost`'s workers."""
+class _WorkerHandle:
+    """One running attempt on one of the pool's workers.
 
-    def __init__(self, job: JobSpec, attempt: int, host: "LocalHost",
-                 worker: _Worker) -> None:
-        super().__init__(job, attempt, worker.conn)
-        self.host = host
+    ``events`` is the read end of the worker's pipe; the scheduler
+    clears ``events_open`` when it reads EOF there, moves ``last_seen``
+    on every ``started``/``heartbeat`` event, and sets ``dead_since``
+    when it first finds the worker dead with events still unread.
+    """
+
+    def __init__(self, pool: "LocalHost", worker: _Worker) -> None:
+        self.pool = pool
         self.worker = worker
         self.process = worker.process
+        self.events = worker.conn
+        self.events_open = True
         self.killed = False
+        self.last_seen = time.time()
+        self.dead_since: Optional[float] = None
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -129,26 +86,25 @@ class _WorkerHandle(JobHandle):
             self.process.terminate()
 
     def reap(self) -> None:
-        """Return the worker to the host if the attempt ended with its
+        """Return the worker to the pool if the attempt ended with its
         own ``done``/``failed`` event; otherwise discard it."""
         if self.events_open and not self.killed and self.alive():
-            self.host.idle.append(self.worker)
+            self.pool.idle.append(self.worker)
         else:
             self.worker.stop(kill=True)
         self.events_open = False
 
 
-class LocalHost(Host):
-    """The built-in backend: persistent local worker processes, each
-    with a private duplex pipe (kill-safe by construction)."""
+class LocalHost:
+    """The pool: persistent local worker processes, each with a private
+    duplex pipe (kill-safe by construction)."""
 
-    def __init__(self, spec: HostSpec) -> None:
-        super().__init__(spec)
+    def __init__(self) -> None:
         self.idle: List[_Worker] = []
         self._started = 0
 
     def launch(self, job: JobSpec, attempt: int,
-               heartbeat_interval: float) -> JobHandle:
+               heartbeat_interval: float) -> _WorkerHandle:
         try:
             message = pickle.dumps(
                 (job.job_id, attempt, job.fn, job.payload,
@@ -164,14 +120,14 @@ class LocalHost(Host):
             except OSError:
                 worker.stop(kill=True)   # died while idle; replace it
                 continue
-            return _WorkerHandle(job, attempt, self, worker)
+            return _WorkerHandle(self, worker)
         self._started += 1
-        worker = _Worker(f"repro-farm-{self.name}-w{self._started}")
+        worker = _Worker(f"repro-farm-w{self._started}")
         try:
             worker.conn.send_bytes(message)
         except OSError:
             pass   # died at start: the scheduler sees a crashed attempt
-        return _WorkerHandle(job, attempt, self, worker)
+        return _WorkerHandle(self, worker)
 
     def close(self) -> None:
         """Stop the idle workers (the scheduler reaps busy ones first)."""

@@ -153,7 +153,7 @@ def collect_report(report_dir: str, result, *,
             extra={"job_id": state.job_id, "family": state.job.family,
                    "farm_state": state.state,
                    "attempts": state.attempts,
-                   "retries": state.retries, "host": state.host})
+                   "retries": state.retries})
     merged = merge_metric_shards(shards) if shards else {}
     merged.update(result.export_metrics())
     if store is not None:
@@ -174,7 +174,6 @@ def collect_report(report_dir: str, result, *,
                      command=command,
                      instrumentation_hash=_fleet_plane_hash(planes),
                      extra={"farm_jobs": result.counters.jobs,
-                            "farm_hosts": len(result.spec.hosts),
-                            "farm_slots": result.spec.total_slots})
+                            "farm_slots": result.spec.slots})
     write_farm_manifest(report_dir, result.spec, result.states,
                         result.counters, final=True)

@@ -3,16 +3,16 @@
 One single-threaded monitor loop owns the whole fleet (the FireSim
 ``run_farm`` shape, collapsed to one process):
 
-1. **Place** — queued jobs whose backoff has elapsed are placed on the
-   first host with enough free slots, in submission order; a job's
-   ``slots`` weight is reserved for its whole attempt (an N-partition
-   job holds N slots).
-2. **Monitor** — each host's persistent workers stream ``started``/
+1. **Place** — queued jobs whose backoff has elapsed are placed, in
+   submission order, whenever the pool has ``job.slots`` slots free; a
+   job's ``slots`` weight is reserved for its whole attempt (an
+   N-partition job holds N slots).
+2. **Monitor** — the pool's persistent workers stream ``started``/
    ``heartbeat``/``done``/``failed`` events over a private pipe per
    worker; a worker that dies without a word (crash, OOM kill) is
    detected through pipe EOF plus its exit code, and a worker that stops
    heartbeating past ``heartbeat_timeout`` is terminated.  Both count as
-   transient failures, and the host replaces the lost worker.
+   transient failures, and the pool replaces the lost worker.
 3. **Retry / quarantine** — transient failures re-queue with capped
    exponential backoff until ``max_retries`` retries are spent.  A
    *deterministic* failure (the job function raised something other
@@ -43,12 +43,18 @@ from multiprocessing.connection import wait as _wait_connections
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FarmError
-from .hosts import Host, LocalHost
+from .hosts import LocalHost, _WorkerHandle
 from .spec import FarmSpec, JobSpec
 
 #: Seconds a dead worker may stay silent before its missing completion
 #: event is declared a crash (lets an in-flight ``done`` drain first).
 _CRASH_GRACE = 0.5
+
+#: Longest retry backoff, in seconds, however many retries came before.
+BACKOFF_CAP = 5.0
+
+#: Seconds the monitor loop waits for worker events per pass.
+POLL_INTERVAL = 0.02
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -66,7 +72,6 @@ class JobState:
     attempts: int = 0
     retries: int = 0
     ready_at: float = 0.0
-    host: Optional[str] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     result: object = None
@@ -83,7 +88,6 @@ class JobState:
             "state": self.state,
             "attempts": self.attempts,
             "retries": self.retries,
-            "host": self.host,
             "error": self.error,
             "wall_seconds": (
                 round(self.finished_at - self.started_at, 6)
@@ -174,24 +178,21 @@ class _Monitor:
 
     def __init__(self, spec: FarmSpec, jobs: Sequence[JobSpec],
                  report_dir: Optional[str]) -> None:
-        max_slots = max(host.slots for host in spec.hosts)
         for job in jobs:
-            if job.slots > max_slots:
+            if job.slots > spec.slots:
                 raise FarmError(
                     f"farm: job {job.job_id!r} needs {job.slots} slots "
-                    f"but the largest host has {max_slots}")
+                    f"but the farm has {spec.slots}")
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise FarmError(f"farm: duplicate job ids submitted")
         self.spec = spec
-        self.hosts: List[Host] = [LocalHost(h) for h in spec.hosts]
+        self.pool = LocalHost()
         self.states = [JobState(job=job) for job in jobs]
         self.by_id = {state.job_id: state for state in self.states}
-        #: job_id -> [handle, host, last_seen, dead_since]
-        self.running: Dict[str, List] = {}
+        self.running: Dict[str, _WorkerHandle] = {}
         self.counters = FarmCounters(
-            jobs=len(jobs), queued=len(jobs),
-            slots_total=spec.total_slots)
+            jobs=len(jobs), queued=len(jobs), slots_total=spec.slots)
         self.report_dir = report_dir
         self._report_written = 0.0
 
@@ -200,19 +201,14 @@ class _Monitor:
         for state in self.states:
             if state.state != QUEUED or state.ready_at > now:
                 continue
-            host = next((host for host in self.hosts
-                         if host.free_slots >= state.job.slots), None)
-            if host is None:
-                continue
+            if state.job.slots > self.spec.slots - self.counters.slots_busy:
+                continue   # waits for a release; a narrower job may fit
             state.attempts += 1
             state.state = RUNNING
-            state.host = host.name
             if state.started_at is None:
                 state.started_at = now
-            host.busy_slots += state.job.slots
-            handle = host.launch(state.job, state.attempts,
-                                 self.spec.heartbeat_interval)
-            self.running[state.job_id] = [handle, host, time.time(), None]
+            self.running[state.job_id] = self.pool.launch(
+                state.job, state.attempts, self.spec.heartbeat_interval)
             self.counters.queued -= 1
             self.counters.running += 1
             self.counters.launched += 1
@@ -222,12 +218,10 @@ class _Monitor:
 
     # -- completion / failure ------------------------------------------
     def _release(self, state: JobState, kill: bool = False) -> None:
-        entry = self.running.pop(state.job_id)
-        handle, host = entry[0], entry[1]
+        handle = self.running.pop(state.job_id)
         if kill:
             handle.terminate()
         handle.reap()
-        host.busy_slots -= state.job.slots
         self.counters.running -= 1
         self.counters.slots_busy -= state.job.slots
 
@@ -257,7 +251,7 @@ class _Monitor:
         elif state.retries < self.spec.max_retries:
             state.retries += 1
             backoff = min(
-                self.spec.backoff_cap,
+                BACKOFF_CAP,
                 self.spec.backoff_base * (2 ** (state.retries - 1)))
             state.ready_at = now + backoff
             state.state = QUEUED
@@ -270,26 +264,25 @@ class _Monitor:
 
     # -- event / liveness handling -------------------------------------
     def _drain_events(self) -> None:
-        """Wait up to ``poll_interval`` for events on any busy worker's pipe.
+        """Wait up to :data:`POLL_INTERVAL` for events on any busy
+        worker's pipe.
 
         Each worker has its own pipe, so terminating one worker can
         never wedge another's channel (the shared-queue failure mode:
         a writer killed mid-``put`` leaves the queue lock held forever).
         """
-        open_conns = {entry[0].events: job_id
-                      for job_id, entry in self.running.items()
-                      if entry[0].events_open}
+        open_conns = {handle.events: job_id
+                      for job_id, handle in self.running.items()
+                      if handle.events_open}
         if not open_conns:
-            time.sleep(self.spec.poll_interval)
+            time.sleep(POLL_INTERVAL)
             return
-        ready = _wait_connections(list(open_conns),
-                                  timeout=self.spec.poll_interval)
+        ready = _wait_connections(list(open_conns), timeout=POLL_INTERVAL)
         for conn in ready:
             job_id = open_conns[conn]
-            entry = self.running.get(job_id)
-            if entry is None or entry[0].events is not conn:
+            handle = self.running.get(job_id)
+            if handle is None or handle.events is not conn:
                 continue   # attempt already released by an earlier event
-            handle = entry[0]
             while handle.events_open:
                 try:
                     if not conn.poll(0):
@@ -301,18 +294,18 @@ class _Monitor:
                     handle.events_open = False
                     break
                 self._handle_event(event)
-                if self.running.get(job_id) is not entry:
+                if self.running.get(job_id) is not handle:
                     break   # a done/failed event released the attempt
 
     def _handle_event(self, event) -> None:
         kind, job_id, attempt = event[0], event[1], event[2]
         state = self.by_id.get(job_id)
-        entry = self.running.get(job_id)
-        if (state is None or entry is None
+        handle = self.running.get(job_id)
+        if (state is None or handle is None
                 or attempt != state.attempts):
             return   # stale event from a terminated attempt
         if kind in ("started", "heartbeat"):
-            entry[2] = time.time()
+            handle.last_seen = time.time()
         elif kind == "done":
             self._finish(state, event[3])
         elif kind == "failed":
@@ -322,9 +315,7 @@ class _Monitor:
     def _check_liveness(self) -> None:
         now = time.time()
         timeout = self.spec.heartbeat_timeout
-        for job_id in list(self.running):
-            entry = self.running[job_id]
-            handle, _host, last_seen, dead_since = entry
+        for job_id, handle in list(self.running.items()):
             state = self.by_id[job_id]
             if not handle.alive():
                 # Dead without a completion event.  Once its pipe is at
@@ -332,16 +323,16 @@ class _Monitor:
                 # in-flight event a grace window, then call it a crash.
                 if not handle.events_open:
                     pass   # drained to EOF — fail immediately below
-                elif dead_since is None:
-                    entry[3] = now
+                elif handle.dead_since is None:
+                    handle.dead_since = now
                     continue
-                elif now - dead_since <= _CRASH_GRACE:
+                elif now - handle.dead_since <= _CRASH_GRACE:
                     continue
                 code = handle.exit_code()
                 self._fail(state, True, "WorkerCrash",
                            f"worker exited with code {code} "
                            f"without reporting a result")
-            elif now - last_seen > timeout:
+            elif now - handle.last_seen > timeout:
                 self._fail(state, True, "HeartbeatTimeout",
                            f"no heartbeat for more than {timeout}s; "
                            f"worker terminated", kill=True)
@@ -365,13 +356,13 @@ class _Monitor:
 
 def run_farm(spec: FarmSpec, jobs: Sequence[JobSpec],
              report_dir: Optional[str] = None) -> FarmResult:
-    """Run a fleet of jobs over the farm's hosts; returns when settled.
+    """Run a fleet of jobs on the farm's pool; returns when settled.
 
     Every job ends ``done``, ``failed``, or ``quarantined`` — a farm
     run never raises for job failures (inspect
     :meth:`FarmResult.failed_states`), only for a mis-specified fleet
     or a ``report_dir`` it cannot write (:class:`FarmError`).  The
-    hosts' workers live for this call only: they are stopped before it
+    pool's workers live for this call only: they are stopped before it
     returns or raises.
     """
     jobs = list(jobs)
@@ -388,11 +379,10 @@ def run_farm(spec: FarmSpec, jobs: Sequence[JobSpec],
             monitor._stream_report()
     finally:
         # Never leak worker processes: kill busy ones, stop idle ones.
-        for entry in monitor.running.values():
-            entry[0].terminate()
-            entry[0].reap()
-        for host in monitor.hosts:
-            host.close()
+        for handle in monitor.running.values():
+            handle.terminate()
+            handle.reap()
+        monitor.pool.close()
     result = FarmResult(spec, monitor.states, monitor.counters,
                         wall_seconds=time.time() - started,
                         report_dir=report_dir)

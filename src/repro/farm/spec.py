@@ -1,13 +1,13 @@
-"""Farm specifications: hosts, jobs, and the spec-file format.
+"""Farm specifications: the pool, jobs, and the spec-file format.
 
 A farm run is declared by two things: a :class:`FarmSpec` (the pool —
-hosts with slot capacity plus the retry/heartbeat policy) and a list of
-:class:`JobSpec`\\ s (the fleet — what to run).  Both are plain
+a number of local worker slots plus the retry/heartbeat policy) and a
+list of :class:`JobSpec`\\ s (the fleet — what to run).  Both are plain
 dataclasses so programmatic callers (``farm_sweep``, ``repro serve``)
 build them directly, and both round-trip through the on-disk spec file
 that ``repro farm run <spec.json|yaml>`` consumes::
 
-    {"hosts":   [{"name": "local-0", "slots": 2}],
+    {"slots":   2,
      "max_retries": 2,
      "store":   "store",
      "report":  "farm-report",
@@ -16,47 +16,29 @@ that ``repro farm run <spec.json|yaml>`` consumes::
                   "partitions": 2}],
      "fault_injection": {"fig8/0": {"fail": 1}}}
 
-Each ``hosts`` entry is a local host of up to ``slots`` persistent
-worker processes; a host entry with any other key is rejected.
+``slots`` sizes one pool of persistent local worker processes.
 ``suites`` expand to one job per sweep task through the builders in
 :mod:`repro.farm.suites` — one per Fig. 7 shard, one for a whole Fig. 8
 or Fig. 9 sweep (``fig8/0`` above) — the same tasks
 :func:`repro.parallel.run_sweep` runs, so a farm suite and a plain
 sweep of the same spec are byte-identical.  ``jobs`` are ad-hoc single
-jobs (partitioned latency scans that weigh N slots, cloud-pipeline load
-points).  ``fault_injection`` exists for tests and CI: it makes named
-jobs fail (raise a transient error), crash (die without a word) or hang
-(stop heartbeating) on their first N attempts, which is how the retry
-path stays exercised.
+jobs: partitioned latency scans that weigh N slots.
+``fault_injection`` exists for tests and CI: it makes named jobs fail
+(raise a transient error), crash (die without a word) or hang (stop
+heartbeating) on their first N attempts, which is how the retry path
+stays exercised.  A spec file is outside input: a key it may not name,
+or a count or interval of the wrong type or range, is a
+:class:`~repro.errors.FarmError` naming the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import FarmError, ReproError
-
-
-@dataclass(frozen=True)
-class HostSpec:
-    """One member of the pool: a name and a slot capacity.
-
-    Every host is a :class:`~repro.farm.hosts.LocalHost`: up to
-    ``slots`` persistent worker processes on this machine.
-    """
-
-    name: str
-    slots: int = 1
-
-    def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise FarmError(
-                f"farm: host {self.name!r} needs slots >= 1, "
-                f"got {self.slots}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +46,8 @@ class JobSpec:
     """One unit of fleet work.
 
     ``fn`` is a module-level (picklable) callable ``fn(payload) ->
-    JSON-able result``; ``slots`` is the job's weight against a host's
-    capacity (an N-partition job consumes N slots).  ``family`` and
+    JSON-able result``; ``slots`` is the job's weight against the
+    pool's capacity (an N-partition job consumes N slots).  ``family`` and
     ``index`` (the task's place in its sweep) identify sweep membership
     so suite results merge in point order regardless of completion
     order.  ``inject_fail`` / ``inject_crash`` are the fault-injection
@@ -103,68 +85,67 @@ class JobSpec:
 DEFAULT_TIMEOUT_BEATS = 50
 
 
+def _count(value, key: str, minimum: int = 0) -> int:
+    """A whole number >= ``minimum``, else a FarmError naming ``key``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
+        raise FarmError(f"farm: {key} must be an integer >= {minimum}, "
+                        f"got {value!r}")
+    return value
+
+
+def _seconds(value, key: str, allow_zero: bool = False) -> float:
+    """A duration > 0 (or >= 0), else a FarmError naming ``key``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (value >= 0 if allow_zero else value > 0)):
+        raise FarmError(f"farm: {key} must be a number "
+                        f"{'>=' if allow_zero else '>'} 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FarmSpec:
     """The pool and its policies.
 
-    Retry policy: a failed attempt re-queues with capped exponential
-    backoff (``backoff_base * 2**(attempt-1)``, capped at
-    ``backoff_cap``) until ``max_retries`` retries are spent — except a
-    job that fails twice with the *same* error signature, which is
-    quarantined immediately (re-running a deterministic failure buys
-    nothing).  Heartbeats: workers beat every ``heartbeat_interval``
-    seconds; a silent-but-alive worker (hung, or stopped with SIGSTOP)
-    is terminated after ``heartbeat_timeout`` seconds and retried as a
-    transient failure.  ``heartbeat_timeout=None`` means
-    :data:`DEFAULT_TIMEOUT_BEATS` intervals.
+    ``slots`` local worker slots run jobs; a job holds ``job.slots`` of
+    them for its whole attempt.  Retry policy: a failed attempt
+    re-queues with exponential backoff (``backoff_base *
+    2**(attempt-1)``, capped at
+    :data:`~repro.farm.scheduler.BACKOFF_CAP`) until ``max_retries``
+    retries are spent — except a job that fails twice with the *same*
+    error signature, which is quarantined immediately (re-running a
+    deterministic failure buys nothing).  Heartbeats: workers beat
+    every ``heartbeat_interval`` seconds; a silent-but-alive worker
+    (hung, or stopped with SIGSTOP) is terminated after
+    ``heartbeat_timeout`` seconds and retried as a transient failure.
+    ``heartbeat_timeout=None`` means :data:`DEFAULT_TIMEOUT_BEATS`
+    intervals.
     """
 
-    hosts: Sequence[HostSpec] = field(
-        default_factory=lambda: (HostSpec("local-0", slots=1),))
+    slots: int = 1
     max_retries: int = 2
     backoff_base: float = 0.25
-    backoff_cap: float = 5.0
     heartbeat_interval: float = 0.2
     heartbeat_timeout: Optional[float] = None
-    poll_interval: float = 0.02
 
     def __post_init__(self) -> None:
-        if not self.hosts:
-            raise FarmError("farm: at least one host is required")
-        if self.max_retries < 0:
-            raise FarmError(
-                f"farm: max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise FarmError("farm: backoff values must be >= 0")
-        names = [host.name for host in self.hosts]
-        if len(set(names)) != len(names):
-            raise FarmError(f"farm: duplicate host names in {names}")
+        _count(self.slots, "slots", minimum=1)
+        _count(self.max_retries, "max_retries")
+        _seconds(self.backoff_base, "backoff_base", allow_zero=True)
+        _seconds(self.heartbeat_interval, "heartbeat_interval")
         if self.heartbeat_timeout is None:
             object.__setattr__(
                 self, "heartbeat_timeout",
                 DEFAULT_TIMEOUT_BEATS * self.heartbeat_interval)
-
-    @property
-    def total_slots(self) -> int:
-        return sum(host.slots for host in self.hosts)
+        _seconds(self.heartbeat_timeout, "heartbeat_timeout")
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "hosts": [dataclasses.asdict(host) for host in self.hosts],
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "heartbeat_interval": self.heartbeat_interval,
-            "heartbeat_timeout": self.heartbeat_timeout,
-        }
+        return dataclasses.asdict(self)
 
 
-def local_farm(hosts: int = 1, slots: int = 1, **policy) -> FarmSpec:
-    """A FarmSpec of ``hosts`` local hosts with ``slots`` slots each."""
-    if hosts < 1:
-        raise FarmError(f"farm: hosts must be >= 1, got {hosts}")
-    return FarmSpec(hosts=tuple(HostSpec(f"local-{index}", slots=slots)
-                                for index in range(hosts)), **policy)
+def local_farm(slots: int = 1, **policy) -> FarmSpec:
+    """A FarmSpec of ``slots`` local worker slots."""
+    return FarmSpec(slots=slots, **policy)
 
 
 # ----------------------------------------------------------------------
@@ -214,56 +195,24 @@ def _resolve_instrumentation(value, base_dir: str) -> Optional[dict]:
         f"mapping, got {type(value).__name__}")
 
 
-def _load_spec_data(path: str) -> dict:
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as error:
-        raise FarmError(f"farm: cannot read spec {path}: {error}")
-    if path.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError:
-            raise FarmError(
-                "farm: YAML specs need PyYAML, which is not installed; "
-                "use a .json spec instead")
-        data = yaml.safe_load(text)
-    else:
-        try:
-            data = json.loads(text)
-        except ValueError as error:
-            raise FarmError(f"farm: {path} is not valid JSON ({error})")
-    if not isinstance(data, dict):
-        raise FarmError(f"farm: spec {path} must be a mapping, "
-                        f"got {type(data).__name__}")
-    return data
-
-
 def load_spec_file(path: str) -> FileSpec:
     """Parse a ``repro farm run`` spec file into pool + fleet."""
+    from ..obs.plane import read_spec_file
     from .suites import build_adhoc_job, build_suite_plan
 
-    data = _load_spec_data(path)
-    known = {"hosts", "max_retries", "backoff_base", "backoff_cap",
-             "heartbeat_interval", "heartbeat_timeout", "store",
-             "report", "suites", "jobs", "fault_injection",
-             "instrumentation",
+    data = read_spec_file(path, "farm", FarmError)
+    policy_keys = [spec_field.name
+                   for spec_field in dataclasses.fields(FarmSpec)]
+    known = {*policy_keys, "store", "report", "suites", "jobs",
+             "fault_injection", "instrumentation",
              "_comment"}   # JSON has no comments; allow the idiom
     unknown = set(data) - known
     if unknown:
         raise FarmError(
             f"farm: unknown spec keys {sorted(unknown)} "
             f"(known: {sorted(known)})")
-    host_entries = data.get("hosts") or [{"name": "local-0", "slots": 1}]
-    try:
-        hosts = tuple(HostSpec(**entry) for entry in host_entries)
-    except TypeError as error:
-        raise FarmError(f"farm: bad host entry ({error})")
-    policy = {key: data[key]
-              for key in ("max_retries", "backoff_base", "backoff_cap",
-                          "heartbeat_interval", "heartbeat_timeout")
-              if key in data}
-    farm = FarmSpec(hosts=hosts, **policy)
+    farm = FarmSpec(**{key: data[key] for key in policy_keys
+                       if key in data})
 
     store_root = data.get("store") or None
     instrumentation = _resolve_instrumentation(
@@ -313,9 +262,10 @@ def apply_fault_injection(jobs: Sequence[JobSpec],
                 raise FarmError(
                     f"farm: fault_injection for {job.job_id!r} has "
                     f"unknown modes {sorted(bad)}")
-            job = dataclasses.replace(
-                job, inject_fail=int(inject.get("fail", 0)),
-                inject_crash=int(inject.get("crash", 0)),
-                inject_hang=int(inject.get("hang", 0)))
+            key = f"fault_injection[{job.job_id!r}]"
+            job = dataclasses.replace(job, **{
+                f"inject_{mode}": _count(inject.get(mode, 0),
+                                         f"{key}.{mode}")
+                for mode in ("fail", "crash", "hang")})
         out.append(job)
     return out

@@ -13,13 +13,13 @@ sweep — and every job runs
 :class:`~repro.parallel.sweep.SweepResult` goes through the shared
 :func:`~repro.parallel.sweep.collect_sweep` in point order.  Nothing is
 left to agree by coincidence: serial == farm, byte for byte, at any
-host/slot count — asserted by tests/test_farm.py and the CI
-``farm-smoke`` job.  ``run_sweep(spec, jobs=N)`` is :func:`farm_sweep`
-on a one-host farm of N slots when the sweep has more than one task.
+slot count — asserted by tests/test_farm.py and the CI ``farm-smoke``
+job.  ``run_sweep(spec, jobs=N)`` is :func:`farm_sweep` on a farm of N
+slots when the sweep has more than one task.
 
-Ad-hoc job kinds cover the runs that are not sweep points: a
+The one ad-hoc job kind covers a run that is not a sweep point: a
 partitioned latency scan (slot weight = partition count, since the job
-itself fans out N shard processes) and a cloud-pipeline load point.
+itself fans out N shard processes).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def build_suite_plan(entry: dict,
 
 
 # ----------------------------------------------------------------------
-# Ad-hoc jobs ({"kind": "partition-latency" | "cloud", ...})
+# Ad-hoc jobs ({"kind": "partition-latency", ...})
 # ----------------------------------------------------------------------
 
 def partition_latency_job(payload: dict) -> dict:
@@ -241,64 +241,34 @@ def partition_latency_job(payload: dict) -> dict:
             "metrics": metrics}
 
 
-def cloud_load_job(payload: dict) -> dict:
-    """One cloud-pipeline load point: N requests through Fig. 12."""
-    from ..cloud import CloudPipeline
-
-    pipeline = CloudPipeline(payload.get("config", "1x1x4"),
-                             seed=int(payload.get("seed", 23)))
-    pipeline.seed_object("data", b'{"sensor": 42, "status": "ok"}')
-    requests = int(payload.get("requests", 4))
-    path = str(payload.get("path", "/data"))
-    totals = [pipeline.run_request(path).total_ms
-              for _ in range(requests)]
-    return {"value": {"total_ms": totals,
-                      "mean_ms": sum(totals) / len(totals)},
-            "metrics": {"obs.cloud.requests": requests}}
-
-
 def build_adhoc_job(entry: dict,
                     instrumentation: Optional[dict] = None) -> JobSpec:
     """A spec-file ``jobs`` entry (non-sweep work) as one JobSpec."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise FarmError(
             f"farm: every jobs entry needs a 'kind' key, got {entry!r}")
-    kind = str(entry["kind"]).replace("_", "-")
-    if kind == "partition-latency":
-        from ..core.config import parse_config
-        from ..obs.plane import plane_hash
-        from ..partition import resolve_partitions
+    if str(entry["kind"]).replace("_", "-") != "partition-latency":
+        raise FarmError(f"farm: unknown job kind {entry['kind']!r} "
+                        f"(known: partition-latency)")
+    from ..core.config import parse_config
+    from ..obs.plane import plane_hash
+    from ..partition import resolve_partitions
 
-        config_label = str(entry.get("config", "2x1x2"))
-        config = parse_config(config_label,
-                              seed=int(entry.get("seed", 0)))
-        partitions = resolve_partitions(
-            config, int(entry.get("partitions", 0)))
-        if partitions < 2:
-            raise FarmError(
-                f"farm: partition-latency on {config_label} resolves to "
-                f"{partitions} partition(s); needs >= 2")
-        job_id = str(entry.get("id",
-                               f"partition/{config_label}x{partitions}"))
-        return JobSpec(
-            job_id=job_id, fn=partition_latency_job,
-            payload={"config": config_label,
-                     "seed": int(entry.get("seed", 0)),
-                     "partitions": partitions,
-                     "instrument": instrumentation},
-            slots=int(entry.get("slots", partitions)),
-            family="partition",
-            instrumentation=plane_hash(instrumentation))
-    if kind == "cloud":
-        job_id = str(entry.get("id", f"cloud/{entry.get('path', '/data')}"
-                               .replace("//", "/")))
-        return JobSpec(
-            job_id=job_id, fn=cloud_load_job,
-            payload={"config": str(entry.get("config", "1x1x4")),
-                     "seed": int(entry.get("seed", 23)),
-                     "requests": int(entry.get("requests", 4)),
-                     "path": str(entry.get("path", "/data"))},
-            slots=int(entry.get("slots", 1)),
-            family="cloud")
-    raise FarmError(f"farm: unknown job kind {entry['kind']!r} "
-                    f"(known: partition-latency, cloud)")
+    config_label = str(entry.get("config", "2x1x2"))
+    config = parse_config(config_label, seed=int(entry.get("seed", 0)))
+    partitions = resolve_partitions(config,
+                                    int(entry.get("partitions", 0)))
+    if partitions < 2:
+        raise FarmError(
+            f"farm: partition-latency on {config_label} resolves to "
+            f"{partitions} partition(s); needs >= 2")
+    job_id = str(entry.get("id", f"partition/{config_label}x{partitions}"))
+    return JobSpec(
+        job_id=job_id, fn=partition_latency_job,
+        payload={"config": config_label,
+                 "seed": int(entry.get("seed", 0)),
+                 "partitions": partitions,
+                 "instrument": instrumentation},
+        slots=int(entry.get("slots", partitions)),
+        family="partition",
+        instrumentation=plane_hash(instrumentation))

@@ -1,8 +1,8 @@
 """The farm worker: one persistent process serving job attempts in turn.
 
-A :class:`~repro.farm.hosts.LocalHost` starts each worker on
-:func:`worker_main` with its own duplex pipe and keeps it for the length
-of one :func:`~repro.farm.run_farm` call.  The parent sends one attempt
+The farm's pool (:class:`~repro.farm.hosts.LocalHost`) starts each
+worker on :func:`worker_main` with its own duplex pipe and keeps it for
+the length of one :func:`~repro.farm.run_farm` call.  The parent sends one attempt
 at a time, ``(job_id, attempt, fn, payload, heartbeat_interval,
 inject_fail, inject_crash, inject_hang)``, or ``None`` to stop the
 worker.  Everything the worker says back is a tuple whose first element
@@ -28,9 +28,9 @@ Each worker has its *own* pipe on purpose: a shared
 writer is terminated mid-``put`` (the feeder thread dies holding the
 queue lock), whereas killing a pipe writer costs nothing but its own
 channel.  A worker that dies without a ``done``/``failed`` event (crash,
-OOM kill, injected ``os._exit``) is detected by the deploy manager
-through pipe EOF plus its exit code, treated as a transient failure,
-and replaced.
+OOM kill, injected ``os._exit``) is detected by the scheduler through
+pipe EOF plus its exit code, treated as a transient failure, and
+replaced by the pool.
 """
 
 from __future__ import annotations

@@ -354,36 +354,44 @@ def plane_hash(spec) -> Optional[str]:
     return plane.spec_hash
 
 
-def load_plane(path: str) -> InstrumentationPlane:
-    """Parse a YAML/JSON instrumentation spec file."""
+def read_spec_file(path: str, what: str, error=ReproError) -> dict:
+    """Read a JSON spec file, or YAML by its suffix, holding a mapping.
+
+    The one reader for plane and farm spec files: an unreadable file,
+    YAML without PyYAML, a parse error or a top level that is not a
+    mapping raises ``error`` (the caller's type), its message prefixed
+    by ``what``.
+    """
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as error:
-        raise ReproError(f"instrument: cannot read spec {path}: {error}")
+    except OSError as exc:
+        raise error(f"{what}: cannot read spec {path}: {exc}")
     if str(path).endswith((".yaml", ".yml")):
         try:
             import yaml
         except ImportError:
-            raise ReproError(
-                "instrument: YAML specs need PyYAML, which is not "
-                "installed; use a .json spec instead")
+            raise error(f"{what}: YAML specs need PyYAML, which is not "
+                        f"installed; use a .json spec instead")
         try:
             data = yaml.safe_load(text)
-        except yaml.YAMLError as error:
-            raise ReproError(
-                f"instrument: {path} is not valid YAML ({error})")
+        except yaml.YAMLError as exc:
+            raise error(f"{what}: {path} is not valid YAML ({exc})")
     else:
         try:
             data = json.loads(text)
-        except ValueError as error:
-            raise ReproError(
-                f"instrument: {path} is not valid JSON ({error})")
+        except ValueError as exc:
+            raise error(f"{what}: {path} is not valid JSON ({exc})")
     if not isinstance(data, dict):
-        raise ReproError(
-            f"instrument: spec {path} must be a mapping, "
-            f"got {type(data).__name__}")
-    return InstrumentationPlane.from_dict(data)
+        raise error(f"{what}: spec {path} must be a mapping, "
+                    f"got {type(data).__name__}")
+    return data
+
+
+def load_plane(path: str) -> InstrumentationPlane:
+    """Parse a YAML/JSON instrumentation spec file."""
+    return InstrumentationPlane.from_dict(
+        read_spec_file(path, "instrument"))
 
 
 class GatedTracer:

@@ -8,7 +8,7 @@ The runner is a thin, strict layer over the run farm (:mod:`repro.farm`):
   the calling process with no workers, so a parallel run can be asserted
   equal to a serial run in tests.
 * **One launcher** — ``jobs=N`` submits one farm job per task to a
-  one-host :func:`~repro.farm.local_farm` of ``N`` slots, whose
+  :func:`~repro.farm.local_farm` of ``N`` slots, whose
   persistent workers retry a crashed task instead of breaking the run.
 * **Derived seeds** — :func:`task_seed` gives every task an independent,
   reproducible random stream from one root seed.

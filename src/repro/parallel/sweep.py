@@ -228,7 +228,7 @@ def run_sweep(spec: SweepSpec, jobs: Optional[int] = 1,
     """Run one sweep: shard, memoize, merge.
 
     ``jobs`` follows the package contract (1 = in-process serial, N =
-    :func:`repro.farm.farm_sweep` on a one-host farm of ``N`` slots,
+    :func:`repro.farm.farm_sweep` on a farm of ``N`` slots,
     0/None = one slot per CPU; results identical everywhere).  The farm
     is sized by tasks, so a ``one_task`` sweep runs in-process at any
     ``jobs``.  On the farm a crashed task is retried, and a task that

@@ -90,7 +90,7 @@ class JobManager:
     """Serial background executor of submitted sweeps.
 
     One worker thread drains the submissions in order — the farm
-    scheduler inside each job already parallelizes across its hosts and
+    scheduler inside each job already parallelizes across its pool's
     slots, so stacking concurrent fleets would only oversubscribe the
     machine.  All bookkeeping is guarded by one lock; readers get
     snapshot dicts, never live records.

@@ -91,8 +91,7 @@ class ResultService:
             else MetricRegistry()
         if spool_dir is None:
             spool_dir = os.path.join(store_root, "serve-jobs")
-        self.jobs = JobManager(self.store, farm or local_farm(hosts=1,
-                                                              slots=2),
+        self.jobs = JobManager(self.store, farm or local_farm(slots=2),
                                spool_dir)
         self._server: Optional[asyncio.AbstractServer] = None
 

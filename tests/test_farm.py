@@ -1,7 +1,7 @@
 """Tests for repro.farm: scheduling, retries, quarantine, reports.
 
 The load-bearing contract: a farm suite is byte-identical to the plain
-``run_sweep`` of the same spec at any host/slot count, and the fleet
+``run_sweep`` of the same spec at any slot count, and the fleet
 survives injected transient failures, crashes, and hangs via retry.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro import parse_config
 from repro.errors import FarmError, TransientJobError
-from repro.farm import (FarmSpec, HostSpec, JobSpec, LocalHost,
+from repro.farm import (FarmSpec, JobSpec, LocalHost,
                         apply_fault_injection, farm_sweep, finish_suite,
                         load_farm_manifest, load_spec_file, local_farm,
                         plan_sweep, run_farm)
@@ -26,6 +26,8 @@ from repro.store import ResultStore
 
 #: Fast policy for toy fleets: no backoff waiting in tests.
 FAST = dict(backoff_base=0.0)
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ok_job(payload):
@@ -86,21 +88,17 @@ def _dumps(value):
 
 class TestSpecs:
     def test_local_farm_shape(self):
-        farm = local_farm(hosts=2, slots=3)
-        assert farm.total_slots == 6
-        assert [h.name for h in farm.hosts] == ["local-0", "local-1"]
+        assert local_farm(slots=6).describe() == {
+            "slots": 6, "max_retries": 2, "backoff_base": 0.25,
+            "heartbeat_interval": 0.2, "heartbeat_timeout": 10.0}
 
-    def test_host_needs_slots(self):
-        with pytest.raises(FarmError):
-            HostSpec("h", slots=0)
+    def test_farm_needs_slots(self):
+        with pytest.raises(FarmError, match="slots must be"):
+            FarmSpec(slots=0)
 
     def test_job_needs_slots(self):
         with pytest.raises(FarmError):
             JobSpec("j", ok_job, {}, slots=0)
-
-    def test_farm_rejects_duplicate_hosts(self):
-        with pytest.raises(FarmError):
-            FarmSpec(hosts=(HostSpec("a"), HostSpec("a")))
 
     def test_heartbeat_timeout_defaults_to_fifty_beats(self):
         assert FarmSpec().heartbeat_timeout == 10.0
@@ -140,12 +138,12 @@ class TestScheduler:
                                     JobSpec("a", ok_job, {"x": 2})])
 
     def test_oversized_job_rejected(self):
-        with pytest.raises(FarmError):
-            run_farm(local_farm(hosts=2, slots=2),
+        with pytest.raises(FarmError, match="needs 3 slots"):
+            run_farm(local_farm(slots=2),
                      [JobSpec("wide", ok_job, {"x": 1}, slots=3)])
 
     def test_simple_fleet_runs(self):
-        result = run_farm(local_farm(hosts=2, slots=2, **FAST),
+        result = run_farm(local_farm(slots=4, **FAST),
                           [JobSpec(f"j/{i}", ok_job, {"x": i})
                            for i in range(5)])
         assert result.ok
@@ -210,7 +208,7 @@ class TestScheduler:
 
     def test_mixed_fleet_settles_completely(self):
         result = run_farm(
-            local_farm(hosts=1, slots=2, **FAST),
+            local_farm(slots=2, **FAST),
             [JobSpec("ok", ok_job, {"x": 1}),
              JobSpec("crash", ok_job, {"x": 2}, inject_crash=1),
              JobSpec("flaky", ok_job, {"x": 3}, inject_fail=1),
@@ -223,9 +221,9 @@ class TestScheduler:
         assert result.export_metrics()["obs.farm.retried"] == 3
 
     def test_slot_weight_serializes_wide_jobs(self):
-        # Two 2-slot jobs on one 2-slot host can never overlap.
+        # Two 2-slot jobs on a 2-slot pool can never overlap.
         result = run_farm(
-            local_farm(hosts=1, slots=2, **FAST),
+            local_farm(slots=2, **FAST),
             [JobSpec("wide/0", ok_job, {"x": 1}, slots=2),
              JobSpec("wide/1", ok_job, {"x": 2}, slots=2)])
         assert result.ok
@@ -233,7 +231,7 @@ class TestScheduler:
 
 
 # ----------------------------------------------------------------------
-# Hosts: persistent local workers
+# The pool: persistent local workers
 # ----------------------------------------------------------------------
 
 class TestHosts:
@@ -300,9 +298,8 @@ class TestSuites:
     def test_farm_sweep_matches_run_sweep_at_any_topology(self):
         for spec in (_small_fig8(), _small_fig7()):
             base = run_sweep(spec, jobs=1)
-            for hosts, slots in ((1, 1), (2, 2)):
-                got = farm_sweep(spec, local_farm(hosts=hosts, slots=slots,
-                                                  **FAST))
+            for slots in (1, 4):
+                got = farm_sweep(spec, local_farm(slots=slots, **FAST))
                 assert _dumps(got.value) == _dumps(base.value)
                 assert got.config_hash == base.config_hash
                 assert got.points == base.points
@@ -312,14 +309,14 @@ class TestSuites:
         plan = plan_sweep(_small_fig7())
         jobs = apply_fault_injection(plan.jobs,
                                      {plan.jobs[0].job_id: {"fail": 1}})
-        result = run_farm(local_farm(hosts=2, slots=1, **FAST), jobs)
+        result = run_farm(local_farm(slots=2, **FAST), jobs)
         assert result.export_metrics()["obs.farm.retried"] == 1
         got = finish_suite(plan, result)
         assert _dumps(got.value) == _dumps(base.value)
 
     def test_farm_sweep_memoizes_through_the_store(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
-        cold = farm_sweep(_small_fig8(), local_farm(hosts=2, **FAST),
+        cold = farm_sweep(_small_fig8(), local_farm(slots=2, **FAST),
                           store=store)
         assert cold.misses == 2 and cold.hits == 0
         warm_store = ResultStore(str(tmp_path / "store"))
@@ -357,7 +354,7 @@ class TestReports:
         from repro.obs.archive import RunArchive
 
         report = str(tmp_path / "report")
-        farm_sweep(_small_fig7(), local_farm(hosts=2, **FAST),
+        farm_sweep(_small_fig7(), local_farm(slots=2, **FAST),
                    report_dir=report)
         manifest = load_farm_manifest(report)
         assert manifest["final"] is True
@@ -437,41 +434,35 @@ class TestSpecFiles:
         with pytest.raises(FarmError, match="surprise"):
             load_spec_file(path)
 
-    def test_host_entry_naming_a_backend_rejected(self, tmp_path):
-        path = _write_spec(tmp_path, {
-            "hosts": [{"name": "h", "slots": 1, "backend": "local"}],
-            "jobs": [{"kind": "cloud"}]})
-        with pytest.raises(FarmError, match="bad host entry"):
-            load_spec_file(path)
+    def test_spec_naming_hosts_rejected(self, tmp_path):
+        for key, value in (("hosts", [{"name": "h", "slots": 1}]),
+                           ("backoff_cap", 5.0)):
+            path = _write_spec(tmp_path, {
+                key: value,
+                "suites": [{"suite": "fig7", "config": "1x1x2"}]})
+            with pytest.raises(FarmError,
+                               match=f"unknown spec keys \\['{key}'\\]"):
+                load_spec_file(path)
 
     def test_empty_spec_rejected(self, tmp_path):
-        path = _write_spec(tmp_path, {"hosts": [{"name": "h"}]})
+        path = _write_spec(tmp_path, {"slots": 1})
         with pytest.raises(FarmError, match="no suites or jobs"):
             load_spec_file(path)
 
     def test_suite_spec_expands_to_jobs(self, tmp_path):
         path = _write_spec(tmp_path, {
-            "hosts": [{"name": "a", "slots": 2}],
+            "slots": 2,
             "suites": [{"suite": "fig7", "config": "2x1x4"}],
             "fault_injection": {"fig7/0": {"fail": 1}}})
         filespec = load_spec_file(path)
         assert [job.job_id for job in filespec.jobs] == ["fig7/0",
                                                          "fig7/1"]
         assert filespec.jobs[0].inject_fail == 1
-        assert filespec.farm.total_slots == 2
-
-    def test_adhoc_cloud_job(self, tmp_path):
-        path = _write_spec(tmp_path, {
-            "jobs": [{"kind": "cloud", "requests": 2}]})
-        filespec = load_spec_file(path)
-        result = run_farm(filespec.farm, filespec.jobs)
-        assert result.ok
-        value = result.values()[0]["value"]
-        assert len(value["total_ms"]) == 2
+        assert filespec.farm.slots == 2
 
     def test_adhoc_partition_job_weighs_its_partitions(self, tmp_path):
         path = _write_spec(tmp_path, {
-            "hosts": [{"name": "a", "slots": 2}],
+            "slots": 2,
             "jobs": [{"kind": "partition-latency", "config": "2x1x2",
                       "partitions": 2}]})
         filespec = load_spec_file(path)
@@ -481,12 +472,53 @@ class TestSpecFiles:
         value = result.values()[0]["value"]
         assert len(value["latencies"]) == 3    # pairs from core 0
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"slots": "2"}, "slots must be an integer >= 1"),
+        ({"slots": 1.5}, "slots must be an integer >= 1"),
+        ({"max_retries": "2"}, "max_retries must be an integer >= 0"),
+        ({"max_retries": -1}, "max_retries must be an integer >= 0"),
+        ({"heartbeat_interval": 0}, "heartbeat_interval must be a number > 0"),
+        ({"heartbeat_timeout": -1}, "heartbeat_timeout must be a number > 0"),
+        ({"fault_injection": {"fig7/0": {"fail": "x"}}},
+         r"fault_injection\['fig7/0'\]\.fail must be an integer >= 0"),
+        ({"fault_injection": {"fig7/0": {"crash": -1}}},
+         r"fault_injection\['fig7/0'\]\.crash must be an integer >= 0"),
+    ], ids=["slots-text", "slots-float", "retries-text", "retries-negative",
+            "interval-zero", "timeout-negative", "fail-text",
+            "crash-negative"])
+    def test_bad_spec_values_name_their_key(self, tmp_path, entries,
+                                            message):
+        path = _write_spec(tmp_path, {
+            "suites": [{"suite": "fig7", "config": "1x1x2"}], **entries})
+        with pytest.raises(FarmError, match=message):
+            load_spec_file(path)
+
+    @pytest.mark.parametrize("path, slots, job_ids", [
+        ("examples/farm_fig8.json", 4,
+         [f"fig7/{index}" for index in range(12)] + ["fig8/0"]),
+        (".github/farm_smoke.json", 2,
+         [f"fig7/{index}" for index in range(4)] + ["fig8/0"]),
+        (".github/partition_smoke.json", 2, ["partition/2x1x2x2"]),
+        ("examples/instrument_fig7.yaml", None, None),
+    ], ids=["farm_fig8", "farm_smoke", "partition_smoke",
+            "instrument_fig7"])
+    def test_shipped_spec_files_load(self, path, slots, job_ids):
+        path = os.path.join(REPO, path)
+        if path.endswith(".yaml"):
+            pytest.importorskip("yaml")
+            from repro.obs.plane import load_plane
+            assert load_plane(path).metrics == ("node*", "*.utilization")
+            return
+        filespec = load_spec_file(path)
+        assert filespec.farm.slots == slots
+        assert [job.job_id for job in filespec.jobs] == job_ids
+
 
 class TestFarmCLI:
     def test_farm_run_and_status(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = _write_spec(tmp_path, {
-            "hosts": [{"name": "a", "slots": 2}],
+            "slots": 2,
             "backoff_base": 0.0,
             "report": "report",
             "suites": [{"suite": "fig7", "config": "2x1x4"}],
@@ -540,6 +572,16 @@ class TestFarmCLI:
         assert "12 threads" in capsys.readouterr().err
         assert launched == []
         assert not (tmp_path / "report").exists()
+
+    def test_malformed_yaml_spec_is_a_clean_error(self, tmp_path,
+                                                  capsys):
+        pytest.importorskip("yaml")
+        from repro.cli import main
+        path = tmp_path / "bad.yaml"
+        path.write_text("hosts: [{name: a\n")
+        for command in (["farm", "run"], ["obs", "validate"]):
+            assert main(command + [str(path)]) == 2
+            assert "not valid YAML" in capsys.readouterr().err
 
     def test_farm_run_missing_spec_fails_cleanly(self, capsys):
         from repro.cli import main

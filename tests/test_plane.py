@@ -459,7 +459,7 @@ class TestCli:
 class TestFarmInstrumentation:
     def _write_spec(self, tmp_path, instrumentation):
         spec = {
-            "hosts": [{"name": "h0", "slots": 2}],
+            "slots": 2,
             "suites": [{"suite": "fig7", "config": "1x1x2"}],
             "jobs": [{"kind": "partition-latency", "config": "2x1x2",
                       "partitions": 2}],
@@ -486,7 +486,7 @@ class TestFarmInstrumentation:
     def test_inline_mapping_and_suite_override(self, tmp_path):
         from repro.farm import load_spec_file
         spec = {
-            "hosts": [{"name": "h0", "slots": 1}],
+            "slots": 1,
             "suites": [{"suite": "fig7", "config": "1x1x2",
                         "obs": {"sample_interval": 9}}],
             "instrumentation": {"metrics": ["node*"]},
@@ -505,7 +505,7 @@ class TestFarmInstrumentation:
         plane = {"metrics": ["node*"]}
         reports = {}
         for name, instrumentation in (("plain", None), ("planed", plane)):
-            spec = {"hosts": [{"name": "h0", "slots": 1}],
+            spec = {"slots": 1,
                     "suites": [{"suite": "fig7", "config": "1x1x2"}]}
             if instrumentation is not None:
                 spec["instrumentation"] = instrumentation

@@ -624,6 +624,26 @@ class TestServiceLifecycle:
         with pytest.raises(ServeError, match="cannot reach"):
             client.ping()
 
+    def test_farm_flag_sizes_one_pool(self, monkeypatch, tmp_path,
+                                      capsys):
+        import repro.serve
+        from repro.cli import main
+
+        class Built(Exception):
+            """Carries the farm the service would have been built on."""
+
+        def build(store_root, *, farm, **options):
+            raise Built(farm)
+
+        monkeypatch.setattr(repro.serve, "ResultService", build)
+        store = str(tmp_path / "store")
+        with pytest.raises(Built) as built:
+            main(["serve", "--farm", "2x2", "--store", store])
+        assert built.value.args[0].slots == 4
+        for shape in ("0x1", "x"):
+            assert main(["serve", "--farm", shape, "--store", store]) == 2
+            assert "--farm expects HOSTSxSLOTS" in capsys.readouterr().err
+
 
 @contextlib.contextmanager
 def scripted_peer(reply: bytes = b""):
