@@ -14,8 +14,7 @@ Quick start::
     assert proto.read_u64(0, 3, 0x1000) == 42   # coherent load, tile 3
 """
 
-from .core import (Prototype, PrototypeConfig, SystemParams, build,
-                   parse_config)
+from ._lazy import lazy_exports
 from .errors import (BuildError, ConfigError, ProtocolError, ReproError,
                      ResourceError, SimulationError, WorkloadError)
 
@@ -36,3 +35,10 @@ __all__ = [
     "parse_config",
     "__version__",
 ]
+
+# The simulator loads on first use of a name below, so ``import
+# repro.serve.client`` or ``repro --help`` never builds it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.config": ("PrototypeConfig", "SystemParams", "parse_config"),
+    ".core.prototype": ("Prototype", "build"),
+})

@@ -24,6 +24,10 @@ Common flags (``--seed``/``--output``/``--archive``/``--jobs``/
 ``--instrument``/``--store``) come from :mod:`repro.cli_common` parent
 parsers, so they behave identically on every subcommand.  What a run
 observes comes from one place: the ``--instrument`` plane spec.
+
+Each ``cmd_*`` imports what it runs: building the parser loads no
+simulator, so ``repro --help``, ``repro cache`` and ``repro query``
+start without one.
 """
 
 from __future__ import annotations
@@ -32,28 +36,25 @@ import argparse
 import dataclasses
 import json
 import os
-import statistics
 import sys
 import time
 from typing import Dict, List, Optional
 
-from . import Prototype, build, parse_config
 from .analysis import render_table
 from .cli_common import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, archive_flags,
                          emit, emit_payload, format_flags,
                          instrument_flags, jobs_flags, load_plane_arg,
                          output_flags, seed_flags, store_flags,
                          write_archive)
-from .cost import FIG13_TOOLS, benchmark_costs, suite_costs
 from .errors import ReproError
-from .fpga import (DRAM_INTERFACES_PER_FPGA, cheapest_instance_for, estimate,
-                   estimate_build, max_tiles_per_fpga)
-from .parallel import latency_matrix_spec, run_sweep, run_tasks
 from .store import ResultStore, default_store_root, gc_runs, parse_age
 from .store import parse_bytes as parse_size
 
 
 def cmd_describe(args) -> int:
+    from . import parse_config
+    from .fpga import cheapest_instance_for, estimate, estimate_build
+
     config = parse_config(args.config)
     resources = estimate(config.nodes_per_fpga, config.tiles_per_node,
                          config.params.core)
@@ -81,6 +82,8 @@ def cmd_describe(args) -> int:
 
 def _sweep_point(task) -> Optional[List]:
     """Worker for one BxC grid point of ``sweep`` (module-level: picklable)."""
+    from .fpga import estimate
+
     nodes, tiles, core = task
     try:
         report = estimate(nodes, tiles, core)
@@ -92,6 +95,9 @@ def _sweep_point(task) -> Optional[List]:
 
 
 def cmd_sweep(args) -> int:
+    from .fpga import DRAM_INTERFACES_PER_FPGA, max_tiles_per_fpga
+    from .parallel import run_tasks
+
     grid = [(nodes, tiles, args.core)
             for nodes in range(1, DRAM_INTERFACES_PER_FPGA + 1)
             for tiles in range(1, max_tiles_per_fpga(args.core) + 1)]
@@ -108,6 +114,11 @@ def cmd_latency(args) -> int:
     """The Fig. 7 matrix, summarized: one ``run_sweep`` over
     :func:`~repro.parallel.latency_matrix_spec`, so ``--jobs`` and
     ``--store`` change only how fast the table appears."""
+    import statistics
+
+    from . import parse_config
+    from .parallel import latency_matrix_spec, run_sweep
+
     config = parse_config(args.config, seed=args.seed)
     plane = load_plane_arg(args)
     if plane is not None and not args.archive:
@@ -153,7 +164,9 @@ def cmd_latency(args) -> int:
 
 
 def cmd_hello(args) -> int:
+    from . import build
     from .workloads import run_helloworld
+
     proto = build(args.config)
     result = run_helloworld(proto)
     milliseconds = result.cycles / (proto.config.achievable_frequency_mhz
@@ -172,8 +185,10 @@ def _drive_probes(proto) -> None:
 
 
 def cmd_trace(args) -> int:
+    from . import Prototype, parse_config
     from .obs import (Observer, chrome_from_jsonl, probe_series_from_jsonl,
                       validate_chrome_trace)
+
     plane = load_plane_arg(args)
     if plane is not None and not plane.tracing:
         raise ReproError(
@@ -219,7 +234,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import Prototype, parse_config
     from .obs import InstrumentationPlane, Observer
+
     plane = load_plane_arg(args)
     config = parse_config(args.config, seed=args.seed)
     start = time.perf_counter()
@@ -311,8 +328,10 @@ def cmd_obs_validate(args) -> int:
     """Schema-check an instrumentation spec offline and show what it
     resolves to — optionally against a config, listing the concrete
     metrics the globs select."""
+    from . import Prototype, parse_config
     from .obs import Observer
     from .obs.plane import load_plane
+
     plane = load_plane(args.spec)
     selected = None
     if args.config:
@@ -343,6 +362,8 @@ def cmd_obs_validate(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from .cost import FIG13_TOOLS, benchmark_costs, suite_costs
+
     costs = benchmark_costs()
     rows = [[name] + [costs[name][tool] for tool in FIG13_TOOLS]
             for name in costs]

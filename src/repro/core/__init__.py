@@ -1,11 +1,6 @@
 """The SMAPPIC platform: configuration, prototype builder, probes."""
 
-from .addrmap import AddressMap, MMIO_BASE, MMIO_TILE_WINDOW
-from .config import PrototypeConfig, SystemParams, parse_config
-from .nc import NcRead, NcResponse, NcWrite, PingReq, PingResp
-from .node import Node
-from .prototype import Prototype, build
-from .tile import Tile
+from .._lazy import lazy_exports
 
 __all__ = [
     "AddressMap",
@@ -24,3 +19,12 @@ __all__ = [
     "build",
     "parse_config",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".addrmap": ("AddressMap", "MMIO_BASE", "MMIO_TILE_WINDOW"),
+    ".config": ("PrototypeConfig", "SystemParams", "parse_config"),
+    ".nc": ("NcRead", "NcResponse", "NcWrite", "PingReq", "PingResp"),
+    ".node": ("Node",),
+    ".prototype": ("Prototype", "build"),
+    ".tile": ("Tile",),
+})

@@ -14,6 +14,9 @@ from typing import Callable, Dict, Optional
 from ..axi.port import AxiPort
 from ..engine import Component, Simulator
 from ..errors import ProtocolError
+from ..io.uart import CONSOLE_BAUD, DATA_BAUD, Uart
+from ..io.virtual_sd import VirtualSdCard
+from ..irq.controller import InterruptController
 from ..mem import Dram, MainMemory, NocAxiMemoryController
 from ..mem.msgs import MemRead, MemReadResp, MemWrite, MemWriteAck
 from ..noc import CHIPSET, MsgClass, NocChannel, Packet, TileAddr, data_flits
@@ -64,10 +67,6 @@ class Chipset(Component):
         * 0x0200 virtual SD card (top half of node DRAM),
         * 0x0300 interrupt controller.
         """
-        from ..io.uart import CONSOLE_BAUD, DATA_BAUD, Uart
-        from ..io.virtual_sd import VirtualSdCard
-        from ..irq.controller import InterruptController, IrqUpdate
-
         self.console_uart = Uart(self.sim, f"{self.name}/uart0",
                                  baud=CONSOLE_BAUD)
         self.data_uart = Uart(self.sim, f"{self.name}/uart1", baud=DATA_BAUD)

@@ -34,15 +34,7 @@ their points in point order, so *serial == farm*, byte for byte, at any
 slot count.
 """
 
-from .hosts import LocalHost
-from .report import (collect_report, job_metric_shards, load_farm_manifest,
-                     write_farm_manifest)
-from .scheduler import (FarmCounters, FarmResult, JobState, run_farm)
-from .spec import (FarmSpec, FileSpec, JobSpec, apply_fault_injection,
-                   load_spec_file, local_farm)
-from .suites import (SuitePlan, build_adhoc_job, build_suite_plan,
-                     farm_sweep, finish_suite, partition_latency_job,
-                     plan_sweep, run_file_spec)
+from .._lazy import lazy_exports
 
 __all__ = [
     "FarmCounters",
@@ -69,3 +61,15 @@ __all__ = [
     "run_file_spec",
     "write_farm_manifest",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".hosts": ("LocalHost",),
+    ".report": ("collect_report", "job_metric_shards",
+                "load_farm_manifest", "write_farm_manifest"),
+    ".scheduler": ("FarmCounters", "FarmResult", "JobState", "run_farm"),
+    ".spec": ("FarmSpec", "FileSpec", "JobSpec", "apply_fault_injection",
+              "load_spec_file", "local_farm"),
+    ".suites": ("SuitePlan", "build_adhoc_job", "build_suite_plan",
+                "farm_sweep", "finish_suite", "partition_latency_job",
+                "plan_sweep", "run_file_spec"),
+})

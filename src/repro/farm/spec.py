@@ -85,11 +85,13 @@ class JobSpec:
 DEFAULT_TIMEOUT_BEATS = 50
 
 
-def _count(value, key: str, minimum: int = 0) -> int:
-    """A whole number >= ``minimum``, else a FarmError naming ``key``."""
+def _count(value, key: str, minimum: Optional[int] = 0) -> int:
+    """A whole number >= ``minimum`` (any whole number when ``minimum``
+    is None), else a FarmError naming ``key``."""
     if (isinstance(value, bool) or not isinstance(value, int)
-            or value < minimum):
-        raise FarmError(f"farm: {key} must be an integer >= {minimum}, "
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise FarmError(f"farm: {key} must be an integer{bound}, "
                         f"got {value!r}")
     return value
 
@@ -248,6 +250,9 @@ def apply_fault_injection(jobs: Sequence[JobSpec],
     ``{"hang": N}`` — the first N attempts of that job raise a
     transient error, die silently, or stop heartbeating.
     """
+    if not isinstance(plan, dict):
+        raise FarmError(f"farm: fault_injection must be a mapping of job "
+                        f"ids, got {type(plan).__name__}")
     by_id = {job.job_id: job for job in jobs}
     unknown = set(plan) - set(by_id)
     if unknown:
@@ -256,6 +261,10 @@ def apply_fault_injection(jobs: Sequence[JobSpec],
     out: List[JobSpec] = []
     for job in jobs:
         inject = plan.get(job.job_id)
+        if inject is not None and not isinstance(inject, dict):
+            raise FarmError(
+                f"farm: fault_injection for {job.job_id!r} must be a "
+                f"mapping of modes to counts, got {inject!r}")
         if inject:
             bad = set(inject) - {"fail", "crash", "hang"}
             if bad:

@@ -27,11 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.config import parse_config
+from ..core.prototype import Prototype
 from ..errors import FarmError
+from ..obs.plane import plane_hash
+from ..parallel.osmodel import fig8_spec, fig9_spec
+from ..parallel.probes import latency_matrix_spec
 from ..parallel.sweep import (SweepResult, SweepSpec, collect_sweep,
                               sweep_group_task, sweep_groups, sweep_tasks)
 from .scheduler import FarmResult, run_farm
-from .spec import FarmSpec, JobSpec
+from .spec import FarmSpec, JobSpec, _count
 
 #: Spec-file suite names -> builder of a SweepSpec from the entry.
 _SUITE_FAMILIES = ("fig7", "fig8", "fig9")
@@ -52,8 +57,6 @@ def plan_sweep(spec: SweepSpec, store_root: Optional[str] = None,
                suite_id: Optional[str] = None,
                slots: int = 1) -> SuitePlan:
     """Expand a sweep into farm jobs (one per task, in point order)."""
-    from ..obs.plane import plane_hash
-
     suite_id = suite_id or spec.family
     cfg_hash, tasks = sweep_tasks(spec, store_root=store_root)
     inst_hash = plane_hash(spec.obs_spec)
@@ -162,15 +165,14 @@ def run_file_spec(filespec, report_dir: Optional[str] = None,
 # Spec-file suite entries ({"suite": "fig8", "config": "4x1x12", ...})
 # ----------------------------------------------------------------------
 
-def _suite_sweep_spec(entry: dict,
+def _suite_sweep_spec(entry: dict, suite_id: str,
                       instrumentation: Optional[dict] = None) -> SweepSpec:
-    from ..core.config import parse_config
-    from ..parallel import fig8_spec, fig9_spec, latency_matrix_spec
-
     name = entry.get("suite")
-    config = parse_config(str(entry.get("config", "4x1x12")),
-                          seed=int(entry.get("seed", 0)))
-    root_seed = int(entry.get("root_seed", 0))
+    where = f"suite {suite_id!r}"
+    seed = _count(entry.get("seed", 0), f"{where} seed", minimum=None)
+    root_seed = _count(entry.get("root_seed", 0), f"{where} root_seed",
+                       minimum=None)
+    config = parse_config(str(entry.get("config", "4x1x12")), seed=seed)
     obs_spec = entry.get("obs", {})
     if obs_spec is not None and not isinstance(obs_spec, dict):
         raise FarmError(f"farm: suite {name!r} obs must be a mapping "
@@ -180,14 +182,19 @@ def _suite_sweep_spec(entry: dict,
         # does not pin its own plane (an explicit 'obs' wins).
         obs_spec = instrumentation
     if name == "fig8":
-        thread_counts = tuple(
-            int(t) for t in entry.get("thread_counts",
-                                      (3, 6, 12, 24, 48)))
+        counts = entry.get("thread_counts", (3, 6, 12, 24, 48))
+        if not isinstance(counts, (list, tuple)):
+            raise FarmError(f"farm: {where} thread_counts must be a list "
+                            f"of integers, got {counts!r}")
+        thread_counts = [_count(count, f"{where} thread_counts",
+                                minimum=None) for count in counts]
         return fig8_spec(config, thread_counts=thread_counts,
                          root_seed=root_seed, obs_spec=obs_spec)
     if name == "fig9":
-        return fig9_spec(config, n_threads=int(entry.get("threads", 12)),
-                         root_seed=root_seed, obs_spec=obs_spec)
+        threads = _count(entry.get("threads", 12), f"{where} threads",
+                         minimum=None)
+        return fig9_spec(config, n_threads=threads, root_seed=root_seed,
+                         obs_spec=obs_spec)
     if name == "fig7":
         return latency_matrix_spec(config, root_seed=root_seed,
                                    obs_spec=obs_spec)
@@ -202,10 +209,13 @@ def build_suite_plan(entry: dict,
     if not isinstance(entry, dict) or "suite" not in entry:
         raise FarmError(
             f"farm: every suites entry needs a 'suite' key, got {entry!r}")
-    spec = _suite_sweep_spec(entry, instrumentation=instrumentation)
     suite_id = str(entry.get("id", entry["suite"]))
+    spec = _suite_sweep_spec(entry, suite_id,
+                             instrumentation=instrumentation)
+    slots = _count(entry.get("slots", 1), f"suite {suite_id!r} slots",
+                   minimum=1)
     return plan_sweep(spec, store_root=store_root, suite_id=suite_id,
-                      slots=int(entry.get("slots", 1)))
+                      slots=slots)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +228,6 @@ def partition_latency_job(payload: dict) -> dict:
     The job itself fans out ``partitions`` shard worker processes, so
     its farm slot weight equals the partition count.
     """
-    from ..core.config import parse_config
-    from ..core.prototype import Prototype
-
     config = parse_config(payload["config"],
                           seed=int(payload.get("seed", 0)))
     proto = Prototype(config, partitions=int(payload["partitions"]),
@@ -250,14 +257,14 @@ def build_adhoc_job(entry: dict,
     if str(entry["kind"]).replace("_", "-") != "partition-latency":
         raise FarmError(f"farm: unknown job kind {entry['kind']!r} "
                         f"(known: partition-latency)")
-    from ..core.config import parse_config
-    from ..obs.plane import plane_hash
     from ..partition import resolve_partitions
 
     config_label = str(entry.get("config", "2x1x2"))
-    config = parse_config(config_label, seed=int(entry.get("seed", 0)))
-    partitions = resolve_partitions(config,
-                                    int(entry.get("partitions", 0)))
+    where = f"partition-latency job {entry.get('id', config_label)!r}"
+    seed = _count(entry.get("seed", 0), f"{where} seed", minimum=None)
+    config = parse_config(config_label, seed=seed)
+    partitions = resolve_partitions(config, _count(
+        entry.get("partitions", 0), f"{where} partitions"))
     if partitions < 2:
         raise FarmError(
             f"farm: partition-latency on {config_label} resolves to "
@@ -265,10 +272,10 @@ def build_adhoc_job(entry: dict,
     job_id = str(entry.get("id", f"partition/{config_label}x{partitions}"))
     return JobSpec(
         job_id=job_id, fn=partition_latency_job,
-        payload={"config": config_label,
-                 "seed": int(entry.get("seed", 0)),
+        payload={"config": config_label, "seed": seed,
                  "partitions": partitions,
                  "instrument": instrumentation},
-        slots=int(entry.get("slots", partitions)),
+        slots=_count(entry.get("slots", partitions), f"{where} slots",
+                     minimum=1),
         family="partition",
         instrumentation=plane_hash(instrumentation))

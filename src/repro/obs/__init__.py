@@ -38,16 +38,7 @@ piggybacks on instrumented activity), so enabling observability cannot
 change any architectural result bit — asserted by tests/test_obs.py.
 """
 
-from .archive import RunArchive, config_hash, merge_metric_shards
-from .diff import (Rule, diff_metrics, gate_rules, instrumentation_hash_of,
-                   load_metrics, render_diff, violations)
-from .observer import Observer, TRACE_CATEGORIES
-from .plane import (GatedTracer, InstrumentationPlane, Trigger, as_plane,
-                    load_plane)
-from .probes import ProbeSet, link_utilization_probe
-from .registry import MetricRegistry
-from .trace import (StreamingTracer, Tracer, chrome_from_jsonl,
-                    probe_series_from_jsonl, validate_chrome_trace)
+from .._lazy import lazy_exports
 
 __all__ = [
     "GatedTracer",
@@ -76,3 +67,17 @@ __all__ = [
     "validate_chrome_trace",
     "violations",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".archive": ("RunArchive", "config_hash", "merge_metric_shards"),
+    ".diff": ("Rule", "diff_metrics", "gate_rules",
+              "instrumentation_hash_of", "load_metrics", "render_diff",
+              "violations"),
+    ".observer": ("Observer", "TRACE_CATEGORIES"),
+    ".plane": ("GatedTracer", "InstrumentationPlane", "Trigger",
+               "as_plane", "load_plane"),
+    ".probes": ("ProbeSet", "link_utilization_probe"),
+    ".registry": ("MetricRegistry",),
+    ".trace": ("StreamingTracer", "Tracer", "chrome_from_jsonl",
+               "probe_series_from_jsonl", "validate_chrome_trace"),
+})

@@ -22,11 +22,7 @@ task (Fig. 8 or Fig. 9) stays in-process.
 :mod:`repro.parallel.osmodel` the Fig. 8/9 OS-model specs.
 """
 
-from .osmodel import fig8_spec, fig9_spec
-from .probes import latency_matrix_spec
-from .runner import env_jobs, fixed_shards, resolve_jobs, run_tasks, task_seed
-from .sweep import (SweepResult, SweepSpec, collect_sweep, run_sweep,
-                    sweep_point_task, sweep_tasks)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SweepResult",
@@ -44,3 +40,12 @@ __all__ = [
     "sweep_tasks",
     "task_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".osmodel": ("fig8_spec", "fig9_spec"),
+    ".probes": ("latency_matrix_spec",),
+    ".runner": ("env_jobs", "fixed_shards", "resolve_jobs", "run_tasks",
+                "task_seed"),
+    ".sweep": ("SweepResult", "SweepSpec", "collect_sweep", "run_sweep",
+               "sweep_point_task", "sweep_tasks"),
+})

@@ -44,6 +44,10 @@ from typing import Dict, List, Optional
 
 from ..core.prototype import Prototype
 from ..errors import ConfigError
+from ..obs.observer import Observer
+from ..obs.plane import as_plane
+from ..osmodel import Taskset, machine_from_prototype
+from ..workloads.intsort import IntSortModel, IntSortParams
 from .sweep import SweepSpec, sweep_cached
 
 #: Cache generation of :func:`model_point`; bump when the machine
@@ -53,11 +57,8 @@ OSMODEL_POINT_VERSION = "1"
 
 def _measure_machine(config, obs_spec):
     """Build one prototype: ``(NumaMachine, exported metrics | None)``."""
-    from ..osmodel import machine_from_prototype
-
     obs = None
     if obs_spec is not None:
-        from ..obs import Observer, as_plane
         obs = Observer(dataclasses.replace(as_plane(obs_spec),
                                            tracing=False))
     with Prototype(config, obs=obs) as proto:
@@ -74,9 +75,6 @@ def model_point(config, point, _seed, obs_spec):
     ``{"machine": machine dict, "values": [numa_on_s, numa_off_s],
     "metrics": dict | None}``.
     """
-    from ..osmodel import Taskset
-    from ..workloads.intsort import IntSortModel, IntSortParams
-
     # The memo lives one task, which holds one config, so the frozen
     # config keys it as it is: nothing is serialized or hashed per point.
     key = ("osmodel.machine", config, json.dumps(obs_spec, sort_keys=True))
@@ -116,8 +114,6 @@ def _merge_model_points(values: List[dict], axis: str,
 
 
 def _params_dict(params) -> dict:
-    from ..workloads.intsort import IntSortParams
-
     if params is None:
         params = IntSortParams()
     return dataclasses.asdict(params)

@@ -27,6 +27,8 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..core.prototype import Prototype
+from ..obs.observer import Observer
+from ..obs.plane import as_plane
 from .runner import fixed_shards
 from .sweep import SweepSpec
 
@@ -51,7 +53,6 @@ def measure_rows_point(config, point, _seed, obs_spec):
     """
     obs = None
     if obs_spec is not None:
-        from ..obs import Observer, as_plane
         obs = Observer(dataclasses.replace(as_plane(obs_spec),
                                            tracing=False))
     size = config.total_tiles

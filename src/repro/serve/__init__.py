@@ -8,14 +8,7 @@ submissions run as :mod:`repro.farm` fleets in a background worker and
 become warm hits for every later client.
 """
 
-from .api import (SERVE_API_VERSION, ArchiveList, ArchiveReply, DiffQuery,
-                  DiffReply, ErrorReply, JobList, JobReply, MetricMatches,
-                  MetricQuery, PointQuery, PointReply, Pong, StatsReply,
-                  SubmitReply, SweepSubmit, config_hash_of, decode,
-                  derived_seed)
-from .client import DEFAULT_URL, URL_ENV, ServeClient, client_backend
-from .jobs import JobManager, JobRecord
-from .service import ResultService, ServiceThread
+from .._lazy import lazy_exports
 
 __all__ = [
     "SERVE_API_VERSION",
@@ -46,3 +39,14 @@ __all__ = [
     "decode",
     "derived_seed",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": ("SERVE_API_VERSION", "ArchiveList", "ArchiveReply",
+             "DiffQuery", "DiffReply", "ErrorReply", "JobList", "JobReply",
+             "MetricMatches", "MetricQuery", "PointQuery", "PointReply",
+             "Pong", "StatsReply", "SubmitReply", "SweepSubmit",
+             "config_hash_of", "decode", "derived_seed"),
+    ".client": ("DEFAULT_URL", "URL_ENV", "ServeClient", "client_backend"),
+    ".jobs": ("JobManager", "JobRecord"),
+    ".service": ("ResultService", "ServiceThread"),
+})

@@ -278,7 +278,10 @@ class SweepSubmit(Message):
     (``obs`` is the suite's instrumentation plane dict).
 
     Warm points are answered from the store; cold points become a farm
-    fleet executed in the service's background worker.
+    fleet executed in the service's background worker.  Field values
+    are checked where a spec-file entry's are (in
+    :func:`~repro.farm.suites.build_suite_plan`), so a wrongly typed
+    one is an error naming its field, never a 500.
     """
 
     KIND = "sweep_submit"
@@ -297,8 +300,11 @@ class SweepSubmit(Message):
         _require(isinstance(self.suite, str) and bool(self.suite),
                  "sweep_submit needs a suite name")
         if self.thread_counts is not None:
+            _require(isinstance(self.thread_counts, (list, tuple)),
+                     f"sweep_submit thread_counts must be a list of "
+                     f"integers, got {self.thread_counts!r}")
             object.__setattr__(self, "thread_counts",
-                               tuple(int(t) for t in self.thread_counts))
+                               tuple(self.thread_counts))
 
     def entry(self) -> Dict[str, object]:
         """The equivalent farm spec-file ``suites`` entry."""
@@ -312,7 +318,7 @@ class SweepSubmit(Message):
         if self.thread_counts is not None:
             entry["thread_counts"] = list(self.thread_counts)
         if self.threads is not None:
-            entry["threads"] = int(self.threads)
+            entry["threads"] = self.threads
         if self.suite_id is not None:
             entry["id"] = self.suite_id
         return entry

@@ -29,10 +29,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ReproError, ServeError, StoreError
 from ..farm.report import load_farm_manifest
-from ..farm.scheduler import run_farm
 from ..farm.spec import FarmSpec, JobSpec
-from ..farm.suites import SuitePlan
-from ..parallel.sweep import collect_sweep
 from ..store import ResultStore, entry_key
 
 #: Submitted-job lifecycle (a deliberately smaller alphabet than the
@@ -81,7 +78,7 @@ class _Pending:
     """A queued cold run: the plan plus what the probe already knows."""
 
     record: JobRecord
-    plan: SuitePlan
+    plan: "SuitePlan"
     warm_values: Dict[int, object]
     cold_jobs: List[JobSpec]
 
@@ -111,7 +108,7 @@ class JobManager:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, plan: SuitePlan) -> JobRecord:
+    def submit(self, plan: "SuitePlan") -> JobRecord:
         """Probe the store, enqueue the cold remainder; returns a
         snapshot of the new record.
 
@@ -159,11 +156,14 @@ class JobManager:
                     f"fold ({record.error})") from error
             return self.get(job_id)
         record.report_dir = os.path.join(self.spool_dir, job_id)
+        # Snapshot before the worker can see the job: a get() after it
+        # would wait on the lock the worker takes as it starts the fleet.
+        queued = self.get(job_id)
         self._queue.put(_Pending(record=record, plan=plan,
                                  warm_values=warm_values,
                                  cold_jobs=cold_jobs))
         self._ensure_worker()
-        return self.get(job_id)
+        return queued
 
     # ------------------------------------------------------------------
     # Status
@@ -209,6 +209,8 @@ class JobManager:
             self._run_one(pending)
 
     def _run_one(self, pending: _Pending) -> None:
+        from ..farm.scheduler import run_farm
+
         record, plan = pending.record, pending.plan
         with self._lock:
             record.state = RUNNING
@@ -239,9 +241,11 @@ class JobManager:
                             else f"{type(error).__name__}: {error}")
             record.finished_at = time.time()
 
-    def _finish(self, record: JobRecord, plan: SuitePlan,
+    def _finish(self, record: JobRecord, plan: "SuitePlan",
                 warm_values: Dict[int, object], cold: List) -> None:
         """Fold warm values and cold point results, in point order."""
+        from ..parallel.sweep import collect_sweep
+
         cold_results = iter(cold)
         results = [(warm_values[index], True, 0, 0)
                    if index in warm_values else next(cold_results)

@@ -45,6 +45,7 @@ import json
 import os
 import threading
 import time
+from importlib import import_module
 from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ReproError, ServeError
@@ -99,10 +100,21 @@ class ResultService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind and start serving; resolves ``self.port`` when 0."""
+        """Bind and start serving; resolves ``self.port`` when 0.
+
+        Warm queries need only the store, so the service binds without
+        the simulator and then imports the fleet planner
+        (:mod:`repro.farm.suites`, and the simulator with it) on an
+        executor thread.  The first cold submit finds it loaded, and
+        every farm worker forked after that inherits it.
+        """
         self._server = await asyncio.start_server(
             self._handle_conn, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        preload = asyncio.get_running_loop().run_in_executor(
+            None, import_module, "repro.farm.suites")
+        # Read the result, so a failed import is logged, not dropped.
+        preload.add_done_callback(asyncio.Future.result)
 
     async def serve_forever(self) -> None:
         if self._server is None:

@@ -1,12 +1,6 @@
 """Workloads and benchmark models from the paper's evaluation."""
 
-from .helloworld import HelloWorldResult, run_helloworld
-from .intsort import CLASS_C_KEYS, IntSortModel, IntSortParams
-from .maple_kernels import (KERNELS, KERNEL_SPECS, MapleKernelBench,
-                            fig11_speedups)
-from .noise import GngBenchmark, fig10_speedups
-from .spec import SPECINT_2017, SpecBenchmark, benchmark_names, \
-    total_instructions
+from .._lazy import lazy_exports
 
 __all__ = [
     "CLASS_C_KEYS",
@@ -25,3 +19,13 @@ __all__ = [
     "run_helloworld",
     "total_instructions",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".helloworld": ("HelloWorldResult", "run_helloworld"),
+    ".intsort": ("CLASS_C_KEYS", "IntSortModel", "IntSortParams"),
+    ".maple_kernels": ("KERNELS", "KERNEL_SPECS", "MapleKernelBench",
+                       "fig11_speedups"),
+    ".noise": ("GngBenchmark", "fig10_speedups"),
+    ".spec": ("SPECINT_2017", "SpecBenchmark", "benchmark_names",
+              "total_instructions"),
+})

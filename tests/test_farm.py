@@ -493,6 +493,17 @@ class TestSpecFiles:
         with pytest.raises(FarmError, match=message):
             load_spec_file(path)
 
+    @pytest.mark.parametrize("inject", [1, ["fail"]],
+                             ids=["count", "list"])
+    def test_fault_injection_entries_must_be_mappings(self, tmp_path,
+                                                      inject):
+        path = _write_spec(tmp_path, {
+            "suites": [{"suite": "fig7", "config": "1x1x2"}],
+            "fault_injection": {"fig7/0": inject}})
+        with pytest.raises(FarmError, match=r"fault_injection for "
+                                            r"'fig7/0' must be a mapping"):
+            load_spec_file(path)
+
     @pytest.mark.parametrize("path, slots, job_ids", [
         ("examples/farm_fig8.json", 4,
          [f"fig7/{index}" for index in range(12)] + ["fig8/0"]),
@@ -572,6 +583,37 @@ class TestFarmCLI:
         assert "12 threads" in capsys.readouterr().err
         assert launched == []
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("section, entry, message", [
+        ("suites", {"suite": "fig7", "seed": "x"},
+         "suite 'fig7' seed must be an integer"),
+        ("suites", {"suite": "fig7", "root_seed": "x"},
+         "suite 'fig7' root_seed must be an integer"),
+        ("suites", {"suite": "fig7", "slots": "x"},
+         "suite 'fig7' slots must be an integer >= 1"),
+        ("suites", {"suite": "fig9", "threads": "many"},
+         "suite 'fig9' threads must be an integer"),
+        ("suites", {"suite": "fig8", "thread_counts": "ab"},
+         "suite 'fig8' thread_counts must be a list of integers"),
+        ("suites", {"suite": "fig8", "thread_counts": [2, "b"]},
+         "suite 'fig8' thread_counts must be an integer"),
+        ("jobs", {"kind": "partition-latency", "seed": "x"},
+         "partition-latency job '2x1x2' seed must be an integer"),
+        ("jobs", {"kind": "partition-latency", "partitions": "x"},
+         "partition-latency job '2x1x2' partitions must be an integer"),
+        ("jobs", {"kind": "partition-latency", "slots": "x"},
+         "partition-latency job '2x1x2' slots must be an integer >= 1"),
+    ], ids=["suite-seed", "suite-root-seed", "suite-slots",
+            "suite-threads", "suite-thread-counts-text",
+            "suite-thread-counts-item", "job-seed", "job-partitions",
+            "job-slots"])
+    def test_farm_run_names_a_bad_entry_value(self, tmp_path, capsys,
+                                              section, entry, message):
+        path = _write_spec(tmp_path, {
+            section: [dict({"config": "2x1x2"}, **entry)]})
+        from repro.cli import main
+        assert main(["farm", "run", path]) == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_yaml_spec_is_a_clean_error(self, tmp_path,
                                                   capsys):

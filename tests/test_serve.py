@@ -424,6 +424,39 @@ class TestService:
             conn.close()
         assert _stat(client, "obs.serve.jobs") == jobs_before
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"suite": "fig9", "threads": "many"}, "threads"),
+        ({"suite": "fig9", "threads": 2, "seed": "x"}, "seed"),
+        ({"suite": "fig9", "threads": 2, "root_seed": "x"}, "root_seed"),
+        ({"suite": "fig9", "threads": 2, "slots": "x"}, "slots"),
+        ({"suite": "fig8", "thread_counts": "ab"}, "thread_counts"),
+        ({"suite": "fig8", "thread_counts": [2, "b"]}, "thread_counts"),
+    ], ids=["threads", "seed", "root-seed", "slots", "thread-counts-text",
+            "thread-counts-item"])
+    def test_submit_bad_values_are_client_errors(self, served, fields,
+                                                 named):
+        """A wrongly typed field answers a 4xx naming it, not a 500."""
+        client = served["client"]
+        jobs_before = _stat(client, "obs.serve.jobs")
+        envelope = {"api_version": SERVE_API_VERSION,
+                    "kind": SweepSubmit.KIND,
+                    "body": dict(fields, config=CONFIG)}
+        conn = http.client.HTTPConnection("127.0.0.1",
+                                          served["service"].port,
+                                          timeout=10)
+        try:
+            conn.request("POST", "/v1/submit",
+                         body=json.dumps(envelope).encode(),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            status, reply = response.status, decode(response.read())
+        finally:
+            conn.close()
+        assert 400 <= status < 500
+        assert isinstance(reply, ErrorReply)
+        assert f"{named} must be" in reply.error
+        assert _stat(client, "obs.serve.jobs") == jobs_before
+
     def test_submit_whose_warm_fold_fails_ends_failed(self, served):
         """Stored values that do not fold end the record ``failed``,
         naming the error, and answer a typed 409 instead of a 500."""
