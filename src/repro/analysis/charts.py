@@ -123,8 +123,10 @@ def utilization_heatmap(series: Dict[str, Sequence],
 
 
 def block_summary(matrix: Sequence[Sequence[float]],
-                  block: int) -> Dict[str, float]:
-    """Mean of diagonal blocks vs off-diagonal blocks (NUMA domains)."""
+                  block: int) -> Dict[str, Optional[float]]:
+    """Diagonal blocks vs off-diagonal blocks (NUMA domains), the
+    diagonal itself left out: ``intra_node_*`` and ``inter_node_*``
+    mean, min and max.  An empty side has mean 0.0 and min/max None."""
     size = len(matrix)
     diag, off = [], []
     for i in range(size):
@@ -133,7 +135,10 @@ def block_summary(matrix: Sequence[Sequence[float]],
                 continue
             same = (i // block) == (j // block)
             (diag if same else off).append(matrix[i][j])
-    return {
-        "intra_node_mean": sum(diag) / len(diag) if diag else 0.0,
-        "inter_node_mean": sum(off) / len(off) if off else 0.0,
-    }
+    summary: Dict[str, Optional[float]] = {}
+    for path, values in (("intra", diag), ("inter", off)):
+        summary[f"{path}_node_mean"] = (sum(values) / len(values)
+                                        if values else 0.0)
+        summary[f"{path}_node_min"] = min(values, default=None)
+        summary[f"{path}_node_max"] = max(values, default=None)
+    return summary

@@ -114,9 +114,8 @@ def cmd_latency(args) -> int:
     """The Fig. 7 matrix, summarized: one ``run_sweep`` over
     :func:`~repro.parallel.latency_matrix_spec`, so ``--jobs`` and
     ``--store`` change only how fast the table appears."""
-    import statistics
-
     from . import parse_config
+    from .analysis import block_summary
     from .parallel import latency_matrix_spec, run_sweep
 
     config = parse_config(args.config, seed=args.seed)
@@ -133,23 +132,14 @@ def cmd_latency(args) -> int:
     result = run_sweep(latency_matrix_spec(config, obs_spec=obs_spec),
                        jobs=args.jobs, store=store)
     wall = time.perf_counter() - start
-    tiles_per_node = config.tiles_per_node
-    intra, inter = [], []
-    for sender, row in enumerate(result.value["rows"]):
-        for receiver, latency in enumerate(row):
-            if sender == receiver:
-                continue
-            same_node = (sender // tiles_per_node
-                         == receiver // tiles_per_node)
-            (intra if same_node else inter).append(latency)
-    rows = [["intra-node", f"{statistics.mean(intra):.0f}",
-             min(intra), max(intra)]]
-    if inter:
-        rows.append(["inter-node", f"{statistics.mean(inter):.0f}",
-                     min(inter), max(inter)])
-        rows.append(["NUMA ratio",
-                     f"{statistics.mean(inter) / statistics.mean(intra):.2f}x",
-                     "", ""])
+    summary = block_summary(result.value["rows"], config.tiles_per_node)
+    rows = [[f"{path}-node", f"{summary[f'{path}_node_mean']:.0f}",
+             summary[f"{path}_node_min"], summary[f"{path}_node_max"]]
+            for path in ("intra", "inter")
+            if summary[f"{path}_node_min"] is not None]
+    if len(rows) == 2:
+        ratio = summary["inter_node_mean"] / summary["intra_node_mean"]
+        rows.append(["NUMA ratio", f"{ratio:.2f}x", "", ""])
     emit(args, render_table(["path", "mean (cycles)", "min", "max"], rows,
                             title=f"core-to-core round-trip latency, "
                                   f"{args.config}"),
@@ -280,34 +270,23 @@ def cmd_diff(args) -> int:
     from .obs import diff as diff_mod
     rules = [diff_mod.Rule("*", abs_tol=args.abs_tol,
                            rel_tol=args.rel_tol)]
+    rules += [diff_mod.parse_rule(text) for text in args.rule]
     if args.gate:
         if args.run_b is not None:
             raise ReproError(
                 "diff --gate BASELINE takes one run (the current one)")
         if args.run_a is None:
             raise ReproError("diff --gate BASELINE needs a run to check")
-        metrics_a, gate_rule_list = diff_mod.gate_rules(args.gate)
-        rules = gate_rule_list if not args.rule else rules
-        metrics_b = diff_mod.load_metrics(args.run_a)
+        baseline, gate_rule_list = diff_mod.gate_rules(args.gate)
+        deltas = diff_mod.diff_metrics(
+            baseline, diff_mod.load_metrics(args.run_a),
+            rules if args.rule else gate_rule_list, gate=True)
     else:
         if args.run_a is None or args.run_b is None:
             raise ReproError("diff needs two runs (or --gate BASELINE RUN)")
-        hash_a = diff_mod.instrumentation_hash_of(args.run_a)
-        hash_b = diff_mod.instrumentation_hash_of(args.run_b)
-        if hash_a != hash_b and not args.ignore_instrumentation:
-            # Different planes select, sample, and gate metrics
-            # differently — their deltas are plane noise, not regressions.
-            raise ReproError(
-                f"diff: runs were instrumented differently "
-                f"(plane {hash_a or 'none'} vs {hash_b or 'none'}); "
-                f"re-run under one spec, or pass "
-                f"--ignore-instrumentation to compare anyway")
-        metrics_a = diff_mod.load_metrics(args.run_a)
-        metrics_b = diff_mod.load_metrics(args.run_b)
-    for text in args.rule:
-        rules.append(diff_mod.parse_rule(text))
-    deltas = diff_mod.diff_metrics(metrics_a, metrics_b, rules,
-                                   gate=bool(args.gate))
+        deltas = diff_mod.compare_runs(
+            args.run_a, args.run_b, rules,
+            ignore_instrumentation=args.ignore_instrumentation)
     bad = diff_mod.violations(deltas)
     if args.format == "json":
         text = json.dumps([delta.as_dict() for delta in deltas

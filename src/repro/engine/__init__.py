@@ -1,11 +1,6 @@
 """Discrete-event simulation kernel used by every simulated subsystem."""
 
-from .component import Component
-from .link import InstantLink, Link
-from .observer import NO_OBS, NullObserver
-from .rng import derive_seed, derived_rng
-from .simulator import ConstLatencyChannel, Event, Simulator
-from .stats import Histogram, StatGroup, merge_stat_groups
+from .._lazy import lazy_exports
 
 __all__ = [
     "Component",
@@ -22,3 +17,12 @@ __all__ = [
     "derived_rng",
     "merge_stat_groups",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".component": ("Component",),
+    ".link": ("InstantLink", "Link"),
+    ".observer": ("NO_OBS", "NullObserver"),
+    ".rng": ("derive_seed", "derived_rng"),
+    ".simulator": ("ConstLatencyChannel", "Event", "Simulator"),
+    ".stats": ("Histogram", "StatGroup", "merge_stat_groups"),
+})

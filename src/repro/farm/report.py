@@ -22,11 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import FarmError
+from ..store import atomic_write_json
 
 FARM_MANIFEST_NAME = "farm.json"
 FARM_SCHEMA_VERSION = 1
@@ -37,29 +37,11 @@ def _job_dirname(job_id: str) -> str:
     return job_id.replace("/", "-").replace(os.sep, "-")
 
 
-def _atomic_write_json(path: str, data: Dict[str, object]) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_farm_manifest(report_dir: str, spec, states: Sequence,
                         counters, final: bool = False) -> str:
     """Write (or rewrite) ``farm.json`` atomically; returns its path."""
     path = os.path.join(report_dir, FARM_MANIFEST_NAME)
-    _atomic_write_json(path, {
+    atomic_write_json(path, {
         "schema_version": FARM_SCHEMA_VERSION,
         "written_at_unix": round(time.time(), 3),
         "final": bool(final),
@@ -166,7 +148,7 @@ def collect_report(report_dir: str, result, *,
                   and entry.get("series") is not None}
         series = series or None
         for suite_id, entry in suite_values.items():
-            _atomic_write_json(
+            atomic_write_json(
                 os.path.join(report_dir, "suites", f"{suite_id}.json"),
                 entry)
     RunArchive.write(os.path.join(report_dir, "merged"), merged,

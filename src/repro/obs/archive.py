@@ -18,6 +18,12 @@ holding everything :mod:`repro.obs.diff` needs to compare two runs:
 ``series.json``
     The probe time series (optional; written when the run sampled).
 
+Each file is published atomically (:func:`repro.store.atomic_write`),
+metrics and series first and the manifest last: the manifest is what
+marks a directory as an archive, so a reader never meets half of one.
+A file that does not parse makes :meth:`RunArchive.load` raise
+:class:`~repro.errors.ReproError` naming it.
+
 Shard merging
 -------------
 
@@ -49,6 +55,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..engine.stats import Histogram
 from ..errors import ReproError
+from ..store import atomic_write_json
 
 SCHEMA_VERSION = 1
 
@@ -194,7 +201,6 @@ class RunArchive:
         uninstrumented runs.
         """
         path = str(path)
-        os.makedirs(path, exist_ok=True)
         if instrumentation is not None and instrumentation_hash is None:
             from .plane import InstrumentationPlane
             instrumentation_hash = InstrumentationPlane.from_dict(
@@ -225,48 +231,56 @@ class RunArchive:
                 manifest["seed"] = config.seed
         if extra:
             manifest.update(extra)
-        with open(os.path.join(path, MANIFEST_NAME), "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        with open(os.path.join(path, METRICS_NAME), "w") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write_json(os.path.join(path, METRICS_NAME), metrics)
         if series is not None:
-            with open(os.path.join(path, SERIES_NAME), "w") as handle:
-                json.dump(series, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            atomic_write_json(os.path.join(path, SERIES_NAME), series)
+        atomic_write_json(os.path.join(path, MANIFEST_NAME), manifest)
         return cls(path, manifest, metrics, series)
 
     # -- loading -------------------------------------------------------
     @classmethod
     def load(cls, path: str) -> "RunArchive":
-        """Read an archive directory back (inverse of :meth:`write`)."""
+        """Read an archive directory back (inverse of :meth:`write`);
+        a manifest of another schema raises :class:`ReproError`."""
         path = str(path)
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        metrics_path = os.path.join(path, METRICS_NAME)
-        if not os.path.isfile(manifest_path):
-            raise ReproError(
-                f"archive: {path} has no {MANIFEST_NAME} — not a run "
-                f"archive")
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
+        manifest = _read_mapping(path, MANIFEST_NAME)
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise ReproError(
                 f"archive: {path} has schema "
                 f"{manifest.get('schema_version')!r}, expected "
                 f"{SCHEMA_VERSION}")
-        if not os.path.isfile(metrics_path):
-            raise ReproError(f"archive: {path} has no {METRICS_NAME}")
-        with open(metrics_path) as handle:
-            metrics = json.load(handle)
+        metrics = _read_mapping(path, METRICS_NAME)
         series = None
-        series_path = os.path.join(path, SERIES_NAME)
-        if os.path.isfile(series_path):
-            with open(series_path) as handle:
-                series = json.load(handle)
+        if os.path.isfile(os.path.join(path, SERIES_NAME)):
+            series = _read_mapping(path, SERIES_NAME)
         return cls(path, manifest, metrics, series)
 
     @staticmethod
     def is_archive(path: str) -> bool:
         return os.path.isdir(path) and os.path.isfile(
             os.path.join(path, MANIFEST_NAME))
+
+    @staticmethod
+    def scan(root: str) -> List[str]:
+        """The archive directories directly under ``root``, sorted by
+        name; none when ``root`` does not exist."""
+        if not os.path.isdir(root):
+            return []
+        paths = (os.path.join(root, name) for name in sorted(os.listdir(root)))
+        return [path for path in paths if RunArchive.is_archive(path)]
+
+
+def _read_mapping(path: str, name: str) -> Dict[str, object]:
+    """The JSON object in archive file ``path/name``; a missing,
+    unreadable or malformed file raises :class:`ReproError` naming it."""
+    file_path = os.path.join(path, name)
+    try:
+        with open(file_path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ReproError(f"archive: cannot read {file_path}: {error}") \
+            from None
+    if not isinstance(data, dict):
+        raise ReproError(f"archive: {file_path} does not hold a JSON "
+                         f"object")
+    return data

@@ -61,6 +61,27 @@ class Rule:
                 f"diff: direction must be one of {_DIRECTIONS}, got "
                 f"{self.direction!r} in rule {self.pattern!r}")
 
+    @classmethod
+    def from_entry(cls, entry, where: str) -> "Rule":
+        """A rule from a ``{"pattern", "rel_tol", "abs_tol",
+        "direction"}`` mapping (a gate baseline's ``rules`` entry, a
+        ``/v1/diff`` rule), tolerances optional; anything else raises
+        :class:`ReproError` naming ``where`` and the entry."""
+        pattern = entry.get("pattern") if isinstance(entry, dict) else None
+        if not isinstance(pattern, str) or not pattern:
+            raise ReproError(f"diff: {where} rule {entry!r} needs a "
+                             f"non-empty string 'pattern'")
+        tolerances = {}
+        for key in ("abs_tol", "rel_tol"):
+            value = entry.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, float)):
+                raise ReproError(f"diff: {where} rule {entry!r}: {key} "
+                                 f"must be a number")
+            tolerances[key] = float(value)
+        return cls(pattern, direction=entry.get("direction", "both"),
+                   **tolerances)
+
     def matches(self, name: str) -> bool:
         return fnmatchcase(name, self.pattern)
 
@@ -180,10 +201,13 @@ def violations(deltas: Sequence[Delta]) -> List[Delta]:
 # Loading metric dumps
 # ----------------------------------------------------------------------
 
-def load_metrics(path: str) -> Dict[str, object]:
-    """Metrics from an archive dir, a flat dict JSON, or a bundle."""
+def _read_run(path: str) -> Tuple[Dict[str, object], Optional[str]]:
+    """``(metrics, plane hash)`` of a metric dump, read once; the hash
+    is None unless a run archive's manifest records one."""
     if RunArchive.is_archive(path):
-        return RunArchive.load(path).metrics
+        archive = RunArchive.load(path)
+        plane = archive.manifest.get("instrumentation_hash")
+        return archive.metrics, plane if isinstance(plane, str) else None
     if os.path.isdir(path):
         raise ReproError(
             f"diff: {path} is a directory but not a run archive")
@@ -197,23 +221,39 @@ def load_metrics(path: str) -> Dict[str, object]:
     if not isinstance(data, dict):
         raise ReproError(f"diff: {path} does not hold a metrics dict")
     if isinstance(data.get("metrics"), dict):
-        return data["metrics"]
-    return data
+        return data["metrics"], None
+    return data, None
+
+
+def load_metrics(path: str) -> Dict[str, object]:
+    """Metrics from an archive dir, a flat dict JSON, or a bundle."""
+    return _read_run(path)[0]
 
 
 def instrumentation_hash_of(path: str) -> Optional[str]:
-    """The recorded instrumentation-plane hash of a metric dump.
+    """The recorded instrumentation-plane hash of a metric dump (None
+    for anything but a run archive that records one)."""
+    return _read_run(path)[1] if RunArchive.is_archive(path) else None
 
-    Only run archives carry one (in their manifest); flat JSON dumps and
-    bundles return None, as do archives written before the manifest
-    gained the field.  ``repro diff`` refuses to compare two archives
-    whose hashes differ — runs instrumented differently sample, select,
-    and gate their metrics differently, so their deltas are noise.
+
+def compare_runs(path_a: str, path_b: str, rules: Sequence[Rule] = EXACT,
+                 *, ignore_instrumentation: bool = False) -> List[Delta]:
+    """Diff two metric dumps (plain mode) for ``repro diff`` and
+    ``/v1/diff``, reading each once.
+
+    Runs whose recorded instrumentation planes differ are refused
+    unless ``ignore_instrumentation``: they sample, select and gate
+    their metrics differently, so their deltas are plane noise.
     """
-    if not RunArchive.is_archive(path):
-        return None
-    value = RunArchive.load(path).manifest.get("instrumentation_hash")
-    return value if isinstance(value, str) else None
+    metrics_a, plane_a = _read_run(path_a)
+    metrics_b, plane_b = _read_run(path_b)
+    if plane_a != plane_b and not ignore_instrumentation:
+        raise ReproError(
+            f"diff: runs were instrumented differently "
+            f"(plane {plane_a or 'none'} vs {plane_b or 'none'}); re-run "
+            f"under one spec, or pass --ignore-instrumentation "
+            f"(ignore_instrumentation over /v1/diff) to compare anyway")
+    return diff_metrics(metrics_a, metrics_b, rules)
 
 
 def parse_rule(text: str) -> Rule:
@@ -251,17 +291,13 @@ def gate_rules(path: str) -> Tuple[Dict[str, object], List[Rule]]:
     if not isinstance(metrics, dict):
         raise ReproError(
             f"diff: gate baseline {path} needs a 'metrics' dict")
-    rules: List[Rule] = [Rule("*")]
-    for entry in data.get("rules", ()):
-        if not isinstance(entry, dict) or "pattern" not in entry:
-            raise ReproError(
-                f"diff: gate baseline {path} rule entries need a "
-                f"'pattern'")
-        rules.append(Rule(entry["pattern"],
-                          abs_tol=float(entry.get("abs_tol", 0.0)),
-                          rel_tol=float(entry.get("rel_tol", 0.0)),
-                          direction=entry.get("direction", "both")))
-    return metrics, rules
+    entries = data.get("rules", [])
+    if not isinstance(entries, list):
+        raise ReproError(f"diff: gate baseline {path} 'rules' must be a "
+                         f"list, got {entries!r}")
+    return metrics, [Rule("*")] + [
+        Rule.from_entry(entry, f"gate baseline {path}")
+        for entry in entries]
 
 
 # ----------------------------------------------------------------------

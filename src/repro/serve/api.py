@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ServeError
+from ..errors import ReproError, ServeError
 from ..store import canonical_json, canonical_value
 
 #: Bumped when any message's meaning changes; decode refuses mismatches.
@@ -223,7 +223,9 @@ class DiffQuery(Message):
     """Diff two archived runs server-side under ``repro.obs.diff`` rules.
 
     ``rules`` entries mirror the gate-baseline shape: ``{"pattern": ...,
-    "rel_tol": ..., "abs_tol": ..., "direction": ...}``.  Cross-plane
+    "rel_tol": ..., "abs_tol": ..., "direction": ...}``, built by
+    :meth:`~repro.obs.diff.Rule.from_entry`; a malformed one is refused
+    when the query is built or decoded (:class:`ServeError`).  Cross-plane
     runs (different recorded instrumentation hashes) are refused unless
     ``ignore_instrumentation`` — the same contract as ``repro diff``.
     """
@@ -242,19 +244,15 @@ class DiffQuery(Message):
         _require(isinstance(self.run_b, str) and bool(self.run_b),
                  "diff_query needs run_b")
         object.__setattr__(self, "rules", tuple(self.rules))
-        for entry in self.rules:
-            _require(isinstance(entry, dict) and "pattern" in entry,
-                     "diff_query rule entries need a 'pattern'")
+        try:
+            self.rule_objects()
+        except ReproError as error:
+            raise ServeError(str(error)) from None
 
     def rule_objects(self):
         from ..obs.diff import Rule
-        rules = [Rule("*")]
-        for entry in self.rules:
-            rules.append(Rule(entry["pattern"],
-                              abs_tol=float(entry.get("abs_tol", 0.0)),
-                              rel_tol=float(entry.get("rel_tol", 0.0)),
-                              direction=entry.get("direction", "both")))
-        return rules
+        return [Rule("*")] + [Rule.from_entry(entry, "diff_query")
+                              for entry in self.rules]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
 """Background sweep jobs: cold submissions executed by the farm.
 
-A submitted sweep splits at the store, point by point: warm points are
-read back immediately, and each of the plan's
-:class:`~repro.farm.spec.JobSpec`\\ s that still holds a cold point runs
-with just its cold points — same point tasks, same worker callable, same
-store addresses as a farm spec file — on
+A submitted sweep is first probed against the store, point by point.
+When every point is warm, the stored values fold at once through
+:func:`~repro.parallel.sweep.collect_sweep`.  Otherwise the plan's
+:class:`~repro.farm.spec.JobSpec`\\ s run unchanged — same point tasks,
+same worker callable, same store addresses as a farm spec file — on
 :func:`repro.farm.scheduler.run_farm` in a single background worker
-thread.  A Fig. 8/9 sweep is one job, so its cold points run as one job
-that measures the machine once.  When the fleet lands, warm and cold
-results are folded back in point order through
-:func:`~repro.parallel.sweep.collect_sweep`, so a served sweep value is
+thread, and fold through :func:`repro.farm.suites.finish_suite`, the
+fold ``repro farm run`` and ``run_sweep(jobs>1)`` use.  A warm point
+inside a job is a store hit in the worker, so a served sweep value is
 byte-identical to ``run_sweep`` of the same spec.
 
 Each cold run streams its ``farm.json`` into a per-job spool directory;
@@ -19,7 +18,6 @@ Each cold run streams its ``farm.json`` into a per-job spool directory;
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import queue
 import threading
@@ -29,7 +27,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ReproError, ServeError, StoreError
 from ..farm.report import load_farm_manifest
-from ..farm.spec import FarmSpec, JobSpec
+from ..farm.spec import FarmSpec
 from ..store import ResultStore, entry_key
 
 #: Submitted-job lifecycle (a deliberately smaller alphabet than the
@@ -73,16 +71,6 @@ class JobRecord:
                 "value": self.value}
 
 
-@dataclass
-class _Pending:
-    """A queued cold run: the plan plus what the probe already knows."""
-
-    record: JobRecord
-    plan: "SuitePlan"
-    warm_values: Dict[int, object]
-    cold_jobs: List[JobSpec]
-
-
 class JobManager:
     """Serial background executor of submitted sweeps.
 
@@ -101,7 +89,8 @@ class JobManager:
         self._lock = threading.Lock()
         self._records: Dict[str, JobRecord] = {}
         self._order: List[str] = []
-        self._queue: "queue.Queue[Optional[_Pending]]" = queue.Queue()
+        # (record, plan) pairs to run; None stops the worker.
+        self._queue: "queue.Queue[Optional[tuple]]" = queue.Queue()
         self._serial = 0
         self._worker: Optional[threading.Thread] = None
 
@@ -109,8 +98,8 @@ class JobManager:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, plan: "SuitePlan") -> JobRecord:
-        """Probe the store, enqueue the cold remainder; returns a
-        snapshot of the new record.
+        """Probe the store, enqueue the plan unless it is all warm;
+        returns a snapshot of the new record.
 
         Returns with ``state=done`` immediately when every point is
         warm — an all-warm submit never touches the farm.  When those
@@ -120,35 +109,28 @@ class JobManager:
         recorded on the job (the service layers it onto
         ``obs.serve.hits`` / ``obs.serve.misses``).
         """
-        warm_values: Dict[int, object] = {}
-        cold_jobs: List[JobSpec] = []
-        points = 0
-        for spec_job in plan.jobs:
-            cold = []
-            for task in spec_job.payload:
-                found, value = self.store.load(entry_key(task[-1]))
-                if found:
-                    warm_values[points] = value
-                else:
-                    cold.append(task)
-                points += 1
-            if cold:
-                cold_jobs.append(dataclasses.replace(spec_job,
-                                                     payload=tuple(cold)))
+        from ..parallel.sweep import collect_sweep
+
+        tasks = [task for spec_job in plan.jobs for task in spec_job.payload]
+        warm = []
+        for task in tasks:
+            found, value = self.store.load(entry_key(task[-1]))
+            if found:
+                warm.append((value, True, 0, 0))
         with self._lock:
             self._serial += 1
             job_id = f"serve-{self._serial}"
         record = JobRecord(
             job_id=job_id, suite_id=plan.suite_id,
             family=plan.spec.family, config_hash=plan.config_hash,
-            points=points, warm=len(warm_values),
-            cold=points - len(warm_values))
+            points=len(tasks), warm=len(warm), cold=len(tasks) - len(warm))
         with self._lock:
             self._records[job_id] = record
             self._order.append(job_id)
-        if not cold_jobs:
+        if not record.cold:
             try:
-                self._finish(record, plan, warm_values, [])
+                self._finish(record, collect_sweep(
+                    plan.spec, plan.config_hash, warm))
             except Exception as error:
                 self._fail(record, error)
                 raise StoreError(
@@ -159,9 +141,7 @@ class JobManager:
         # Snapshot before the worker can see the job: a get() after it
         # would wait on the lock the worker takes as it starts the fleet.
         queued = self.get(job_id)
-        self._queue.put(_Pending(record=record, plan=plan,
-                                 warm_values=warm_values,
-                                 cold_jobs=cold_jobs))
+        self._queue.put((record, plan))
         self._ensure_worker()
         return queued
 
@@ -206,28 +186,19 @@ class JobManager:
             pending = self._queue.get()
             if pending is None:
                 return
-            self._run_one(pending)
+            self._run_one(*pending)
 
-    def _run_one(self, pending: _Pending) -> None:
+    def _run_one(self, record: JobRecord, plan: "SuitePlan") -> None:
         from ..farm.scheduler import run_farm
+        from ..farm.suites import finish_suite
 
-        record, plan = pending.record, pending.plan
         with self._lock:
             record.state = RUNNING
             record.started_at = time.time()
         try:
-            result = run_farm(self.farm, pending.cold_jobs,
+            result = run_farm(self.farm, plan.jobs,
                               report_dir=record.report_dir)
-            broken = [state for state in result.states
-                      if state.state != "done"]
-            if broken:
-                details = "; ".join(
-                    f"{state.job_id} {state.state}" for state in broken)
-                raise ServeError(
-                    f"serve: fleet incomplete — {details}")
-            cold = [point for job in pending.cold_jobs
-                    for point in result.value_of(job.job_id)]
-            self._finish(record, plan, pending.warm_values, cold)
+            self._finish(record, finish_suite(plan, result))
         except Exception as error:
             # A broken fleet must not kill the worker thread for later
             # submits.
@@ -241,16 +212,8 @@ class JobManager:
                             else f"{type(error).__name__}: {error}")
             record.finished_at = time.time()
 
-    def _finish(self, record: JobRecord, plan: "SuitePlan",
-                warm_values: Dict[int, object], cold: List) -> None:
-        """Fold warm values and cold point results, in point order."""
-        from ..parallel.sweep import collect_sweep
-
-        cold_results = iter(cold)
-        results = [(warm_values[index], True, 0, 0)
-                   if index in warm_values else next(cold_results)
-                   for index in range(record.points)]
-        sweep = collect_sweep(plan.spec, plan.config_hash, results)
+    def _finish(self, record: JobRecord, sweep: "SweepResult") -> None:
+        """End ``record`` as ``done`` with the folded sweep."""
         with self._lock:
             record.value = sweep.value
             record.hits = sweep.hits

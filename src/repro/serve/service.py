@@ -306,24 +306,22 @@ class ResultService:
         self.registry.inc("obs.serve.hits")
         return api.point_hit_json(key, text)
 
-    def _archive_dirs(self):
-        if not os.path.isdir(self.runs_root):
-            return
-        for name in sorted(os.listdir(self.runs_root)):
-            path = os.path.join(self.runs_root, name)
-            if RunArchive.is_archive(path):
-                yield name, path
+    def _archives(self):
+        """The readable archives under the runs root; one that does not
+        load (a damaged file, another schema) is skipped, not fatal."""
+        for path in RunArchive.scan(self.runs_root):
+            try:
+                yield RunArchive.load(path)
+            except ReproError:
+                continue
 
     def _handle_archives(self) -> api.ArchiveList:
         archives = []
-        for name, path in self._archive_dirs():
-            try:
-                archive = RunArchive.load(path)
-            except ReproError:
-                continue    # wrong schema version etc.: skip, not fatal
+        for archive in self._archives():
             manifest = archive.manifest
             archives.append({
-                "run_id": archive.run_id, "dir": name,
+                "run_id": archive.run_id,
+                "dir": os.path.basename(archive.path),
                 "config": manifest.get("config"),
                 "config_hash": manifest.get("config_hash"),
                 "seed": manifest.get("seed"),
@@ -350,11 +348,7 @@ class ResultService:
 
     def _handle_metrics(self, query: api.MetricQuery) -> api.MetricMatches:
         matches = []
-        for name, path in self._archive_dirs():
-            try:
-                archive = RunArchive.load(path)
-            except ReproError:
-                continue
+        for archive in self._archives():
             for metric in sorted(archive.metrics):
                 if fnmatch.fnmatchcase(metric, query.glob):
                     matches.append({"run_id": archive.run_id,
@@ -364,20 +358,10 @@ class ResultService:
 
     def _handle_diff(self, query: api.DiffQuery) -> api.DiffReply:
         from ..obs import diff as diff_mod
-        path_a = self._resolve_run(query.run_a)
-        path_b = self._resolve_run(query.run_b)
-        hash_a = diff_mod.instrumentation_hash_of(path_a)
-        hash_b = diff_mod.instrumentation_hash_of(path_b)
-        if hash_a != hash_b and not query.ignore_instrumentation:
-            # Same contract as `repro diff`: cross-plane deltas are
-            # plane noise, not regressions.
-            raise ReproError(
-                f"serve: runs were instrumented differently "
-                f"(plane {hash_a or 'none'} vs {hash_b or 'none'}); "
-                f"set ignore_instrumentation to compare anyway")
-        deltas = diff_mod.diff_metrics(diff_mod.load_metrics(path_a),
-                                       diff_mod.load_metrics(path_b),
-                                       query.rule_objects())
+        deltas = diff_mod.compare_runs(
+            self._resolve_run(query.run_a), self._resolve_run(query.run_b),
+            query.rule_objects(),
+            ignore_instrumentation=query.ignore_instrumentation)
         bad = diff_mod.violations(deltas)
         shown = bad if query.only_violations else deltas
         return api.DiffReply(run_a=query.run_a, run_b=query.run_b,

@@ -49,8 +49,9 @@ Durability contract
 -------------------
 
 * **Atomic writes** — entries are written to a temp file in the entry's
-  directory and published with ``os.replace``; readers are lock-free and
-  can never observe a half-written entry.
+  directory and published with ``os.replace`` (:func:`atomic_write`,
+  which also publishes farm reports and run archives); readers are
+  lock-free and can never observe a half-written entry.
 * **Validated loads** — every load checks the header's schema version,
   that the entry matches its own key, the value's length and the SHA-256
   of the value bytes.  That catches truncation and also a corrupted
@@ -72,7 +73,7 @@ Garbage collection
 (:func:`gc_select`): drop everything older than ``max_age_seconds``,
 then drop oldest-first until the total is under ``max_bytes``.  The
 ``repro cache gc`` subcommand applies it to both the store and the
-``runs/`` archive tree.
+``runs/`` archive tree, through one removal loop (:func:`_gc_apply`).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import StoreError
 
@@ -112,6 +113,37 @@ def _is_tmp_name(name: str) -> bool:
     """Writer debris: our mkstemp names (``.tmp-*.json``) or generic
     ``*.tmp`` files, never a published ``<key>.json`` entry."""
     return name.startswith(".tmp-") or name.endswith(".tmp")
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically.
+
+    The bytes go to a ``.tmp-*.json`` file in the same directory (the
+    name :meth:`ResultStore.sweep_tmp` treats as writer debris), which
+    ``os.replace`` then moves over ``path``; a failed write unlinks the
+    temp file and re-raises.  A reader sees the old file or the new
+    one, never a half-written one.
+    """
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                               suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def atomic_write_json(path: str, data) -> None:
+    """:func:`atomic_write` of ``data`` as indented, sorted-keys JSON."""
+    atomic_write(path, (json.dumps(data, indent=2, sort_keys=True)
+                        + "\n").encode())
 
 
 def entry_key(payload: Dict[str, object]) -> str:
@@ -303,6 +335,30 @@ def _dir_item(path: str) -> GCItem:
     return GCItem(path=path, bytes=total, mtime=newest)
 
 
+def _gc_apply(items: Sequence[GCItem], remove: Callable[[str], None],
+              max_age_seconds: Optional[float], max_bytes: Optional[int],
+              now: Optional[float]) -> GCStats:
+    """Remove what :func:`gc_select` picks from ``items`` by calling
+    ``remove(path)``, and tally the pass.  A removal that raises
+    :class:`OSError` counts as kept."""
+    doomed = {item.path for item in gc_select(items, max_age_seconds,
+                                              max_bytes, now)}
+    stats = GCStats()
+    for item in items:
+        if item.path in doomed:
+            try:
+                remove(item.path)
+            except OSError:
+                pass
+            else:
+                stats.removed += 1
+                stats.removed_bytes += item.bytes
+                continue
+        stats.kept += 1
+        stats.kept_bytes += item.bytes
+    return stats
+
+
 def gc_runs(root: str, max_age_seconds: Optional[float] = None,
             max_bytes: Optional[int] = None,
             now: Optional[float] = None) -> GCStats:
@@ -314,23 +370,8 @@ def gc_runs(root: str, max_age_seconds: Optional[float] = None,
     """
     from .obs.archive import RunArchive
 
-    stats = GCStats()
-    if not os.path.isdir(root):
-        return stats
-    items = [_dir_item(os.path.join(root, name))
-             for name in sorted(os.listdir(root))
-             if RunArchive.is_archive(os.path.join(root, name))]
-    doomed = {item.path for item in gc_select(items, max_age_seconds,
-                                              max_bytes, now)}
-    for item in items:
-        if item.path in doomed:
-            shutil.rmtree(item.path, ignore_errors=True)
-            stats.removed += 1
-            stats.removed_bytes += item.bytes
-        else:
-            stats.kept += 1
-            stats.kept_bytes += item.bytes
-    return stats
+    items = [_dir_item(path) for path in RunArchive.scan(root)]
+    return _gc_apply(items, shutil.rmtree, max_age_seconds, max_bytes, now)
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +470,6 @@ class ResultStore:
         participates in addressing.
         """
         path = self.path_for(key)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         value_bytes = canonical_json(canonical_value(value)).encode()
         header = canonical_json({
             "schema_version": STORE_SCHEMA_VERSION,
@@ -440,18 +479,7 @@ class ResultStore:
             "value_bytes": len(value_bytes),
             "value_sha256": hashlib.sha256(value_bytes).hexdigest(),
         })
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                                   suffix=".json")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(b"%s\n%s\n" % (header.encode(), value_bytes))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, b"%s\n%s\n" % (header.encode(), value_bytes))
         self.writes += 1
         return path
 
@@ -548,25 +576,9 @@ class ResultStore:
            max_bytes: Optional[int] = None,
            now: Optional[float] = None) -> GCStats:
         """Apply the shared retention policy to the store's entries."""
-        entries = self.entries()
         items = [GCItem(path=entry.path, bytes=entry.bytes,
-                        mtime=entry.mtime) for entry in entries]
-        doomed = {item.path
-                  for item in gc_select(items, max_age_seconds,
-                                        max_bytes, now)}
-        stats = GCStats()
-        for item in items:
-            if item.path in doomed:
-                try:
-                    os.unlink(item.path)
-                except OSError:
-                    continue
-                stats.removed += 1
-                stats.removed_bytes += item.bytes
-            else:
-                stats.kept += 1
-                stats.kept_bytes += item.bytes
-        return stats
+                        mtime=entry.mtime) for entry in self.entries()]
+        return _gc_apply(items, os.unlink, max_age_seconds, max_bytes, now)
 
     def clear(self) -> int:
         """Drop every entry; returns how many were removed."""

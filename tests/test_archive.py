@@ -28,6 +28,8 @@ from repro.obs.archive import archive_root_from_env
 from repro.obs.diff import Rule, parse_rule
 from repro.obs.trace import iter_jsonl_events
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _drive(proto, senders=(0,)):
     for sender in senders:
@@ -216,6 +218,26 @@ class TestRunArchive:
         with pytest.raises(ReproError):
             RunArchive.load(bad)
 
+    @pytest.mark.parametrize("name, text", [
+        ("manifest.json", '{"schema_version": 1, "run_'),
+        ("manifest.json", "[1, 2]"),
+        ("metrics.json", '{"x": '),
+        ("series.json", "not json"),
+    ], ids=["manifest-cut", "manifest-list", "metrics-cut", "series-bad"])
+    def test_damaged_file_is_a_typed_error(self, tmp_path, name, text):
+        RunArchive.write(tmp_path / "r", {"x": 1}, series={"s": [1]})
+        (tmp_path / "r" / name).write_text(text)
+        with pytest.raises(ReproError, match=name):
+            RunArchive.load(tmp_path / "r")
+
+    def test_write_publishes_the_manifest_last(self, tmp_path):
+        # Metrics that cannot be written leave no manifest behind, so
+        # the directory never reads as an archive, and no temp file.
+        with pytest.raises(TypeError):
+            RunArchive.write(tmp_path / "r", {"x": object()})
+        assert [name for _dir, _subdirs, names in os.walk(tmp_path)
+                for name in names] == []
+
     def test_archive_env_opt_in(self, monkeypatch):
         monkeypatch.delenv("REPRO_ARCHIVE", raising=False)
         assert archive_root_from_env() is None
@@ -313,6 +335,38 @@ class TestDiffEngine:
         with pytest.raises(ReproError):
             parse_rule("x:1:2:sideways")
 
+    @pytest.mark.parametrize("entry", [
+        {"pattern": "*", "rel_tol": "x"},
+        {"pattern": "*", "rel_tol": None},
+        {"pattern": "*", "abs_tol": True},
+        {"pattern": 5},
+        {"pattern": ""},
+    ], ids=["rel-text", "rel-null", "abs-bool", "pattern-int",
+            "pattern-empty"])
+    def test_malformed_rule_entry_is_a_typed_error(self, tmp_path, entry):
+        with pytest.raises(ReproError, match="rule"):
+            Rule.from_entry(entry, "test")
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({"metrics": {"x": 1},
+                                    "rules": [entry]}))
+        with pytest.raises(ReproError, match="gate baseline"):
+            gate_rules(gate)
+
+    def test_gate_rules_must_be_a_list(self, tmp_path):
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({"metrics": {"x": 1}, "rules": 5}))
+        with pytest.raises(ReproError, match="must be a list"):
+            gate_rules(gate)
+
+    def test_rule_from_entry(self):
+        assert Rule.from_entry({"pattern": "eps", "rel_tol": 1,
+                                "direction": "lower"}, "test") \
+            == Rule("eps", rel_tol=1.0, direction="lower")
+        for path in ("benchmarks/e2e_gate.json",
+                     "benchmarks/kernel_gate.json"):
+            metrics, rules = gate_rules(os.path.join(REPO, path))
+            assert metrics and len(rules) >= 1
+
     def test_gate_rules_file(self, tmp_path):
         path = tmp_path / "gate.json"
         path.write_text(json.dumps({
@@ -397,6 +451,25 @@ class TestDiffCli:
     def test_diff_argument_errors(self, tmp_path, capsys):
         assert main(["diff"]) == 2          # ReproError -> exit 2
         assert "error" in capsys.readouterr().err
+
+    def test_diff_of_a_damaged_archive_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good"
+        RunArchive.write(good, {"x": 1})
+        bad = tmp_path / "bad"
+        RunArchive.write(bad, {"x": 1})
+        (bad / "manifest.json").write_text('{"schema_version": 1, "ru')
+        assert main(["diff", str(good), str(bad)]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_gate_with_a_malformed_rule_exits_2(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        RunArchive.write(run, {"x": 1})
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({
+            "metrics": {"x": 1},
+            "rules": [{"pattern": "*", "rel_tol": "x"}]}))
+        assert main(["diff", "--gate", str(gate), str(run)]) == 2
+        assert "rel_tol must be a number" in capsys.readouterr().err
 
     def test_diff_json_format_and_output(self, tmp_path, capsys):
         a = self._archive(tmp_path, "a")

@@ -21,8 +21,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 #: Every package whose init exports its names lazily.
-LAZY_PACKAGES = ("repro", "repro.core", "repro.farm", "repro.obs",
-                 "repro.parallel", "repro.serve", "repro.workloads")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.engine", "repro.farm",
+                 "repro.obs", "repro.parallel", "repro.serve",
+                 "repro.workloads")
 
 
 def run_fresh(code: str):
@@ -65,6 +66,13 @@ def test_cli_loads_no_simulator():
     assert loaded_by("import repro.cli", (
         "repro.core.prototype", "repro.cost", "repro.fpga",
         "repro.workloads", "repro.cpu", "repro.farm")) == []
+
+
+def test_server_loads_only_the_kernel_stats():
+    """The server's registry and archive reader need ``engine.stats``
+    alone, so serving warm answers loads no simulation kernel."""
+    assert loaded_by("import repro.serve.service", ("repro.engine",)) \
+        == ["repro.engine", "repro.engine.stats"]
 
 
 def test_parallel_loads_neither_farm_nor_prototype():

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import parse_config
+from repro.cli import main as cli_main
 from repro.errors import ServeError
 from repro.obs.archive import RunArchive
 from repro.parallel import (fig8_spec, fig9_spec, latency_matrix_spec,
@@ -39,6 +40,12 @@ from repro.store import ResultStore, entry_key
 
 CONFIG = "2x1x2"
 THREADS = (2, 4)
+
+#: Tolerance entries of the wrong type: each is a client error.
+MALFORMED_RULES = [{"pattern": "*", "rel_tol": "x"},
+                   {"pattern": "*", "rel_tol": None},
+                   {"pattern": 5}]
+MALFORMED_RULE_IDS = ["rel-text", "rel-null", "pattern-int"]
 
 #: Canonical JSON values: what a stored entry's value text parses to.
 CANONICAL_VALUES = st.recursive(
@@ -128,6 +135,12 @@ class TestApi:
         assert rules[1].rel_tol == pytest.approx(0.1)
         with pytest.raises(ServeError, match="pattern"):
             DiffQuery(run_a="a", run_b="b", rules=[{"rel_tol": 0.1}])
+
+    @pytest.mark.parametrize("entry", MALFORMED_RULES,
+                             ids=MALFORMED_RULE_IDS)
+    def test_diff_query_refuses_malformed_rules(self, entry):
+        with pytest.raises(ServeError, match="diff_query rule"):
+            DiffQuery(run_a="a", run_b="b", rules=[entry])
 
     def test_canonical_json_equal_messages_equal_bytes(self):
         a = PointQuery(family="f", config_hash="c", point={"x": 1,
@@ -255,6 +268,19 @@ def _stat(client, name):
     return client.stats().get(name, 0)
 
 
+def _post(served, path, envelope):
+    """``(status, decoded reply)`` of one raw POST of ``envelope``."""
+    conn = http.client.HTTPConnection("127.0.0.1", served["service"].port,
+                                      timeout=10)
+    try:
+        conn.request("POST", path, body=json.dumps(envelope).encode(),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, decode(response.read())
+    finally:
+        conn.close()
+
+
 class TestService:
     def test_ping_and_stats(self, served):
         client = served["client"]
@@ -352,6 +378,18 @@ class TestService:
                                       ignore_instrumentation=True)
         assert reply.ok
 
+    @pytest.mark.parametrize("entry", MALFORMED_RULES,
+                             ids=MALFORMED_RULE_IDS)
+    def test_diff_malformed_rule_is_a_client_error(self, served, entry):
+        envelope = {"api_version": SERVE_API_VERSION,
+                    "kind": DiffQuery.KIND,
+                    "body": {"run_a": "a", "run_b": "b",
+                             "rules": [entry]}}
+        status, reply = _post(served, "/v1/diff", envelope)
+        assert status == 400
+        assert isinstance(reply, ErrorReply)
+        assert "diff_query rule" in reply.error
+
     def test_submit_all_warm_finishes_inline(self, served):
         client = served["client"]
         reply = client.submit("fig8", config=CONFIG,
@@ -441,17 +479,7 @@ class TestService:
         envelope = {"api_version": SERVE_API_VERSION,
                     "kind": SweepSubmit.KIND,
                     "body": dict(fields, config=CONFIG)}
-        conn = http.client.HTTPConnection("127.0.0.1",
-                                          served["service"].port,
-                                          timeout=10)
-        try:
-            conn.request("POST", "/v1/submit",
-                         body=json.dumps(envelope).encode(),
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            status, reply = response.status, decode(response.read())
-        finally:
-            conn.close()
+        status, reply = _post(served, "/v1/submit", envelope)
         assert 400 <= status < 500
         assert isinstance(reply, ErrorReply)
         assert f"{named} must be" in reply.error
@@ -637,6 +665,92 @@ class TestService:
                 backend(0)
         finally:
             backend.close()
+
+
+def test_a_damaged_archive_is_skipped(tmp_path):
+    """One archive whose manifest is cut short leaves the listing and
+    the metric search answering for every other archive."""
+    runs = tmp_path / "runs"
+    RunArchive.write(str(runs / "good"), {"lat": 1})
+    RunArchive.write(str(runs / "bad"), {"lat": 2})
+    (runs / "bad" / "manifest.json").write_text('{"schema_version": 1, "ru')
+    service = ResultService(str(tmp_path / "store"), runs_root=str(runs))
+    with ServiceThread(service), ServeClient(service.url) as client:
+        assert [a["dir"] for a in client.archives().archives] == ["good"]
+        assert client.metrics("lat").matches == [
+            {"run_id": "good", "metric": "lat", "value": 1}]
+
+
+class TestQueryCli:
+    """``repro query`` against a live service: exit codes, and
+    ``--format json`` printing the reply's ``to_dict()``."""
+
+    @staticmethod
+    def _query(served, capsys, *argv):
+        capsys.readouterr()
+        code = cli_main(["query", *argv, "--url", served["service"].url])
+        return code, capsys.readouterr()
+
+    def test_point_hit_and_miss(self, served, capsys):
+        payload = served["tasks"][0][-1]
+        point = ["point", "fig8", "--config-hash", served["cfg_hash"],
+                 "--point", json.dumps(payload["point"])]
+        code, out = self._query(served, capsys, *point, "--seed",
+                                str(payload["seed"]), "--format", "json")
+        assert code == 0
+        assert json.loads(out.out) == served["client"].query(
+            "fig8", served["cfg_hash"], payload["point"],
+            payload["seed"]).to_dict()
+        code, out = self._query(served, capsys, *point, "--seed", "999")
+        assert code == 1 and out.out.startswith("miss:")
+
+    def test_archives_and_metrics(self, served, capsys):
+        client = served["client"]
+        code, out = self._query(served, capsys, "archives",
+                                "--format", "json")
+        assert code == 0
+        assert json.loads(out.out) == client.archives().to_dict()
+        code, out = self._query(served, capsys, "archives", "a",
+                                "--format", "json")
+        assert code == 0
+        assert json.loads(out.out) == client.archive("a").to_dict()
+        code, out = self._query(served, capsys, "metrics", "lat",
+                                "--format", "json")
+        assert code == 0
+        assert json.loads(out.out) == client.metrics("lat").to_dict()
+
+    def test_diff_exit_codes(self, served, capsys):
+        code, out = self._query(served, capsys, "diff", "a", "a")
+        assert code == 0 and ": ok" in out.out
+        code, out = self._query(served, capsys, "diff", "a", "b",
+                                "--format", "json")
+        assert code == 1
+        assert json.loads(out.out) == served["client"].diff(
+            "a", "b").to_dict()
+        code, out = self._query(served, capsys, "diff", "a", "c")
+        assert code == 2 and "instrumented differently" in out.err
+
+    def test_submit_wait_job_and_stats(self, served, capsys):
+        code, out = self._query(served, capsys, "submit", "fig8",
+                                "--config", CONFIG, "--thread-counts",
+                                ",".join(map(str, THREADS)), "--wait",
+                                "--format", "json")
+        assert code == 0
+        reply = json.loads(out.out)
+        assert (reply["submit"]["warm"], reply["submit"]["cold"]) == (2, 0)
+        assert reply["job"]["job"]["state"] == "done"
+        job_id = reply["submit"]["job_id"]
+        code, out = self._query(served, capsys, "job", job_id,
+                                "--format", "json")
+        assert code == 0
+        assert json.loads(out.out) == served["client"].job(
+            job_id).to_dict()
+        code, out = self._query(served, capsys, "job")
+        assert code == 0 and job_id in out.out
+        code, out = self._query(served, capsys, "stats", "--format",
+                                "json")
+        assert code == 0
+        assert json.loads(out.out)["obs.serve.requests"] >= 1
 
 
 class TestServiceLifecycle:

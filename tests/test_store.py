@@ -229,6 +229,19 @@ class TestResultStore:
         assert [os.path.exists(p) for p in paths] == [False, False,
                                                       True, True]
 
+    def test_gc_counts_a_failed_removal_as_kept(self, tmp_path,
+                                                monkeypatch):
+        store = ResultStore(tmp_path)
+        path = store.put(entry_key({"i": "stuck"}), 1)
+        size = os.stat(path).st_size
+
+        def refuse(target):
+            raise PermissionError(target)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        stats = store.gc(max_bytes=0)
+        assert (stats.removed, stats.kept, stats.kept_bytes) == (0, 1, size)
+
     def test_gc_select_deterministic_ties(self):
         items = [GCItem(path=f"p{i}", bytes=10, mtime=100.0)
                  for i in range(3)]
